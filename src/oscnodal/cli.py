@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text):
-    """start:stop:step (inclusive stop up to rounding) or comma list."""
+    """start:stop:step (inclusive stop up to rounding) or comma list; never empty."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -48,8 +48,12 @@ def _parse_range(text):
         if step <= 0:
             raise ValueError("range step must be positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(n)]
-    return [float(p) for p in text.split(",") if p]
+        values = [start + i * step for i in range(n)]
+    else:
+        values = [float(p) for p in text.split(",") if p]
+    if not values:
+        raise ValueError(f"range {text!r} holds no values")
+    return values
 
 
 def _parse_int_list(text):
@@ -98,11 +102,17 @@ def _merge_config(args, argv):
 
 
 def _threads():
+    """Worker threads from OSCNODAL_THREADS: unset means 1, else a positive integer."""
     raw = os.environ.get("OSCNODAL_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
+    if not raw:
         return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"OSCNODAL_THREADS must be a positive integer, got {raw!r}")
+    return value
 
 
 def _write_table(path, comments, header, rows):

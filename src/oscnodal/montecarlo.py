@@ -54,11 +54,24 @@ class RandomEigenfunction:
     seed: int
 
     def coefficient(self, beta):
-        """Coefficient of the multi-index beta (lexicographic storage)."""
-        for i, b in enumerate(multi_indices(self.level.d, self.level.N)):
-            if b == tuple(beta):
-                return float(self.coeffs[i])
-        raise KeyError(f"{beta} is not a degree-{self.level.N} multi-index")
+        """Coefficient of the multi-index beta (lexicographic storage).
+
+        The storage position is the lexicographic rank of beta: at each
+        coordinate j < d-1, the multi-indices sharing beta's prefix with a
+        smaller entry at j number C(R + k, k) - C(R - beta_j + k, k), where R
+        is what remains of N before j and k = d-1-j coordinates follow it.
+        """
+        d, n = self.level.d, self.level.N
+        beta = tuple(beta)
+        if len(beta) != d or any(b < 0 or b != int(b) for b in beta) or sum(beta) != n:
+            raise KeyError(f"{beta} is not a degree-{n} multi-index")
+        rank, rest = 0, n
+        for j, b in enumerate(beta[:-1]):
+            k = d - 1 - j
+            b = int(b)
+            rank += math.comb(rest + k, k) - math.comb(rest - b + k, k)
+            rest -= b
+        return float(self.coeffs[rank])
 
     def evaluate(self, points):
         """Field values at an array of points, shape (P, d) or (d,)."""
@@ -146,14 +159,24 @@ def _grid_values(coeffs, cx, cy):
     return cy.T @ (coeffs[:, None] * cx)
 
 
-# marching squares: segment table per 4-bit corner sign case
-# corners: bit0 = bottom-left, bit1 = bottom-right, bit2 = top-right, bit3 = top-left
-# edges: 0 bottom, 1 right, 2 top, 3 left
-_MS_SEGMENTS = {
-    1: [(0, 3)], 2: [(0, 1)], 4: [(1, 2)], 8: [(2, 3)],
-    3: [(3, 1)], 6: [(0, 2)], 12: [(1, 3)], 9: [(0, 2)],
-    7: [(2, 3)], 11: [(1, 2)], 13: [(0, 1)], 14: [(0, 3)],
-}
+# marching squares: corners bit0 = bottom-left, bit1 = bottom-right,
+# bit2 = top-right, bit3 = top-left; edges 0 bottom, 1 right, 2 top, 3 left.
+# One row per summation group (case, saddle center sign, edge pair), in the
+# order the group sums are accumulated; see _marching_squares_length.  The
+# saddles 5 (bl, tr positive) and 10 (br, tl positive) carry two segments
+# each, whose pattern depends on the sign of the bilinear center value.
+_MS_GROUPS = (
+    (1, None, (0, 3)), (2, None, (0, 1)), (4, None, (1, 2)), (8, None, (2, 3)),
+    (3, None, (3, 1)), (6, None, (0, 2)), (12, None, (1, 3)), (9, None, (0, 2)),
+    (7, None, (2, 3)), (11, None, (1, 2)), (13, None, (0, 1)), (14, None, (0, 3)),
+    (5, True, (0, 1)), (5, True, (2, 3)), (5, False, (0, 3)), (5, False, (1, 2)),
+    (10, True, (0, 3)), (10, True, (1, 2)), (10, False, (0, 1)), (10, False, (2, 3)),
+)
+_MS_EDGES = np.array([pair for _, _, pair in _MS_GROUPS]).T
+# first group of each case; a saddle's center-negative pattern starts 2 later
+_MS_FIRST_GROUP = np.array(
+    [next((g for g, row in enumerate(_MS_GROUPS) if row[0] == c), 0) for c in range(16)],
+    dtype=np.int8)
 
 
 def _marching_squares_length(f, dx, dy):
@@ -161,52 +184,57 @@ def _marching_squares_length(f, dx, dy):
 
     Zeros at grid nodes count as positive, which keeps the case analysis
     total.  The two ambiguous saddle cases are resolved by the sign of the
-    bilinear center value.
+    bilinear center value (the sum of the four corners).
+
+    Only the crossing cells (case neither 0 nor 15) are gathered; their edge
+    crossings and one hypot per segment are computed on that subset.  The
+    segment lengths are summed per group of _MS_GROUPS, each group in
+    row-major cell order, and the group sums are added in table order: the
+    same pairwise sums in the same order as a per-case masked pass over the
+    whole grid, so the length is bit-identical to one.
     """
-    bl = f[:-1, :-1]
-    br = f[:-1, 1:]
-    tr = f[1:, 1:]
-    tl = f[1:, :-1]
-    pos_bl = bl >= 0
-    pos_br = br >= 0
-    pos_tr = tr >= 0
-    pos_tl = tl >= 0
-    case = (pos_bl.astype(np.int8) + 2 * pos_br.astype(np.int8)
-            + 4 * pos_tr.astype(np.int8) + 8 * pos_tl.astype(np.int8))
+    pos = (f >= 0).view(np.uint8)
+    case = (pos[:-1, :-1] | (pos[:-1, 1:] << 1)
+            | (pos[1:, 1:] << 2) | (pos[1:, :-1] << 3))
+    cells = np.flatnonzero((case != 0) & (case != 15))
+    code = case.ravel()[cells]
+    nx = f.shape[1]
+    node = cells + cells // (nx - 1)   # flat index of each cell's bottom-left node
+    flat = f.ravel()
+    bl = flat[node]
+    br = flat[node + 1]
+    tr = flat[node + nx + 1]
+    tl = flat[node + nx]
+
+    group = _MS_FIRST_GROUP[code]
+    saddle = np.flatnonzero((code == 5) | (code == 10))
+    center = bl[saddle] + br[saddle] + tr[saddle] + tl[saddle]
+    group[saddle[center < 0]] += 2
+    seg_group = np.concatenate([group, group[saddle] + 1])
+    seg_cell = np.concatenate([np.arange(len(cells)), saddle])
+    order = np.argsort(seg_group, kind="stable")
+    seg_group = seg_group[order]
+    seg_cell = seg_cell[order]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         xb = bl / (bl - br)   # bottom edge crossing, x in [0,1]
         yr = br / (br - tr)   # right edge
         xt = tl / (tl - tr)   # top edge
         yl = bl / (bl - tl)   # left edge
-    # edge -> (x, y) in cell units
-    ex = (xb, np.ones_like(xb), xt, np.zeros_like(xb))
-    ey = (np.zeros_like(xb), yr, np.ones_like(yr), yl)
-
-    def seg_len(mask, e1, e2):
-        ddx = (ex[e1] - ex[e2]) * dx
-        ddy = (ey[e1] - ey[e2]) * dy
-        return float(np.sum(np.hypot(ddx, ddy)[mask]))
-
+    one = np.ones_like(xb)
+    zero = np.zeros_like(xb)
+    # edge -> (x, y) in cell units, indexed [edge, cell]
+    ex = np.stack([xb, one, xt, zero])
+    ey = np.stack([zero, yr, one, yl])
+    e1 = _MS_EDGES[0][seg_group]
+    e2 = _MS_EDGES[1][seg_group]
+    ddx = (ex[e1, seg_cell] - ex[e2, seg_cell]) * dx
+    ddy = (ey[e1, seg_cell] - ey[e2, seg_cell]) * dy
+    lengths = np.hypot(ddx, ddy)
+    bounds = np.searchsorted(seg_group, np.arange(len(_MS_GROUPS) + 1))
     total = 0.0
-    for c, segments in _MS_SEGMENTS.items():
-        mask = case == c
-        if not mask.any():
-            continue
-        for e1, e2 in segments:
-            total += seg_len(mask, e1, e2)
-    # ambiguous saddles: 5 = bl,tr positive, 10 = br,tl positive; resolved by
-    # the sign of the bilinear center value (mean of the four corners)
-    center = bl + br + tr + tl
-    for c, pos_pair, neg_pair in ((5, [(0, 1), (2, 3)], [(0, 3), (1, 2)]),
-                                  (10, [(0, 3), (1, 2)], [(0, 1), (2, 3)])):
-        mask = case == c
-        if not mask.any():
-            continue
-        for e1, e2 in pos_pair:
-            total += seg_len(mask & (center >= 0), e1, e2)
-        for e1, e2 in neg_pair:
-            total += seg_len(mask & (center < 0), e1, e2)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        total += float(np.sum(lengths[lo:hi]))
     return total
 
 
@@ -269,17 +297,21 @@ def nodal_length_ensemble(level, seeds, box, grid_step):
     """Per-seed nodal lengths over an ensemble, sharing one basis build.
 
     Returns (lengths, NodalEstimate-of-the-mean); lengths are the fine-grid
-    Richardson values per seed.
+    Richardson values per seed.  Each seed's field is drawn once and used at
+    both resolutions.
     """
+    if level.d != 2:
+        raise ValueError("nodal_length_ensemble is d = 2 only")
     (x0, x1), (y0, y1) = box
+    coeffs = np.stack([sample_field(level, s).coeffs for s in seeds])
     values = {}
     for step_name, step in (("coarse", grid_step), ("fine", grid_step / 2.0)):
         xs = _grid_axis(x0, x1, step)
         ys = _grid_axis(y0, y1, step)
         cx, cy = _tensor_basis(level, xs, ys)
         out = np.empty(len(seeds))
-        for i, seed in enumerate(seeds):
-            f = _grid_values(sample_field(level, seed).coeffs, cx, cy)
+        for i, a in enumerate(coeffs):
+            f = _grid_values(a, cx, cy)
             out[i] = _marching_squares_length(f, xs[1] - xs[0], ys[1] - ys[0])
         values[step_name] = out
     refined = 2.0 * values["fine"] - values["coarse"]
@@ -339,6 +371,8 @@ def caustic_crossings_ensemble(level, seeds, angular_step=None):
 
     Returns (counts, NodalEstimate of the ensemble mean).
     """
+    if level.d != 2:
+        raise ValueError("caustic_crossings_ensemble is d = 2 only")
     if angular_step is None:
         angular_step = level.hbar ** (2.0 / 3.0) / 16.0
     n_fine = 2 * int(math.ceil(2.0 * math.pi / angular_step / 2.0))

@@ -130,6 +130,14 @@ class TestMonteCarloCommand:
         _, rows = read_table(out)
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("statistic", ["nodal-length", "caustic-crossings"])
+    def test_d3_is_a_usage_error(self, tmp_path, capsys, statistic):
+        status, out = run(tmp_path, "montecarlo", "--statistic", statistic,
+                          "--d", "3", "--N", "6", "--seeds", "2")
+        assert status == 1
+        assert "d = 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nodal_length_table(self, tmp_path):
         status, out = run(tmp_path, "montecarlo", "--statistic",
                           "nodal-length", "--d", "2", "--N", "40",
@@ -195,6 +203,25 @@ class TestConfigAndErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
         assert main(["airy", "--config", str(cfg)]) == 1
+
+    def test_empty_range_is_an_error(self, tmp_path, capsys):
+        status, out = run(tmp_path, "airy", "--k", "-1", "--s", "5:0:1")
+        assert status == 1
+        assert "no values" in capsys.readouterr().err
+        assert not out.exists()
+        status, out = run(tmp_path, "airy", "--k", "-1", "--s", "0:0:1")
+        assert status == 0
+        assert len(read_table(out)[1]) == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_invalid_thread_env_variable(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.setenv("OSCNODAL_THREADS", raw)
+        with pytest.raises(ValueError, match="OSCNODAL_THREADS"):
+            cli._threads()
+        status, _ = run(tmp_path, "projector", "--d", "2", "--N", "8",
+                        "--x", "0.1,0.2")
+        assert status == 1
+        assert "OSCNODAL_THREADS" in capsys.readouterr().err
 
     def test_thread_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OSCNODAL_THREADS", "2")

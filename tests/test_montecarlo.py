@@ -1,6 +1,7 @@
 """Random eigenfunction sampling and empirical nodal statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,17 @@ from oscnodal import (
     hermite_all,
     level_new,
     nodal_length,
+    nodal_length_ensemble,
     pi_exact,
     radial_zero_profile,
     sample_field,
 )
-from oscnodal.montecarlo import _grid_axis, _grid_values, _tensor_basis
+from oscnodal.montecarlo import (
+    _grid_axis,
+    _grid_values,
+    _marching_squares_length,
+    _tensor_basis,
+)
 from oscnodal.semiclassical import ResourceLimitError, multi_indices
 
 
@@ -47,6 +54,20 @@ class TestSampleField:
         assert field.coefficient(betas[3]) == field.coeffs[3]
         with pytest.raises(KeyError):
             field.coefficient((1, 1))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_coefficient_rank_matches_enumeration(self, d):
+        for n in range(0, 7):
+            field = sample_field(level_new(d, n), 11)
+            betas = list(multi_indices(d, n))
+            for beta in betas:
+                assert field.coefficient(beta) == field.coeffs[betas.index(beta)]
+
+    def test_coefficient_rejects_non_multi_indices(self):
+        field = sample_field(level_new(3, 4), 9)
+        for beta in [(4, 0), (1, 1, 1, 1), (5, -1, 0), (2, 1, 0), (2, 2, 1)]:
+            with pytest.raises(KeyError):
+                field.coefficient(beta)
 
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -130,6 +151,118 @@ class TestNodalLength:
         a = nodal_length(field, box, step)
         b = nodal_length(lambda pts: field.evaluate(pts), box, step)
         assert a.value == pytest.approx(b.value, rel=1e-9)
+
+
+def _marching_squares_reference(f, dx, dy):
+    """Per-case masked marching squares over the whole grid (the oracle)."""
+    segments_of = {
+        1: [(0, 3)], 2: [(0, 1)], 4: [(1, 2)], 8: [(2, 3)],
+        3: [(3, 1)], 6: [(0, 2)], 12: [(1, 3)], 9: [(0, 2)],
+        7: [(2, 3)], 11: [(1, 2)], 13: [(0, 1)], 14: [(0, 3)],
+    }
+    bl = f[:-1, :-1]
+    br = f[:-1, 1:]
+    tr = f[1:, 1:]
+    tl = f[1:, :-1]
+    case = ((bl >= 0).astype(np.int8) + 2 * (br >= 0).astype(np.int8)
+            + 4 * (tr >= 0).astype(np.int8) + 8 * (tl >= 0).astype(np.int8))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xb = bl / (bl - br)
+        yr = br / (br - tr)
+        xt = tl / (tl - tr)
+        yl = bl / (bl - tl)
+    ex = (xb, np.ones_like(xb), xt, np.zeros_like(xb))
+    ey = (np.zeros_like(xb), yr, np.ones_like(yr), yl)
+
+    def seg_len(mask, e1, e2):
+        with np.errstate(invalid="ignore"):
+            ddx = (ex[e1] - ex[e2]) * dx
+            ddy = (ey[e1] - ey[e2]) * dy
+        return float(np.sum(np.hypot(ddx, ddy)[mask]))
+
+    total = 0.0
+    for c, segments in segments_of.items():
+        mask = case == c
+        if not mask.any():
+            continue
+        for e1, e2 in segments:
+            total += seg_len(mask, e1, e2)
+    center = bl + br + tr + tl
+    for c, pos_pair, neg_pair in ((5, [(0, 1), (2, 3)], [(0, 3), (1, 2)]),
+                                  (10, [(0, 3), (1, 2)], [(0, 1), (2, 3)])):
+        mask = case == c
+        if not mask.any():
+            continue
+        for e1, e2 in pos_pair:
+            total += seg_len(mask & (center >= 0), e1, e2)
+        for e1, e2 in neg_pair:
+            total += seg_len(mask & (center < 0), e1, e2)
+    return total
+
+
+class TestMarchingSquares:
+    BOX = ((0.4, 0.6), (-0.1, 0.1))
+
+    def test_bit_identical_to_reference_on_sampled_fields(self):
+        level = level_new(2, 60)
+        (x0, x1), (y0, y1) = self.BOX
+        for step in (level.hbar / 8.0, level.hbar / 16.0):
+            xs = _grid_axis(x0, x1, step)
+            ys = _grid_axis(y0, y1, step)
+            cx, cy = _tensor_basis(level, xs, ys)
+            for seed in range(1, 6):
+                f = _grid_values(sample_field(level, seed).coeffs, cx, cy)
+                dx, dy = xs[1] - xs[0], ys[1] - ys[0]
+                assert _marching_squares_length(f, dx, dy) == \
+                    _marching_squares_reference(f, dx, dy)
+
+    def test_saddles_with_both_center_signs(self):
+        # checkerboard signs: cells are saddles 5, 10, 5, 10 with center sums
+        # 4, 2, -2, -2; the last grid is a saddle 5 whose center sum is
+        # exactly 0, which counts as positive
+        for f in (np.array([[3.0, -1.0, 1.0, -3.0, 1.0],
+                            [-1.0, 3.0, -1.0, 1.0, -1.0]]),
+                  np.array([[2.0, -1.0], [-4.0, 3.0]])):
+            assert _marching_squares_length(f, 0.3, 0.7) == \
+                _marching_squares_reference(f, 0.3, 0.7)
+        # one saddle 5 with a positive center: its segments cut off the
+        # negative bottom-right and top-left corners, |(0.25, 0.25)| and
+        # |(0.4, 0.4)|; the other pattern would measure ~1.92
+        single = np.array([[3.0, -1.0], [-2.0, 3.0]])
+        assert _marching_squares_length(single, 1.0, 1.0) == \
+            pytest.approx(math.hypot(0.25, 0.25) + math.hypot(0.4, 0.4), rel=1e-14)
+
+    def test_exact_zeros_at_nodes(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            f = rng.integers(-2, 3, size=(9, 13)).astype(float)
+            assert _marching_squares_length(f, 0.1, 0.2) == \
+                _marching_squares_reference(f, 0.1, 0.2)
+        assert _marching_squares_length(np.zeros((5, 6)), 0.1, 0.1) == 0.0
+
+    def test_constant_field(self):
+        for value in (1.0, -1.0):
+            f = np.full((7, 8), value)
+            assert _marching_squares_length(f, 0.1, 0.1) == 0.0
+            assert _marching_squares_reference(f, 0.1, 0.1) == 0.0
+
+    def test_ensemble_equals_single_field_richardson(self):
+        level = level_new(2, 60)
+        seeds = range(1, 5)
+        step = level.hbar / 8.0
+        lengths, _ = nodal_length_ensemble(level, seeds, self.BOX, step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            single = [nodal_length(sample_field(level, s), self.BOX, step).value
+                      for s in seeds]
+        assert list(lengths) == single
+
+    def test_ensembles_are_d2_only(self):
+        level = level_new(3, 6)
+        with pytest.raises(ValueError, match="d = 2"):
+            nodal_length_ensemble(level, [1, 2], self.BOX, level.hbar / 8.0)
+        with pytest.raises(ValueError, match="d = 2"):
+            caustic_crossings_ensemble(level, [1, 2])
 
 
 class TestCausticCrossings:
