@@ -8,7 +8,6 @@ time.  Identical configuration and seed give byte-identical CSV output.
 
 Configuration can come from flags or a plain key=value file (--config);
 explicit flags win.  Ranges use start:stop:step, discrete sets use commas.
-OSCNODAL_THREADS caps the worker threads of batch evaluations.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure (a requested
 check landed outside its tolerance).
@@ -80,6 +79,8 @@ def _merge_config(args, argv):
         return args
     passed = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
               for a in argv if a.startswith("--")}
+    if any(a.startswith("-o") for a in argv):  # -o is the one short option
+        passed.add("output")
     cfg = _load_config(args.config)
     for key, raw in cfg.items():
         if key == "config":
@@ -99,20 +100,6 @@ def _merge_config(args, argv):
             value = raw
         setattr(args, key, value)
     return args
-
-
-def _threads():
-    """Worker threads from OSCNODAL_THREADS: unset means 1, else a positive integer."""
-    raw = os.environ.get("OSCNODAL_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"OSCNODAL_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _write_table(path, comments, header, rows):
@@ -169,7 +156,7 @@ def _cmd_projector(args):
         y = np.array([float(v) for v in (args.y or args.x).split(",")])
         xs, ys = [x], [y]
     if args.method == "exact":
-        values = projector.pi_exact_batch(level, xs, ys, max_workers=_threads())
+        values = projector.pi_exact_batch(level, xs, ys)
     else:
         from .semiclassical import TrackedReal
         values = [TrackedReal.from_float(projector.pi_mehler(level, x, y)).normalized()
@@ -230,21 +217,24 @@ def _cmd_pi0(args):
 
 
 _REGIMES = {
-    "allowed-bulk": densities.Region.ALLOWED_BULK,
-    "allowed-annulus": densities.Region.ALLOWED_ANNULUS,
-    "caustic-tube": densities.Region.CAUSTIC_TUBE,
-    "forbidden-annulus": densities.Region.FORBIDDEN_ANNULUS,
-    "forbidden-bulk": densities.Region.FORBIDDEN_BULK,
+    # regime -> (region, default --u1-range on the regime's side of the caustic)
+    "allowed-bulk": (densities.Region.ALLOWED_BULK, "-0.9:-0.1:0.1"),
+    "allowed-annulus": (densities.Region.ALLOWED_ANNULUS, "-3:-0.1:0.1"),
+    "caustic-tube": (densities.Region.CAUSTIC_TUBE, "-3:3:0.1"),
+    "forbidden-annulus": (densities.Region.FORBIDDEN_ANNULUS, "0.1:3:0.1"),
+    "forbidden-bulk": (densities.Region.FORBIDDEN_BULK, "0.1:3:0.1"),
 }
 
 
 def _cmd_density(args):
     level = level_new(args.d, args.N)
-    region = _REGIMES[args.regime]
+    region, default_range = _REGIMES[args.regime]
     frame = scaled_kernel.CausticFrame.from_point(
         np.array([1.0] + [0.0] * (args.d - 1)))
     alpha = {"allowed-bulk": 0.0, "forbidden-bulk": 0.0,
              "caustic-tube": 2.0 / 3.0}.get(args.regime, args.alpha)
+    if args.u1_range is None:
+        args.u1_range = default_range
     rows = []
     worst = 0.0
     for u1 in _parse_range(args.u1_range):
@@ -283,13 +273,13 @@ def _cmd_density(args):
     return 0
 
 
-_SWEEP_POINTS = {
-    # regime name -> (expected unscaled log-log slope, point builder)
-    "allowed": (-1.0, lambda level, s: (0.5, 0.0)),
-    "allowed-annulus": (-0.75, None),
-    "caustic": (-2.0 / 3.0, None),
-    "forbidden-annulus": (-0.625, None),
-    "forbidden": (-0.5, lambda level, s: (1.3, 0.0)),
+_SWEEP_SLOPES = {
+    # sweep point -> expected unscaled log-log slope d(log F)/d(log hbar)
+    "allowed": -1.0,
+    "allowed-annulus": -0.75,
+    "caustic": -2.0 / 3.0,
+    "forbidden-annulus": -0.625,
+    "forbidden": -0.5,
 }
 
 
@@ -321,7 +311,7 @@ def _cmd_scaling_sweep(args):
         log_h.append(math.log(level.hbar))
         log_f.append(dens.log_abs())
     slope = float(np.polyfit(log_h, log_f, 1)[0])
-    expected = _SWEEP_POINTS[args.point][0]
+    expected = _SWEEP_SLOPES[args.point]
     comments = [
         "log-log scaling sweep of the exact Kac-Rice density across N",
         "columns: regime, d, N, hbar, |x|, log_density (natural log, physical units)",
@@ -433,7 +423,8 @@ def build_parser():
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--N", type=int, default=200)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--u1-range", default="-3:3:0.1")
+    p.add_argument("--u1-range", default=None,
+                   help="start:stop:step or comma list; the default depends on --regime")
     p.add_argument("--with-exact", action="store_true")
     p.add_argument("--tolerance", type=float, default=None,
                    help="exit 2 if any relative error exceeds this")
@@ -442,7 +433,7 @@ def build_parser():
     p = sub.add_parser("scaling-sweep", help="log-log density slope across N")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--N", default="100,200,400,800,1600", help="comma list")
-    p.add_argument("--point", choices=sorted(_SWEEP_POINTS), default="caustic")
+    p.add_argument("--point", choices=sorted(_SWEEP_SLOPES), default="caustic")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--tolerance", type=float, default=None,

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ellipe
 
 from . import airy, projector
 from .scaled_kernel import CausticFrame
@@ -125,24 +126,28 @@ def _clipped_eigenvalues(kr):
     return np.clip(lam, 0.0, None), lam_max
 
 
+def _circle_average_norm(lo, hi):
+    """Mean of sqrt(lo cos^2 t + hi sin^2 t) over t, elementwise for 0 <= lo <= hi.
+
+    The closed form (2/pi) sqrt(hi) E(1 - lo/hi), E the complete elliptic
+    integral of the second kind (0 where hi = 0): the d = 2 reduction of both
+    kac_rice_density and density_grid.  An angle rule loses up to ~1e-4 at
+    the near rank-one matrices of the forbidden regimes.
+    """
+    ratio = np.divide(lo, hi, out=np.zeros_like(hi), where=hi > 0.0)
+    return 2.0 / math.pi * np.sqrt(hi) * ellipe(1.0 - ratio)
+
+
 def _sphere_average_norm(lam, d, mc_seed=0, mc_samples=10**6):
     """Mean of sqrt(sum lam_i w_i^2) over the unit sphere.
 
-    d = 2 has the exact closed form (2/pi) sqrt(lam_max) E(1 - lam_min/lam_max)
-    with E the complete elliptic integral of the second kind (angle quadrature
-    loses ~1e-4 at the rank-deficient matrices the forbidden regimes produce);
-    d = 3 uses a 64 x 128 product Gauss rule, d >= 4 Monte Carlo with a
-    reported standard error.
+    d = 2 is the closed form of _circle_average_norm; d = 3 uses a 64 x 128
+    product Gauss rule, d >= 4 Monte Carlo with a reported standard error.
     """
     if d == 1:
         return math.sqrt(lam[0]), 0.0
     if d == 2:
-        hi = float(lam[1])
-        lo = float(lam[0])
-        if hi == 0.0:
-            return 0.0, 0.0
-        from scipy.special import ellipe
-        return 2.0 / math.pi * math.sqrt(hi) * float(ellipe(1.0 - lo / hi)), 0.0
+        return float(_circle_average_norm(lam[0], lam[1])), 0.0
     if d == 3:
         cx, cw = np.polynomial.legendre.leggauss(64)
         theta = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
@@ -305,10 +310,10 @@ def omega_forbidden_annulus(level, frame, alpha, s):
 def density_grid(level, xs, ys):
     """Exact Kac-Rice density on a d = 2 tensor grid, shape (len(ys), len(xs)).
 
-    Vectorizes the d = 2 reduction with analytic 2x2 eigenvalues; meant for
-    hbar-resolving averages (the exact bulk density carries oscillatory
-    corrections of relative size ~sqrt(hbar) on scale hbar, which coarse
-    quadrature aliases).
+    Analytic 2x2 eigenvalues of Omega, then the elliptic form that
+    kac_rice_density uses (_circle_average_norm); meant for hbar-resolving
+    averages (the exact bulk density carries oscillatory corrections of
+    relative size ~sqrt(hbar) on scale hbar, which coarse quadrature aliases).
     """
     jets = projector.jet_grid(level, xs, ys)
     pi = jets["Pi"]
@@ -319,12 +324,7 @@ def density_grid(level, xs, ys):
     gap = np.sqrt(np.maximum(0.25 * (o11 - o22) ** 2 + o12 ** 2, 0.0))
     lam1 = np.maximum(half_tr + gap, 0.0)
     lam2 = np.maximum(half_tr - gap, 0.0)
-    theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    cos_sq = np.cos(theta) ** 2
-    sin_sq = np.sin(theta) ** 2
-    avg = np.mean(np.sqrt(lam1[..., None] * cos_sq + lam2[..., None] * sin_sq),
-                  axis=-1)
-    return avg * chi_mean(2) / math.sqrt(2.0 * math.pi)
+    return _circle_average_norm(lam2, lam1) * chi_mean(2) / math.sqrt(2.0 * math.pi)
 
 
 def mean_density_box(level, box, step=None):
@@ -380,11 +380,10 @@ def tube_mass(level, kappa, n_nodes=96):
     gx, gw = np.polynomial.legendre.leggauss(n_nodes)
     r = 1.0 + delta * gx
     w = delta * gw
-    vals = np.empty(n_nodes)
-    for i, ri in enumerate(r):
-        point = np.zeros(d)
-        point[0] = ri
-        vals[i] = projector.pi_exact(level, point).to_float()
+    points = np.zeros((n_nodes, d))
+    points[:, 0] = r
+    vals = np.array([v.to_float()
+                     for v in projector.pi_exact_batch(level, points, points)])
     sphere_area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     exact = sphere_area * float(np.sum(w * vals * r ** (d - 1))) / eigenspace_dim(level)
 

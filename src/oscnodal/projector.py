@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,10 @@ from .semiclassical import (
 #: |x| cap for the residue-integral route; beyond this the circle integrand
 #: reaches exp(c(|x|^2-1)/hbar) above the result and the rule is uncertified
 MEHLER_RADIUS_LIMIT = 1.3
+
+#: point pairs per basis recurrence in pi_exact_batch; the pass holds
+#: 2 * d * _PAIRS_PER_PASS columns of N + 1 extended-precision values
+_PAIRS_PER_PASS = 64
 
 
 @dataclass(frozen=True)
@@ -105,25 +108,10 @@ def pi_exact(level, x, y=None, budget=DEFAULT_DIM_BUDGET):
 
     Separable accumulation: per coordinate j the array
     A_j[k] = phi_k(x_j) phi_k(y_j), folded by truncated convolution and read
-    off at degree N.  Internally extended precision; the points are tiny
-    arrays so this is cheap even at N ~ several thousand.
+    off at degree N.  Internally extended precision; the one-pair case of
+    pi_exact_batch.
     """
-    _check_budget(level, budget)
-    dtype = np.longdouble
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = x if y is None else np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != (level.d,) or y.shape != (level.d,):
-        raise ValueError(f"points must be {level.d}-vectors")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("points must be finite")
-    n = level.N
-    arrays = []
-    for j in range(level.d):
-        mx, ex = _phi_mantexp(level.hbar, n, [x[j]], dtype=dtype)
-        my, ey = _phi_mantexp(level.hbar, n, [y[j]], dtype=dtype)
-        arrays.append((mx[:, 0] * my[:, 0], ex[:, 0] + ey[:, 0]))
-    m, e = _fold(arrays, n, dtype)
-    return _mantexp_to_tracked(m, e)
+    return pi_exact_batch(level, [x], [x if y is None else y], budget=budget)[0]
 
 
 def covariance_jet(level, x, budget=DEFAULT_DIM_BUDGET):
@@ -144,9 +132,9 @@ def covariance_jet(level, x, budget=DEFAULT_DIM_BUDGET):
     val = []   # phi phi
     mix = []   # phi phi'
     der = []   # phi' phi'
+    basis = _phi_deriv_mantexp(level.hbar, n, x, dtype=dtype)
     for j in range(d):
-        m, e, dm, de = _phi_deriv_mantexp(level.hbar, n, [x[j]], dtype=dtype)
-        m, e, dm, de = m[:, 0], e[:, 0], dm[:, 0], de[:, 0]
+        m, e, dm, de = (a[:, j] for a in basis)
         val.append((m * m, 2 * e))
         mix.append((m * dm, e + de))
         der.append((dm * dm, 2 * de))
@@ -308,41 +296,45 @@ def jet_grid(level, xs, ys):
     return out
 
 
-def pi_exact_batch(level, points_x, points_y, budget=DEFAULT_DIM_BUDGET, max_workers=None):
-    """pi_exact over a list of point pairs; positionally ordered, independent.
+def pi_exact_batch(level, points_x, points_y, budget=DEFAULT_DIM_BUDGET):
+    """pi_exact over a list of point pairs, positionally ordered.
 
-    Pure per-pair evaluations, mapped over a thread pool when max_workers is
-    given (or the OSCNODAL_THREADS environment variable is set; see the CLI).
+    One extended-precision basis recurrence runs over every coordinate of up
+    to _PAIRS_PER_PASS pairs at once (which bounds the basis memory for long
+    pair lists); each pair is then folded on its own, so every value is
+    bit-identical to a one-pair call.
     """
-    points_x = [np.asarray(p, dtype=float) for p in points_x]
-    points_y = [np.asarray(p, dtype=float) for p in points_y]
     if len(points_x) != len(points_y):
         raise ValueError("point lists must have equal length")
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda p: pi_exact(level, p[0], p[1], budget=budget),
-                                 zip(points_x, points_y)))
-    return [pi_exact(level, xi, yi, budget=budget) for xi, yi in zip(points_x, points_y)]
-
-
-def write_batch_csv(path, points_x, points_y, values):
-    """Write batch results with the flat schema x1..xd,y1..yd,pi_mantissa,pi_exponent."""
-    d = len(points_x[0])
-    header = [f"x{j+1}" for j in range(d)] + [f"y{j+1}" for j in range(d)] \
-        + ["pi_mantissa", "pi_exponent"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for xi, yi, v in zip(points_x, points_y, values):
-            writer.writerow([repr(float(c)) for c in xi]
-                            + [repr(float(c)) for c in yi]
-                            + [repr(v.mantissa), v.exponent])
+    if len(points_x) == 0:
+        return []
+    _check_budget(level, budget)
+    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in (*points_x, *points_y)]
+    if any(p.shape != (level.d,) for p in points):
+        raise ValueError(f"points must be {level.d}-vectors")
+    pairs = np.array(points).reshape(2, len(points_x), level.d)
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("points must be finite")
+    dtype, n = np.longdouble, level.N
+    values = []
+    for start in range(0, pairs.shape[1], _PAIRS_PER_PASS):
+        chunk = pairs[:, start:start + _PAIRS_PER_PASS]
+        m, e = _phi_mantexp(level.hbar, n, chunk.ravel(), dtype=dtype)
+        m = m.reshape((n + 1,) + chunk.shape)
+        e = e.reshape((n + 1,) + chunk.shape)
+        for p in range(chunk.shape[1]):
+            arrays = [(m[:, 0, p, j] * m[:, 1, p, j], e[:, 0, p, j] + e[:, 1, p, j])
+                      for j in range(level.d)]
+            values.append(_mantexp_to_tracked(*_fold(arrays, n, dtype)))
+    return values
 
 
 def read_batch_csv(path):
-    """Inverse of write_batch_csv; returns (points_x, points_y, values).
+    """Read a pairs CSV x1..xd,y1..yd[,pi_mantissa,pi_exponent].
 
-    Accepts coordinate-only files (no pi columns); values are then None.
+    Returns (points_x, points_y, values).  '#' comment lines are skipped, so
+    the output of `oscnodal projector` reads back exactly; coordinate-only
+    files (no pi columns) give values None.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]

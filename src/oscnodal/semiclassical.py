@@ -274,18 +274,17 @@ def _psi_deriv_mantexp(nmax, xi, dtype=np.float64):
     dm = np.empty_like(m)
     de = np.empty_like(e)
     k = np.arange(nmax + 1, dtype=dtype)
-    lo = np.sqrt(k / dtype(2.0))
-    hi = np.sqrt((k + 1) / dtype(2.0))
+    lo = np.sqrt(k / dtype(2.0))[:, None]
+    hi = np.sqrt((k + 1) / dtype(2.0))[:, None]
     # k = 0: psi' = -sqrt(1/2) psi_1
     dm[0] = -hi[0] * m1[1]
     de[0] = e1[1]
-    for kk in range(1, nmax + 1):
-        ea = e1[kk - 1]
-        eb = e1[kk + 1]
-        eo = np.maximum(ea, eb)
-        dm[kk] = lo[kk] * np.ldexp(m1[kk - 1], (ea - eo).astype(np.int64)) - \
-            hi[kk] * np.ldexp(m1[kk + 1], (eb - eo).astype(np.int64))
-        de[kk] = eo
+    # k >= 1: both neighbours realigned to the larger of their exponents
+    ea = e1[: nmax]
+    eb = e1[2:]
+    eo = np.maximum(ea, eb)
+    dm[1:] = lo[1:] * np.ldexp(m1[: nmax], ea - eo) - hi[1:] * np.ldexp(m1[2:], eb - eo)
+    de[1:] = eo
     return m, e, dm, de
 
 

@@ -85,6 +85,22 @@ class TestDensityCommand:
         logs = [r[header.index("predicted_density_log")] for r in rows]
         assert all(np.isfinite(logs))
 
+    @pytest.mark.parametrize("regime", sorted(cli._REGIMES))
+    def test_default_range_stays_on_the_regime_side(self, tmp_path, regime):
+        status, out = run(tmp_path, "density", "--regime", regime, "--d", "2",
+                          "--N", "20", "--with-exact")
+        assert status == 0
+        header, rows = read_table(out)
+        assert rows
+        assert all(np.isfinite(r[header.index("exact_density_log")]) for r in rows)
+
+    def test_explicit_range_on_the_wrong_side_is_an_error(self, tmp_path, capsys):
+        status, out = run(tmp_path, "density", "--regime", "allowed-annulus",
+                          "--N", "20", "--u1-range", "-1:1:0.5")
+        assert status == 1
+        assert "allowed annulus" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validation_exit_code(self, tmp_path):
         # an absurdly tight tolerance forces the validation failure path
         status, _ = run(tmp_path, "density", "--regime", "allowed-bulk",
@@ -199,6 +215,15 @@ class TestConfigAndErrors:
         _, rows = read_table(out)
         assert rows[0][0] == 0.0
 
+    def test_short_output_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"k=-1\ns=0:1:0.5\noutput={tmp_path / 'cfg.csv'}\n")
+        out = tmp_path / "explicit.csv"
+        status = main(["airy", "--config", str(cfg), "-o", str(out)])
+        assert status == 0
+        assert out.exists()
+        assert not (tmp_path / "cfg.csv").exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
@@ -212,20 +237,3 @@ class TestConfigAndErrors:
         status, out = run(tmp_path, "airy", "--k", "-1", "--s", "0:0:1")
         assert status == 0
         assert len(read_table(out)[1]) == 1
-
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_invalid_thread_env_variable(self, tmp_path, monkeypatch, capsys, raw):
-        monkeypatch.setenv("OSCNODAL_THREADS", raw)
-        with pytest.raises(ValueError, match="OSCNODAL_THREADS"):
-            cli._threads()
-        status, _ = run(tmp_path, "projector", "--d", "2", "--N", "8",
-                        "--x", "0.1,0.2")
-        assert status == 1
-        assert "OSCNODAL_THREADS" in capsys.readouterr().err
-
-    def test_thread_env_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OSCNODAL_THREADS", "2")
-        assert cli._threads() == 2
-        status, _ = run(tmp_path, "projector", "--d", "2", "--N", "8",
-                        "--x", "0.1,0.2")
-        assert status == 0

@@ -12,8 +12,9 @@ from oscnodal import (
     pi_exact_batch,
     pi_mehler,
 )
-from oscnodal.projector import read_batch_csv, write_batch_csv
-from oscnodal.semiclassical import ResourceLimitError
+from oscnodal.cli import main
+from oscnodal.projector import _PAIRS_PER_PASS, _fold, read_batch_csv
+from oscnodal.semiclassical import ResourceLimitError, _mantexp_to_tracked, _phi_mantexp
 
 
 def rotation(theta):
@@ -224,20 +225,83 @@ class TestOperatorIdentities:
             assert lhs == pytest.approx(0.5 * center, rel=1e-3)
 
 
+def same(a, b):
+    return a.mantissa == b.mantissa and a.exponent == b.exponent
+
+
+def per_coordinate(level, x, y):
+    """Pi(x, y) with one basis recurrence per coordinate: the batch's oracle."""
+    ld = np.longdouble
+    arrays = []
+    for xj, yj in zip(x, y):
+        mx, ex = _phi_mantexp(level.hbar, level.N, [xj], dtype=ld)
+        my, ey = _phi_mantexp(level.hbar, level.N, [yj], dtype=ld)
+        arrays.append((mx[:, 0] * my[:, 0], ex[:, 0] + ey[:, 0]))
+    return _mantexp_to_tracked(*_fold(arrays, level.N, ld))
+
+
 class TestBatch:
     def test_batch_matches_single_and_round_trips(self, tmp_path):
         level = level_new(2, 15)
         rng = np.random.default_rng(11)
         xs = [rng.uniform(-1, 1, 2) for _ in range(8)]
         ys = [rng.uniform(-1, 1, 2) for _ in range(8)]
-        values = pi_exact_batch(level, xs, ys, max_workers=2)
+        values = pi_exact_batch(level, xs, ys)
         for x, y, v in zip(xs, ys, values):
-            assert v.to_float() == pytest.approx(pi_exact(level, x, y).to_float(),
-                                                 rel=1e-12)
+            assert same(v, pi_exact(level, x, y))
+            assert same(v, per_coordinate(level, x, y))
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("x1,x2,y1,y2\n" + "".join(
+            ",".join(repr(float(c)) for c in np.concatenate([x, y])) + "\n"
+            for x, y in zip(xs, ys)))
         path = tmp_path / "batch.csv"
-        write_batch_csv(path, xs, ys, values)
+        assert main(["projector", "--d", "2", "--N", "15", "--pairs-csv", str(pairs),
+                     "-o", str(path)]) == 0
         rx, ry, rv = read_batch_csv(path)
-        for a, b in zip(rx, xs):
-            assert np.allclose(a, b)
+        for a, b in zip(rx + ry, xs + ys):
+            assert np.array_equal(a, b)
+        assert len(rv) == len(values)
         for a, b in zip(rv, values):
-            assert a.mantissa == b.mantissa and a.exponent == b.exponent
+            assert same(a, b)
+
+    @pytest.mark.parametrize("d,n", [(1, 30), (2, 40), (3, 12), (2, 1600)])
+    def test_batch_equals_one_pair_calls(self, d, n):
+        # random pairs, a diagonal pair, and a pair at |x| = 1.6, deep in the
+        # forbidden region (far below float underflow at N = 1600)
+        level = level_new(d, n)
+        rng = np.random.default_rng(d)
+        xs = [rng.uniform(-1.4, 1.4, d) for _ in range(5)]
+        ys = [rng.uniform(-1.4, 1.4, d) for _ in range(5)]
+        far = np.full(d, 1.6 / math.sqrt(d))
+        xs += [xs[0], far]
+        ys += [xs[0], far + 0.05]
+        values = pi_exact_batch(level, xs, ys)
+        for x, y, v in zip(xs, ys, values):
+            assert same(v, pi_exact(level, x, y))
+            assert same(v, per_coordinate(level, x, y))
+        assert same(pi_exact(level, xs[0]), values[5])
+
+    def test_batch_longer_than_one_pass(self):
+        level = level_new(2, 10)
+        rng = np.random.default_rng(5)
+        count = 2 * _PAIRS_PER_PASS + 3
+        xs = rng.uniform(-1.2, 1.2, (count, 2))
+        ys = rng.uniform(-1.2, 1.2, (count, 2))
+        values = pi_exact_batch(level, xs, ys)
+        assert len(values) == count
+        for x, y, v in zip(xs, ys, values):
+            assert same(v, pi_exact(level, x, y))
+            assert same(v, per_coordinate(level, x, y))
+
+    def test_empty_batch(self):
+        assert pi_exact_batch(level_new(2, 10), [], []) == []
+
+    def test_batch_validates_every_point(self):
+        level = level_new(2, 10)
+        good = [0.1, 0.2]
+        with pytest.raises(ValueError, match="2-vectors"):
+            pi_exact_batch(level, [good, [0.1, 0.2, 0.3]], [good, good])
+        with pytest.raises(ValueError, match="finite"):
+            pi_exact_batch(level, [good, good], [good, [0.1, math.nan]])
+        with pytest.raises(ValueError, match="equal length"):
+            pi_exact_batch(level, [good, good], [good])

@@ -171,6 +171,24 @@ class TestHermiteDerivAll:
             assert float(np.sum(ws * 2 * phi * dphi)) == pytest.approx(0.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("n,xs", [(60, [0.0, 0.3, -0.9, 1.4]), (1600, [0.5, 1.0, 1.6])])
+    def test_ladder_matches_per_degree_reference(self, n, xs):
+        # psi_k' = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1}, one k at a time
+        ld = np.longdouble
+        hbar = level_new(2, n).hbar
+        m, e, dm, de = _phi_deriv_mantexp(hbar, n, xs, dtype=ld)
+        pm, pe = _psi_mantexp(n + 1, np.asarray(xs, dtype=ld) / np.sqrt(ld(hbar)), dtype=ld)
+        scale = ld(hbar) ** ld(-0.75)
+        assert np.array_equal(de[0], pe[1])
+        assert np.array_equal(dm[0], -np.sqrt(ld(1) / ld(2.0)) * pm[1] * scale)
+        for k in range(1, n + 1):
+            eo = np.maximum(pe[k - 1], pe[k + 1])
+            ref = np.sqrt(ld(k) / ld(2.0)) * np.ldexp(pm[k - 1], pe[k - 1] - eo) \
+                - np.sqrt(ld(k + 1) / ld(2.0)) * np.ldexp(pm[k + 1], pe[k + 1] - eo)
+            assert np.array_equal(de[k], eo)
+            assert np.array_equal(dm[k], ref * scale)
+
+
 class TestRescaleToUnit:
     def test_identity_at_normalized_energy(self):
         rule = rescale_to_unit(np.array([0.3, -0.4]), 0.5)
