@@ -27,6 +27,7 @@ from .scaled_kernel import (  # noqa: F401
     compose_pi0,
     pi0,
     pi0_airy,
+    pi0_airy_batch,
     pi0_contour,
 )
 from .densities import (  # noqa: F401

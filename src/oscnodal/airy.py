@@ -25,12 +25,14 @@ is an independent Maclaurin evaluation used as a cross-check oracle.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 
 import numpy as np
 from scipy import special as _sp
 from scipy.integrate import quad as _quad
+
+from . import quadrature
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -44,21 +46,16 @@ _SADDLE_SWITCH = -2.0
 #: |s| >= this is required before the asymptotic expansions are trusted
 ASYMPTOTIC_CROSSOVER = 8.0
 
-_GL_CACHE = {}
+#: a ray leaves its base along e^{i pi/3} in at most this many unit panels
+_RAY_PANELS = 120
 
 
-def _gl(n):
-    try:
-        return _GL_CACHE[n]
-    except KeyError:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-        return x, w
-
-
-def _gl_panel(a, b, n=16):
-    x, w = _gl(n)
-    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+@functools.cache
+def _ray_panels():
+    """24-point Gauss-Legendre rules on the unit panels [r, r + 1] of a ray
+    (built on first use, which keeps numpy.polynomial out of the import)."""
+    nodes, weights = quadrature.panels(np.arange(_RAY_PANELS + 1.0), 24)
+    return nodes.reshape(_RAY_PANELS, 24), weights.reshape(_RAY_PANELS, 24)
 
 
 def ai(s):
@@ -92,6 +89,7 @@ def ai_series(s, max_terms=260):
     return AI_ZERO * f_sum + AI_PRIME_ZERO * g_sum
 
 
+@functools.lru_cache(maxsize=16)
 def _upper_path(s_ref):
     """Nodes/weights of the upper half of the Airy contour, anchored at s_ref.
 
@@ -105,40 +103,38 @@ def _upper_path(s_ref):
     the vertical line Re T = a = min(1, 1/sqrt(|s|)) through the upper saddle
     and then leaves along e^{i pi/3}; the integrand magnitude on that line
     stays within ~exp(sqrt(|s|)) of the result.
+
+    The ray stops at the first unit panel whose end lies 46 below the running
+    peak of Re(T^3/3 - T s_ref).  Paths are cached by s_ref (the last 16), so
+    the weights evaluated at one argument share one path; the arrays are
+    read-only.
     """
-    nodes = []
-    weights = []
     direc = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
-
-    def _extend_ray(base, s_anchor):
-        peak = (base ** 3 / 3.0 - base * s_anchor).real
-        r = 0.0
-        for _ in range(120):
-            x, w = _gl_panel(r, r + 1.0, 24)
-            t = base + x * direc
-            nodes.append(t)
-            weights.append(w * direc)
-            r += 1.0
-            t_end = base + r * direc
-            if (t_end ** 3 / 3.0 - t_end * s_anchor).real < peak - 46.0:
-                break
-            peak = max(peak, np.max((t ** 3 / 3.0 - t * s_anchor).real))
-
     if s_ref >= _SADDLE_SWITCH:
-        t0 = max(1.0, math.sqrt(max(s_ref, 0.0)))
-        _extend_ray(complex(t0, 0.0), s_ref)
+        nodes, weights = [], []
+        base = complex(max(1.0, math.sqrt(max(s_ref, 0.0))), 0.0)
     else:
         mag = abs(s_ref)
         a = min(1.0, 1.0 / math.sqrt(mag))
         y_top = math.sqrt(mag)
         n_panels = max(4, int(math.ceil((2.0 / 3.0) * mag ** 1.5 / 2.5)))
-        edges = np.linspace(0.0, y_top, n_panels + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            y, w = _gl_panel(lo, hi, 16)
-            nodes.append(a + 1j * y)
-            weights.append(1j * w)
-        _extend_ray(complex(a, y_top), s_ref)
-    return np.concatenate(nodes), np.concatenate(weights)
+        y, w = quadrature.panels(np.linspace(0.0, y_top, n_panels + 1), 16)
+        nodes, weights = [a + 1j * y], [1j * w]
+        base = complex(a, y_top)
+    ray_nodes, ray_weights = _ray_panels()
+    peak = (base ** 3 / 3.0 - base * s_ref).real
+    for r in range(_RAY_PANELS):
+        t = base + ray_nodes[r] * direc
+        nodes.append(t)
+        weights.append(ray_weights[r] * direc)
+        t_end = base + (r + 1.0) * direc
+        if (t_end ** 3 / 3.0 - t_end * s_ref).real < peak - 46.0:
+            break
+        peak = max(peak, np.max((t ** 3 / 3.0 - t * s_ref).real))
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def contour_integral(k, s, extra=None, s_ref=None):
@@ -205,7 +201,6 @@ def _ai_k_gamma(k, s):
     return (head + tail) / math.gamma(kappa)
 
 
-_memo_lock = threading.Lock()
 _memo = {}
 
 
@@ -214,8 +209,8 @@ def ai_k(k, s, method="auto"):
 
     method: one of "auto", "contour", "gamma_integral", "asymptotic".
     auto uses the contour for |s| <= 200 and the asymptotic expansion beyond.
-    Scalar results are memoized (thread-safe; values never depend on
-    interleaving since every route is deterministic).
+    Scalar contour results are memoized in _memo, keyed by (float(k),
+    float(s)); the weights at one s also share one cached contour path.
     """
     if method not in ("auto", "contour", "gamma_integral", "asymptotic"):
         raise ValueError(f"unknown method {method!r}")
@@ -230,15 +225,13 @@ def ai_k(k, s, method="auto"):
         return ai_k_asymptotic(k, s)
     if scalar:
         key = (float(k), float(s))
-        with _memo_lock:
-            hit = _memo.get(key)
+        hit = _memo.get(key)
         if hit is not None:
             return hit
         val = _ai_k_contour(k, float(s))
-        with _memo_lock:
-            if len(_memo) > 100000:
-                _memo.clear()
-            _memo[key] = val
+        if len(_memo) > 100000:
+            _memo.clear()
+        _memo[key] = val
         return val
     return _ai_k_contour(k, s)
 

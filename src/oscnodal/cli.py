@@ -198,16 +198,15 @@ def _cmd_pi0(args):
     tangent = np.zeros(args.d)
     if args.d >= 2:
         tangent[1] = args.tangential_sep
-    rows = []
-    for u1 in u1s:
-        for v1 in v1s:
-            u = u1 * frame.x0
-            v = v1 * frame.x0 + tangent
-            if args.method == "airy":
-                val = scaled_kernel.pi0_airy(frame, u, v)
-            else:
-                val = scaled_kernel.pi0_contour(frame, u, v)
-            rows.append([u1, v1, args.tangential_sep, float(val)])
+    offsets = [(u1, v1) for u1 in u1s for v1 in v1s]
+    us = [u1 * frame.x0 for u1, _ in offsets]
+    vs = [v1 * frame.x0 + tangent for _, v1 in offsets]
+    if args.method == "airy":
+        values = scaled_kernel.pi0_airy_batch(frame, us, vs)
+    else:
+        values = [scaled_kernel.pi0_contour(frame, u, v) for u, v in zip(us, vs)]
+    rows = [[u1, v1, args.tangential_sep, float(val)]
+            for (u1, v1), val in zip(offsets, values)]
     comments = [
         f"caustic scaling-limit kernel, d={args.d}, tangential separation fixed",
         "columns: u1, v1 (normal offsets), tangential_sep, value = Pi0(u, v)",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipe
 
-from . import airy, projector
+from . import airy, projector, quadrature
 from .scaled_kernel import CausticFrame
 from .semiclassical import TrackedReal
 
@@ -149,7 +149,7 @@ def _sphere_average_norm(lam, d, mc_seed=0, mc_samples=10**6):
     if d == 2:
         return float(_circle_average_norm(lam[0], lam[1])), 0.0
     if d == 3:
-        cx, cw = np.polynomial.legendre.leggauss(64)
+        cx, cw = quadrature.gauss_legendre(64)
         theta = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
         sin_phi_sq = 1.0 - cx[:, None] ** 2
         vals = np.sqrt(lam[0] * sin_phi_sq * np.cos(theta)[None, :] ** 2
@@ -377,7 +377,7 @@ def tube_mass(level, kappa, n_nodes=96):
     d = level.d
     hbar = level.hbar
     delta = kappa * hbar ** (2.0 / 3.0)
-    gx, gw = np.polynomial.legendre.leggauss(n_nodes)
+    gx, gw = quadrature.gauss_legendre(n_nodes)
     r = 1.0 + delta * gx
     w = delta * gw
     points = np.zeros((n_nodes, d))
@@ -387,7 +387,7 @@ def tube_mass(level, kappa, n_nodes=96):
     sphere_area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     exact = sphere_area * float(np.sum(w * vals * r ** (d - 1))) / eigenspace_dim(level)
 
-    s_nodes, s_weights = np.polynomial.legendre.leggauss(max(n_nodes, 64))
+    s_nodes, s_weights = quadrature.gauss_legendre(max(n_nodes, 64))
     s = 2.0 * kappa * s_nodes
     ws = 2.0 * kappa * s_weights
     ai_vals = airy.ai_k(-d / 2.0, s)

@@ -299,10 +299,10 @@ def jet_grid(level, xs, ys):
 def pi_exact_batch(level, points_x, points_y, budget=DEFAULT_DIM_BUDGET):
     """pi_exact over a list of point pairs, positionally ordered.
 
-    One extended-precision basis recurrence runs over every coordinate of up
-    to _PAIRS_PER_PASS pairs at once (which bounds the basis memory for long
-    pair lists); each pair is then folded on its own, so every value is
-    bit-identical to a one-pair call.
+    One extended-precision basis recurrence runs over the distinct
+    coordinates of up to _PAIRS_PER_PASS pairs at once (which bounds the basis
+    memory for long pair lists); each pair is then folded on its own, so every
+    value is bit-identical to a one-pair call.
     """
     if len(points_x) != len(points_y):
         raise ValueError("point lists must have equal length")
@@ -319,12 +319,16 @@ def pi_exact_batch(level, points_x, points_y, budget=DEFAULT_DIM_BUDGET):
     values = []
     for start in range(0, pairs.shape[1], _PAIRS_PER_PASS):
         chunk = pairs[:, start:start + _PAIRS_PER_PASS]
-        m, e = _phi_mantexp(level.hbar, n, chunk.ravel(), dtype=dtype)
-        m = m.reshape((n + 1,) + chunk.shape)
-        e = e.reshape((n + 1,) + chunk.shape)
+        # one recurrence per distinct coordinate (bitwise, so -0.0 stays apart);
+        # col[side, pair, j] is the basis column of that coordinate
+        coords = chunk.ravel()
+        _, first, inv = np.unique(coords.view(np.int64), return_index=True,
+                                  return_inverse=True)
+        m, e = _phi_mantexp(level.hbar, n, coords[first], dtype=dtype)
+        col = inv.reshape(chunk.shape)
         for p in range(chunk.shape[1]):
-            arrays = [(m[:, 0, p, j] * m[:, 1, p, j], e[:, 0, p, j] + e[:, 1, p, j])
-                      for j in range(level.d)]
+            arrays = [(m[:, cx] * m[:, cy], e[:, cx] + e[:, cy])
+                      for cx, cy in zip(col[0, p], col[1, p])]
             values.append(_mantexp_to_tracked(*_fold(arrays, n, dtype)))
     return values
 

@@ -25,11 +25,12 @@ On the diagonal both reduce to 2^(1-d) pi^(-d/2) Ai_{-d/2}(2 u1).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import airy
+from . import airy, quadrature
 from .semiclassical import ResourceLimitError
 
 #: Ai(arg) < 1e-14 beyond this argument; sets the tangential frequency cutoff
@@ -87,14 +88,7 @@ def _p_nodes(p_max, freq, dim):
     """Tensor Gauss-Legendre grid on [-p_max, p_max]^dim resolving e^{i freq p}."""
     width = max(0.25, 2.0 / (1.0 + freq))
     n_panels = int(math.ceil(2.0 * p_max / width))
-    nodes, weights = [], []
-    edges = np.linspace(-p_max, p_max, n_panels + 1)
-    gx, gw = np.polynomial.legendre.leggauss(12)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * gx)
-        weights.append(0.5 * (hi - lo) * gw)
-    p1 = np.concatenate(nodes)
-    w1 = np.concatenate(weights)
+    p1, w1 = quadrature.panels(np.linspace(-p_max, p_max, n_panels + 1), 12)
     if dim == 1:
         return p1[:, None], w1
     grids = np.meshgrid(*([p1] * dim), indexing="ij")
@@ -105,12 +99,17 @@ def _p_nodes(p_max, freq, dim):
     return pts, w.ravel()
 
 
-def pi0_airy(frame, u, v, warn_imag=1e-10):
-    """Pi0(u,v) by tensor quadrature over the tangential frequencies.
+def pi0_airy_batch(frame, us, vs, warn_imag=1e-10):
+    """Pi0 over a list of point pairs (u, v) by tensor quadrature over the
+    tangential frequencies; returns a float array in pair order.
 
-    The p-range is chosen so the Airy factors are below 1e-14 at the cutoff;
-    the result is real up to quadrature noise, and an imaginary residue above
-    warn_imag (relative) raises a warning.
+    Each pair's p-range is chosen so the Airy factors are below 1e-14 at the
+    cutoff.  The p-grid depends only on (d, p_max, freq), so pairs with equal
+    grids share one, and on each grid the Airy factor Ai(2^(1/3)(t + p^2/2))
+    is evaluated once per distinct normal offset t, on the distinct p^2 values
+    only, then gathered back.  Every value is bit-identical to a pair-by-pair
+    evaluation.  The result is real up to quadrature noise; a pair whose
+    imaginary residue exceeds warn_imag (relative) raises a warning.
     """
     d = frame.d
     if d < 2:
@@ -118,32 +117,63 @@ def pi0_airy(frame, u, v, warn_imag=1e-10):
     if d > P_QUADRATURE_MAX_DIM:
         raise ResourceLimitError(
             f"p-quadrature dimension {d-1} exceeds the cap; use pi0_contour")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u1 = frame.normal_component(u)
-    v1 = frame.normal_component(v)
-    dt = frame.tangential_component(u) - frame.tangential_component(v)
-    # tangential separation in frame coordinates
-    delta = frame.basis[1:] @ dt
-    m = min(u1, v1)
-    p_max = math.sqrt(2.0 * max(1.0, _AIRY_NEGLIGIBLE_ARG * 2.0 ** (-1.0 / 3.0) - m))
-    freq = float(np.max(np.abs(delta))) + 2.2 * p_max
+    if len(us) != len(vs):
+        raise ValueError("point lists must have equal length")
+    grids = {}
+    for i, (u, v) in enumerate(zip(us, vs)):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        u1 = frame.normal_component(u)
+        v1 = frame.normal_component(v)
+        dt = frame.tangential_component(u) - frame.tangential_component(v)
+        # tangential separation in frame coordinates
+        delta = frame.basis[1:] @ dt
+        m = min(u1, v1)
+        p_max = math.sqrt(2.0 * max(1.0, _AIRY_NEGLIGIBLE_ARG * 2.0 ** (-1.0 / 3.0) - m))
+        freq = float(np.max(np.abs(delta))) + 2.2 * p_max
+        grids.setdefault((p_max, freq), []).append((i, u1, v1, delta))
+    out = np.empty(len(us))
+    for (p_max, freq), pairs in grids.items():
+        _pi0_airy_on_grid(d, p_max, freq, pairs, warn_imag, out)
+    return out
+
+
+def _pi0_airy_on_grid(d, p_max, freq, pairs, warn_imag, out):
+    """pi0_airy_batch for the pairs (index, u1, v1, delta) sharing one p-grid."""
     pts, w = _p_nodes(p_max, freq, d - 1)
     if pts.shape[0] > 2 * 10**7:
         raise ResourceLimitError("p-quadrature grid too large")
-    p_sq = np.sum(pts * pts, axis=1)
-    au = airy.ai(2.0 ** (1.0 / 3.0) * (u1 + p_sq / 2.0))
-    av = airy.ai(2.0 ** (1.0 / 3.0) * (v1 + p_sq / 2.0))
-    phase = np.exp(1j * (pts @ delta))
-    total = np.sum(w * phase * au * av)
+    p_sq, inv = np.unique(np.sum(pts * pts, axis=1), return_inverse=True)
+    half_p_sq = p_sq / 2.0
+    del p_sq
+    factors = {}  # distinct offset t -> Ai(2^(1/3)(t + p^2/2)) on the distinct p^2
+    for _, u1, v1, _ in pairs:
+        for t in (u1, v1):
+            if t not in factors:
+                factors[t] = airy.ai(2.0 ** (1.0 / 3.0) * (t + half_p_sq))
     pref = 2.0 ** (2.0 / 3.0) * (2.0 * math.pi) ** (1 - d)
-    value = pref * total
-    scale = max(abs(value.real), pref * float(np.sum(np.abs(w * au * av))) * 1e-4)
-    if abs(value.imag) > warn_imag * max(scale, 1e-300):
-        import warnings
-        warnings.warn(f"pi0_airy imaginary residue {value.imag:.2e}",
-                      RuntimeWarning, stacklevel=2)
-    return float(value.real)
+    for i, u1, v1, delta in pairs:
+        # w * phase * au * av, in that order, with the products taken in place
+        # and the Airy factors gathered where they are used
+        terms = 1j * (pts @ delta)
+        np.exp(terms, out=terms)
+        terms *= w
+        terms *= factors[u1][inv]
+        terms *= factors[v1][inv]
+        value = pref * np.sum(terms)
+        del terms
+        magnitude = float(np.sum(np.abs(w * factors[u1][inv] * factors[v1][inv])))
+        scale = max(abs(value.real), pref * magnitude * 1e-4)
+        if abs(value.imag) > warn_imag * max(scale, 1e-300):
+            warnings.warn(f"pi0_airy imaginary residue {value.imag:.2e}",
+                          RuntimeWarning, stacklevel=3)
+        out[i] = value.real
+
+
+def pi0_airy(frame, u, v, warn_imag=1e-10):
+    """Pi0(u,v) by tensor quadrature over the tangential frequencies: the
+    one-pair case of pi0_airy_batch."""
+    return float(pi0_airy_batch(frame, [u], [v], warn_imag=warn_imag)[0])
 
 
 def pi0_contour(frame, u, v):
@@ -199,13 +229,7 @@ def _pi0_grid(frame, point, w1, w2, p, wp):
 def _panel_grid(lo, hi, max_freq, nodes_per_panel=12):
     width = max(0.1, 2.0 / (1.0 + max_freq / 6.0))
     n_panels = int(math.ceil((hi - lo) / width))
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    xs = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * gx
-                         for a, b in zip(edges[:-1], edges[1:])])
-    ws = np.concatenate([0.5 * (b - a) * gw
-                         for a, b in zip(edges[:-1], edges[1:])])
-    return xs, ws
+    return quadrature.panels(np.linspace(lo, hi, n_panels + 1), nodes_per_panel)
 
 
 def compose_pi0(frame, u, v, window=25.0, w1_upper=8.0):

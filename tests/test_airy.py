@@ -1,12 +1,13 @@
 """Weighted Airy family: identities, expansions, and cross-method agreement."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oscnodal import ai, ai_k, ai_k_asymptotic
+from oscnodal import ai, ai_k, ai_k_asymptotic, airy, quadrature
 from oscnodal.airy import (
     AI_PRIME_ZERO,
     AI_ZERO,
@@ -197,3 +198,89 @@ class TestContourIntegral:
         # exp(-c/T) extra factors stay on the principal branch
         val = contour_integral(-0.5, 1.0, extra=lambda t: np.exp(-0.3 / t))
         assert math.isfinite(val)
+
+
+@functools.cache
+def _leggauss(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _gl_panel_reference(a, b, n):
+    x, w = _leggauss(n)
+    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+
+
+def _upper_path_reference(s_ref):
+    """The per-panel path construction airy._upper_path replaced: its == oracle."""
+    nodes = []
+    weights = []
+    direc = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
+
+    def _extend_ray(base, s_anchor):
+        peak = (base ** 3 / 3.0 - base * s_anchor).real
+        r = 0.0
+        for _ in range(120):
+            x, w = _gl_panel_reference(r, r + 1.0, 24)
+            t = base + x * direc
+            nodes.append(t)
+            weights.append(w * direc)
+            r += 1.0
+            t_end = base + r * direc
+            if (t_end ** 3 / 3.0 - t_end * s_anchor).real < peak - 46.0:
+                break
+            peak = max(peak, np.max((t ** 3 / 3.0 - t * s_anchor).real))
+
+    if s_ref >= -2.0:
+        t0 = max(1.0, math.sqrt(max(s_ref, 0.0)))
+        _extend_ray(complex(t0, 0.0), s_ref)
+    else:
+        mag = abs(s_ref)
+        a = min(1.0, 1.0 / math.sqrt(mag))
+        y_top = math.sqrt(mag)
+        n_panels = max(4, int(math.ceil((2.0 / 3.0) * mag ** 1.5 / 2.5)))
+        edges = np.linspace(0.0, y_top, n_panels + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            y, w = _gl_panel_reference(lo, hi, 16)
+            nodes.append(a + 1j * y)
+            weights.append(1j * w)
+        _extend_ray(complex(a, y_top), s_ref)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+class TestContourPath:
+    def test_panels_equal_a_loop_over_panels(self):
+        edges = np.concatenate([[-3.7], np.sort(np.random.default_rng(3).uniform(-3, 5, 9))])
+        nodes, weights = quadrature.panels(edges, 12)
+        ref = [_gl_panel_reference(lo, hi, 12) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(nodes, np.concatenate([x for x, _ in ref]))
+        assert np.array_equal(weights, np.concatenate([w for _, w in ref]))
+
+    def test_path_equals_per_panel_construction(self):
+        # both sides of the saddle switch at s = -2, its edge and the
+        # endpoints of [-60, 10]
+        rng = np.random.default_rng(8)
+        grid = np.concatenate([np.linspace(-60.0, 10.0, 281), rng.uniform(-60.0, 10.0, 60),
+                               [-2.0, np.nextafter(-2.0, -3.0), -1.9999, 0.0]])
+        airy._upper_path.cache_clear()
+        for s_ref in grid:
+            nodes, weights = airy._upper_path(float(s_ref))
+            ref_nodes, ref_weights = _upper_path_reference(float(s_ref))
+            assert nodes.shape == ref_nodes.shape
+            assert np.all(nodes == ref_nodes) and np.all(weights == ref_weights)
+
+    def test_cached_path_is_shared_and_read_only(self):
+        airy._upper_path.cache_clear()
+        first = airy._upper_path(-7.5)
+        assert airy._upper_path(np.float64(-7.5)) is first
+        for arr in first:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_weights_at_one_argument_share_one_path(self):
+        airy._memo.clear()
+        airy._upper_path.cache_clear()
+        for k in (-1.0, -0.5, 0.5, 1.5):
+            ai_k(k, -3.3)
+        info = airy._upper_path.cache_info()
+        assert (info.misses, info.hits) == (1, 3)

@@ -281,6 +281,28 @@ class TestBatch:
             assert same(v, per_coordinate(level, x, y))
         assert same(pi_exact(level, xs[0]), values[5])
 
+    @pytest.mark.parametrize("d,n", [(2, 40), (3, 12), (2, 1600)])
+    def test_repeated_and_diagonal_coordinates(self, d, n):
+        # coordinates shared within a point, across pairs and by diagonal
+        # pairs (as tube_mass passes them), mirror images x and -x, and both
+        # signs of zero
+        level = level_new(d, n)
+        rng = np.random.default_rng(20 + d)
+        half = rng.uniform(0.1, 1.3, 2)
+        grid = np.concatenate([half, -half, [0.0, -0.0, 1.0]])
+        xs = [rng.choice(grid, d) for _ in range(12)]
+        ys = [rng.choice(grid, d) for _ in range(12)]
+        xs += [np.full(d, grid[0]), np.zeros(d), -np.zeros(d), xs[3]]
+        ys += [np.full(d, grid[0]), -np.zeros(d), np.zeros(d), xs[3]]
+        for r in (0.7, 1.0, 1.2):
+            point = np.zeros(d)
+            point[0] = r
+            xs.append(point)
+            ys.append(point)
+        values = pi_exact_batch(level, xs, ys)
+        for x, y, v in zip(xs, ys, values):
+            assert same(v, per_coordinate(level, x, y))
+
     def test_batch_longer_than_one_pass(self):
         level = level_new(2, 10)
         rng = np.random.default_rng(5)

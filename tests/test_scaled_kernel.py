@@ -1,12 +1,13 @@
 """The caustic scaling-limit kernel in its two representations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oscnodal import CausticFrame, ai_k, pi0, pi0_airy, pi0_contour
-from oscnodal.scaled_kernel import pi0_diagonal
+from oscnodal import CausticFrame, ai, ai_k, airy, pi0, pi0_airy, pi0_contour
+from oscnodal.scaled_kernel import _panel_grid, pi0_airy_batch, pi0_diagonal
 from oscnodal.semiclassical import ResourceLimitError
 
 FRAME2 = CausticFrame.from_point([1.0, 0.0])
@@ -103,3 +104,123 @@ class TestKernelStructure:
         frame5 = CausticFrame.from_point([1.0] + [0.0] * 4)
         with pytest.raises(ResourceLimitError):
             pi0_airy(frame5, np.zeros(5), np.zeros(5))
+
+
+def _p_nodes_reference(p_max, freq, dim):
+    width = max(0.25, 2.0 / (1.0 + freq))
+    n_panels = int(math.ceil(2.0 * p_max / width))
+    nodes, weights = [], []
+    edges = np.linspace(-p_max, p_max, n_panels + 1)
+    gx, gw = np.polynomial.legendre.leggauss(12)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        nodes.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * gx)
+        weights.append(0.5 * (hi - lo) * gw)
+    p1 = np.concatenate(nodes)
+    w1 = np.concatenate(weights)
+    if dim == 1:
+        return p1[:, None], w1
+    grids = np.meshgrid(*([p1] * dim), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    w = w1
+    for _ in range(dim - 1):
+        w = np.multiply.outer(w, w1)
+    return pts, w.ravel()
+
+
+def _pi0_airy_reference(frame, u, v):
+    """The per-pair pi0_airy body pi0_airy_batch replaced: its == oracle."""
+    d = frame.d
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u1 = frame.normal_component(u)
+    v1 = frame.normal_component(v)
+    dt = frame.tangential_component(u) - frame.tangential_component(v)
+    delta = frame.basis[1:] @ dt
+    m = min(u1, v1)
+    p_max = math.sqrt(2.0 * max(1.0, 13.6 * 2.0 ** (-1.0 / 3.0) - m))
+    freq = float(np.max(np.abs(delta))) + 2.2 * p_max
+    pts, w = _p_nodes_reference(p_max, freq, d - 1)
+    p_sq = np.sum(pts * pts, axis=1)
+    au = ai(2.0 ** (1.0 / 3.0) * (u1 + p_sq / 2.0))
+    av = ai(2.0 ** (1.0 / 3.0) * (v1 + p_sq / 2.0))
+    phase = np.exp(1j * (pts @ delta))
+    total = np.sum(w * phase * au * av)
+    pref = 2.0 ** (2.0 / 3.0) * (2.0 * math.pi) ** (1 - d)
+    return float((pref * total).real)
+
+
+def _table(frame, u1s, v1s, sep):
+    tangent = np.zeros(frame.d)
+    tangent[1] = sep
+    us = [u1 * frame.x0 for u1 in u1s for _ in v1s]
+    vs = [v1 * frame.x0 + tangent for _ in u1s for v1 in v1s]
+    return us, vs
+
+
+class TestPi0AiryBatch:
+    @pytest.mark.parametrize("sep", [0.0, 0.5, 1.7])
+    def test_d2_table_with_shared_grids(self, sep):
+        # pairs with equal min(u1, v1) share one p-grid; offsets repeat across pairs
+        us, vs = _table(FRAME2, np.arange(-4.0, 1.0, 0.37), np.arange(-3.0, 2.0, 0.41), sep)
+        values = pi0_airy_batch(FRAME2, us, vs)
+        assert values.shape == (len(us),)
+        for u, v, val in zip(us, vs, values):
+            assert val == _pi0_airy_reference(FRAME2, u, v)
+
+    def test_d2_random_pairs_in_any_direction(self):
+        frame = CausticFrame.from_point([0.6, -0.8])
+        rng = np.random.default_rng(12)
+        us = list(rng.uniform(-3.0, 2.0, (25, 2)))
+        vs = list(rng.uniform(-3.0, 2.0, (25, 2)))
+        us += [us[0], us[1]]
+        vs += [us[0], us[0]]
+        for u, v, val in zip(us, vs, pi0_airy_batch(frame, us, vs)):
+            assert val == _pi0_airy_reference(frame, u, v)
+
+    def test_d3_table(self):
+        frame = CausticFrame.from_point([0.0, 0.0, 1.0])
+        us, vs = _table(frame, [-1.0, 0.5], [-1.0, 0.0], 0.5)
+        values = pi0_airy_batch(frame, us, vs)
+        for u, v, val in zip(us, vs, values):
+            assert val == _pi0_airy_reference(frame, u, v)
+
+    def test_pairs_on_one_p_max_with_different_frequencies(self):
+        # far on the forbidden side the panel width depends on the tangential
+        # separation, so these pairs share p_max but not their p-grids
+        us = [np.array([8.0, 0.0])] * 3
+        vs = [np.array([8.2, 0.0]), np.array([8.2, 1.5]), np.array([8.2, -1.5])]
+        values = pi0_airy_batch(FRAME2, us, vs)
+        for u, v, val in zip(us, vs, values):
+            assert val == _pi0_airy_reference(FRAME2, u, v)
+
+    def test_one_pair_alone(self):
+        u, v = np.array([-0.9, 0.2]), np.array([0.1, -0.3])
+        ref = _pi0_airy_reference(FRAME2, u, v)
+        assert pi0_airy(FRAME2, u, v) == ref
+        assert pi0_airy_batch(FRAME2, [u], [v])[0] == ref
+
+    def test_empty_and_mismatched_lists(self):
+        assert pi0_airy_batch(FRAME2, [], []).shape == (0,)
+        with pytest.raises(ValueError, match="equal length"):
+            pi0_airy_batch(FRAME2, [np.zeros(2)], [])
+
+    def test_imaginary_residue_warns_for_every_pair(self, monkeypatch):
+        us, vs = _table(FRAME2, [-1.0, 0.0], [-1.0, 0.5], 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi0_airy_batch(FRAME2, us, vs)
+        # a complex phase on the Airy factor leaves a large imaginary residue
+        monkeypatch.setattr(airy, "ai", lambda s: ai(s) * (1.0 + 0.2j))
+        with pytest.warns(RuntimeWarning, match="imaginary residue") as record:
+            pi0_airy_batch(FRAME2, us, vs)
+        assert len(record) == len(us)
+
+    def test_panel_grid_equals_a_loop_over_panels(self):
+        xs, ws = _panel_grid(-25.0, 8.0, 9.07)
+        n_panels = int(math.ceil(33.0 / max(0.1, 2.0 / (1.0 + 9.07 / 6.0))))
+        edges = np.linspace(-25.0, 8.0, n_panels + 1)
+        gx, gw = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(xs, np.concatenate(
+            [0.5 * (a + b) + 0.5 * (b - a) * gx for a, b in zip(edges[:-1], edges[1:])]))
+        assert np.array_equal(ws, np.concatenate(
+            [0.5 * (b - a) * gw for a, b in zip(edges[:-1], edges[1:])]))
