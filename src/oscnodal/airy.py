@@ -215,6 +215,10 @@ def ai_k(k, s, method="auto"):
     if method not in ("auto", "contour", "gamma_integral", "asymptotic"):
         raise ValueError(f"unknown method {method!r}")
     scalar = np.isscalar(s) or np.ndim(s) == 0
+    if not math.isfinite(k):
+        raise ValueError(f"ai_k needs a finite k, got {k!r}")
+    if not (math.isfinite(s) if scalar else np.isfinite(s).all()):
+        raise ValueError(f"ai_k needs a finite s, got {s!r}")
     if method == "gamma_integral":
         if not scalar:
             return np.array([_ai_k_gamma(k, v) for v in np.asarray(s, float)])

@@ -39,17 +39,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_range(text):
     """start:stop:step (inclusive stop up to rounding) or comma list; never empty."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+    is_range = ":" in text
+    parts = text.split(":") if is_range else [p for p in text.split(",") if p]
+    if is_range and len(parts) != 3:
+        raise ValueError(f"range must be start:stop:step, got {text!r}")
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"range {text!r} holds a non-finite number")
+    if is_range:
+        start, stop, step = values
         if step <= 0:
             raise ValueError("range step must be positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         values = [start + i * step for i in range(n)]
-    else:
-        values = [float(p) for p in text.split(",") if p]
     if not values:
         raise ValueError(f"range {text!r} holds no values")
     return values
@@ -59,9 +61,10 @@ def _parse_int_list(text):
     return [int(p) for p in text.split(",") if p]
 
 
-def _load_config(path):
-    out = {}
-    with open(path) as fh:
+def _config_flags(args):
+    """The --config file's key=value lines as flags; a true switch is a bare flag."""
+    values = {}
+    with open(args.config) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -69,37 +72,20 @@ def _load_config(path):
             if "=" not in line:
                 raise ValueError(f"config lines must be key=value, got {line!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _merge_config(args, argv):
-    """Fill args from the config file; explicitly passed flags win."""
-    if not getattr(args, "config", None):
-        return args
-    passed = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-              for a in argv if a.startswith("--")}
-    if any(a.startswith("-o") for a in argv):  # -o is the one short option
-        passed.add("output")
-    cfg = _load_config(args.config)
-    for key, raw in cfg.items():
-        if key == "config":
-            continue
+            values[key.strip().replace("-", "_")] = value.strip()
+    values.pop("config", None)
+    flags = []
+    for key, raw in values.items():
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
-        if key in passed:
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(args, key, value)
-    return args
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            flags.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+        elif raw.lower() not in ("0", "false", "no"):
+            raise ValueError(f"config key {key!r} is a switch; got {raw!r}")
+    return flags
 
 
 def _write_table(path, comments, header, rows):
@@ -329,32 +315,26 @@ def _cmd_scaling_sweep(args):
 def _cmd_montecarlo(args):
     level = level_new(args.d, args.N)
     seeds = list(range(args.seed, args.seed + args.seeds))
-    rows = []
-    if args.statistic == "caustic-crossings":
-        counts, est = montecarlo.caustic_crossings_ensemble(level, seeds)
-        for seed, count in zip(seeds, counts):
-            rows.append([seed, args.N, args.statistic, float(count), 0.0,
-                         est.resolution])
-        rows.append(["mean", args.N, args.statistic, est.value, est.std_error,
-                     est.resolution])
-    elif args.statistic == "nodal-length":
-        half = args.box_size / 2.0
-        box = ((args.box_x - half, args.box_x + half),
-               (args.box_y - half, args.box_y + half))
-        lengths, est = montecarlo.nodal_length_ensemble(
-            level, seeds, box, level.hbar / 8.0)
-        for seed, length in zip(seeds, lengths):
-            rows.append([seed, args.N, args.statistic, float(length), 0.0,
-                         est.resolution])
-        rows.append(["mean", args.N, args.statistic, est.value, est.std_error,
-                     est.resolution])
-    else:  # radial-profile
+    if args.statistic == "radial-profile":
         spec = montecarlo.EnsembleSpec(level=level, seeds=tuple(seeds),
                                        n_rays=args.rays)
         radii = _parse_range(args.radii)
-        for r, est in zip(radii, montecarlo.radial_zero_profile(spec, radii)):
-            rows.append([f"r={r!r}", args.N, args.statistic, est.value,
-                         est.std_error, est.resolution])
+        rows = [[f"r={r!r}", args.N, args.statistic, est.value, est.std_error,
+                 est.resolution]
+                for r, est in zip(radii, montecarlo.radial_zero_profile(spec, radii))]
+    else:
+        if args.statistic == "caustic-crossings":
+            values, est = montecarlo.caustic_crossings_ensemble(level, seeds)
+        else:  # nodal-length
+            half = args.box_size / 2.0
+            box = ((args.box_x - half, args.box_x + half),
+                   (args.box_y - half, args.box_y + half))
+            values, est = montecarlo.nodal_length_ensemble(
+                level, seeds, box, level.hbar / 8.0)
+        rows = [[seed, args.N, args.statistic, float(value), 0.0, est.resolution]
+                for seed, value in zip(seeds, values)]
+        rows.append(["mean", args.N, args.statistic, est.value, est.std_error,
+                     est.resolution])
     comments = [
         f"Monte Carlo nodal statistics, d={args.d} N={args.N}, base seed {args.seed}",
         "columns: seed (or aggregate label), N, statistic, value, std_error, resolution",
@@ -506,11 +486,14 @@ def main(argv=None):
     argv = _normalize_argv(list(argv))
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args = _merge_config(args, argv)
-    except (ValueError, OSError) as exc:
-        print(f"oscnodal: error: {exc}", file=sys.stderr)
-        return 1
+    if args.config:
+        # config values parse as flags ahead of the explicit ones, which win
+        try:
+            flags = _config_flags(args)
+        except (ValueError, OSError) as exc:
+            print(f"oscnodal: error: {exc}", file=sys.stderr)
+            return 1
+        args = parser.parse_args(argv[:1] + flags + argv[1:])
     for key in _REQUIRED.get(args.command, ()):
         if getattr(args, key) is None:
             print(f"oscnodal: error: --{key} is required (flag or config)",
@@ -518,8 +501,6 @@ def main(argv=None):
             return 1
     if args.output is None:
         args.output = f"{args.command.replace('-', '_')}.csv"
-    if args.command == "airy" and isinstance(args.k, str):
-        args.k = float(args.k)
     start = time.time()
     try:
         status = _COMMANDS[args.command](args)

@@ -19,6 +19,7 @@ steps use <= hbar^(2/3)/16.  All estimators are deterministic in their seeds.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,10 @@ from .semiclassical import (
 )
 
 _DEFAULT_FIELD_BUDGET = 2 * 10**6
+#: basis entries (dim x points) one evaluation pass holds
+_PASS_ENTRIES = 1 << 22
+#: basis entries gathered at a time inside a pass, so that a block stays in cache
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,11 @@ class RandomEigenfunction:
     def evaluate(self, points):
         """Field values at an array of points, shape (P, d) or (d,)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.level.d == 2:
-            basis, scale = _point_basis(self.level, points)
-            return np.ldexp(self.coeffs @ basis, scale)
-        return _evaluate_general(self.level, self.coeffs, points)
+        out = np.empty(len(points))
+        for sl in _passes(self.level, len(points)):
+            basis, scale = _point_basis(self.level, points[sl])
+            out[sl] = np.ldexp(self.coeffs @ basis, scale)
+        return out
 
     def evaluate_grid(self, xs, ys):
         """Values on the tensor grid (ys x xs) for d = 2; shape (len(ys), len(xs))."""
@@ -100,39 +106,48 @@ def sample_field(level, seed, budget=_DEFAULT_FIELD_BUDGET):
     return RandomEigenfunction(level=level, coeffs=coeffs, seed=int(seed))
 
 
-def _evaluate_general(level, coeffs, points):
-    """Reference evaluation for any d: explicit sum over multi-indices."""
-    d, n = level.d, level.N
-    per_coord = []
-    for j in range(d):
-        m, e = _phi_mantexp(level.hbar, n, points[:, j])
-        per_coord.append((m, e))
-    out = np.zeros(points.shape[0])
-    for idx, beta in enumerate(multi_indices(d, n)):
-        m = per_coord[0][0][beta[0]].copy()
-        e = per_coord[0][1][beta[0]].copy()
-        for j in range(1, d):
-            m = m * per_coord[j][0][beta[j]]
-            e = e + per_coord[j][1][beta[j]]
-        out += coeffs[idx] * np.ldexp(m, e)
-    return out
+@functools.lru_cache(maxsize=8)
+def _index_table(d, n):
+    """The degree-n multi-indices in storage order, a read-only (dim, d) array."""
+    table = np.array(list(multi_indices(d, n)), dtype=np.intp).reshape(-1, d)
+    table.flags.writeable = False
+    return table
+
+
+def _passes(level, n_points):
+    """Point slices holding at most _PASS_ENTRIES basis entries each."""
+    step = max(1, _PASS_ENTRIES // eigenspace_dim(level))
+    return [slice(lo, lo + step) for lo in range(0, n_points, step)]
 
 
 def _point_basis(level, points):
-    """Normalized d = 2 basis matrix over arbitrary points.
+    """Normalized product basis matrix over arbitrary points, any d.
 
-    Returns (B, scale) with B[k, p] = phi_k(x1_p) phi_{N-k}(x2_p) 2^(-scale_p);
-    field values are ldexp(coeffs @ B, scale).  The per-point normalization
-    keeps the dominant terms at order one regardless of Agmon decay.
+    Returns (B, scale) with B[i, p] = prod_j phi_{beta_ij}(x_pj) 2^(-scale_p)
+    for the i-th multi-index beta_i; field values are ldexp(coeffs @ B, scale).
+    One recurrence per axis, gathered through the index table block by block.
+    The per-point scale keeps the dominant terms at order one despite Agmon decay.
     """
-    n = level.N
-    m1, e1 = _phi_mantexp(level.hbar, n, points[:, 0])
-    m2, e2 = _phi_mantexp(level.hbar, n, points[:, 1])
-    m = m1 * m2[::-1]
-    e = e1 + e2[::-1]
-    scale = e.max(axis=0)
-    b = m * np.exp2((e - scale[None, :]).astype(float))
-    return b, scale
+    idx = _index_table(level.d, level.N)
+    axes = [_phi_mantexp(level.hbar, level.N, points[:, j]) for j in range(level.d)]
+    out = np.empty((len(idx), len(points)))
+    step = max(1, _BLOCK_ENTRIES // max(1, len(points)))
+    blocks = [slice(lo, lo + step) for lo in range(0, len(idx), step)]
+    for rows in blocks:
+        e = out[rows]
+        e[...] = axes[0][1][idx[rows, 0]]
+        for j in range(1, level.d):
+            e += axes[j][1][idx[rows, j]]
+    scale = out.max(axis=0)
+    for rows in blocks:
+        m = axes[0][0][idx[rows, 0]]
+        for j in range(1, level.d):
+            m *= axes[j][0][idx[rows, j]]
+        b = out[rows]
+        b -= scale
+        np.exp2(b, out=b)
+        b *= m
+    return out, scale.astype(np.int64)
 
 
 def _tensor_basis(level, xs, ys):
@@ -256,6 +271,13 @@ def _box_values(level_or_callable, box, step, coeffs=None):
     return _grid_values(coeffs, cx, cy), xs, ys
 
 
+def _check_grid_step(level, box, grid_step):
+    """The box-grid rule: grid_step <= hbar/8 where the box meets the allowed region."""
+    gaps = [0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)) for lo, hi in box]
+    if gaps[0] ** 2 + gaps[1] ** 2 < 1.0 and grid_step > level.hbar / 8.0 * (1 + 1e-9):
+        raise ValueError("grid_step must be <= hbar/8 inside the allowed region")
+
+
 def nodal_length(field, box, grid_step):
     """Nodal length of the field inside an axis-aligned box (d = 2).
 
@@ -267,13 +289,7 @@ def nodal_length(field, box, grid_step):
     if isinstance(field, RandomEigenfunction):
         if field.level.d != 2:
             raise ValueError("nodal_length is d = 2 only")
-
-        def closest(lo, hi):
-            return 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-
-        touches_allowed = closest(*box[0]) ** 2 + closest(*box[1]) ** 2 < 1.0
-        if touches_allowed and grid_step > field.level.hbar / 8.0 * (1 + 1e-9):
-            raise ValueError("grid_step must be <= hbar/8 inside the allowed region")
+        _check_grid_step(field.level, box, grid_step)
         evaluator = field.level
         coeffs = field.coeffs
     else:
@@ -293,6 +309,13 @@ def nodal_length(field, box, grid_step):
                          n_samples=1, resolution=grid_step / 2.0)
 
 
+def _mean_estimate(samples, resolution):
+    """The mean of per-seed samples, with its standard error."""
+    return NodalEstimate(value=float(np.mean(samples)),
+                         std_error=float(np.std(samples, ddof=1) / math.sqrt(len(samples))),
+                         n_samples=len(samples), resolution=resolution)
+
+
 def nodal_length_ensemble(level, seeds, box, grid_step):
     """Per-seed nodal lengths over an ensemble, sharing one basis build.
 
@@ -302,6 +325,7 @@ def nodal_length_ensemble(level, seeds, box, grid_step):
     """
     if level.d != 2:
         raise ValueError("nodal_length_ensemble is d = 2 only")
+    _check_grid_step(level, box, grid_step)
     (x0, x1), (y0, y1) = box
     coeffs = np.stack([sample_field(level, s).coeffs for s in seeds])
     values = {}
@@ -315,26 +339,32 @@ def nodal_length_ensemble(level, seeds, box, grid_step):
             out[i] = _marching_squares_length(f, xs[1] - xs[0], ys[1] - ys[0])
         values[step_name] = out
     refined = 2.0 * values["fine"] - values["coarse"]
-    est = NodalEstimate(value=float(np.mean(refined)),
-                        std_error=float(np.std(refined, ddof=1) / math.sqrt(len(seeds))),
-                        n_samples=len(seeds), resolution=grid_step / 2.0)
-    return refined, est
+    return refined, _mean_estimate(refined, grid_step / 2.0)
 
 
-def _circle_signs(level, coeffs_matrix, n_points, chunk=8192):
+def _circle_signs(level, coeffs_matrix, n_points):
     """Signs of the fields on the uniform circle grid; shape (n_seeds, n_points)."""
     theta = 2.0 * math.pi * np.arange(n_points) / n_points
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
     signs = np.empty((coeffs_matrix.shape[0], n_points), dtype=np.int8)
-    for lo in range(0, n_points, chunk):
-        hi = min(lo + chunk, n_points)
-        basis, _ = _point_basis(level, pts[lo:hi])
-        signs[:, lo:hi] = np.where(coeffs_matrix @ basis >= 0, 1, -1)
+    for sl in _passes(level, n_points):
+        basis, _ = _point_basis(level, pts[sl])
+        signs[:, sl] = np.where(coeffs_matrix @ basis >= 0, 1, -1)
     return signs
 
 
 def _count_changes(signs):
     return np.sum(signs != np.roll(signs, -1, axis=-1), axis=-1)
+
+
+def _circle_points(level, angular_step):
+    """Fine circle grid size; angular_step defaults to, and may not exceed, hbar^(2/3)/16."""
+    step_cap = level.hbar ** (2.0 / 3.0) / 16.0
+    if angular_step is None:
+        angular_step = step_cap
+    elif angular_step > step_cap * (1 + 1e-9):
+        raise ValueError("angular_step must be <= hbar^(2/3)/16")
+    return 2 * int(math.ceil(2.0 * math.pi / angular_step / 2.0))
 
 
 def caustic_crossings(field, angular_step=None):
@@ -348,12 +378,7 @@ def caustic_crossings(field, angular_step=None):
     level = field.level
     if level.d != 2:
         raise ValueError("caustic_crossings is d = 2 only")
-    step_cap = level.hbar ** (2.0 / 3.0) / 16.0
-    if angular_step is None:
-        angular_step = step_cap
-    elif angular_step > step_cap * (1 + 1e-9):
-        raise ValueError("angular_step must be <= hbar^(2/3)/16")
-    n_fine = 2 * int(math.ceil(2.0 * math.pi / angular_step / 2.0))
+    n_fine = _circle_points(level, angular_step)
     signs = _circle_signs(level, field.coeffs[None, :], n_fine)
     fine = int(_count_changes(signs)[0])
     coarse = int(_count_changes(signs[:, ::2])[0])
@@ -373,16 +398,11 @@ def caustic_crossings_ensemble(level, seeds, angular_step=None):
     """
     if level.d != 2:
         raise ValueError("caustic_crossings_ensemble is d = 2 only")
-    if angular_step is None:
-        angular_step = level.hbar ** (2.0 / 3.0) / 16.0
-    n_fine = 2 * int(math.ceil(2.0 * math.pi / angular_step / 2.0))
+    n_fine = _circle_points(level, angular_step)
     coeffs = np.stack([sample_field(level, s).coeffs for s in seeds])
     signs = _circle_signs(level, coeffs, n_fine)
     counts = _count_changes(signs).astype(float)
-    est = NodalEstimate(value=float(np.mean(counts)),
-                        std_error=float(np.std(counts, ddof=1) / math.sqrt(len(seeds))),
-                        n_samples=len(seeds), resolution=2.0 * math.pi / n_fine)
-    return counts, est
+    return counts, _mean_estimate(counts, 2.0 * math.pi / n_fine)
 
 
 @dataclass(frozen=True)
@@ -432,11 +452,4 @@ def radial_zero_profile(spec, radii, half_width=None):
         for i, mask in enumerate(bins):
             per_seed[:, i] += np.sum(changes[:, mask], axis=1)
     per_seed /= spec.n_rays * 2.0 * half_width
-    out = []
-    for i, r in enumerate(radii):
-        col = per_seed[:, i]
-        out.append(NodalEstimate(
-            value=float(np.mean(col)),
-            std_error=float(np.std(col, ddof=1) / math.sqrt(len(spec.seeds))),
-            n_samples=len(spec.seeds), resolution=t_step))
-    return out
+    return [_mean_estimate(col, t_step) for col in per_seed.T]

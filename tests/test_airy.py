@@ -95,6 +95,16 @@ class TestAiK:
         with pytest.raises(ValueError):
             ai_k(0.0, 0.0, method="saddle")
 
+    @pytest.mark.parametrize("method", ["auto", "contour", "gamma_integral", "asymptotic"])
+    def test_non_finite_arguments_are_named(self, method):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite k"):
+                ai_k(bad, 0.0, method=method)
+            with pytest.raises(ValueError, match="finite s"):
+                ai_k(-1.0, bad, method=method)
+        with pytest.raises(ValueError, match="finite s"):
+            ai_k(-1.0, np.array([0.0, math.nan]), method=method)
+
 
 class TestLadderAndReconstruction:
     KS = (-2.0, -1.5, -1.0, 0.0)

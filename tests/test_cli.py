@@ -224,6 +224,50 @@ class TestConfigAndErrors:
         assert out.exists()
         assert not (tmp_path / "cfg.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("tube-mass", "--N", "40"),
+        ("density", "--regime", "allowed-bulk", "--N", "100", "--u1-range", "-0.3:-0.3:1",
+         "--with-exact"),
+        ("scaling-sweep", "--N", "100,200", "--point", "allowed"),
+    ])
+    def test_config_tolerance_acts_as_the_flag(self, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        for tolerance, expected in (("1e-12", 2), ("10", 0)):
+            cfg.write_text(f"tolerance={tolerance}\n")
+            assert run(tmp_path, *argv, "--config", str(cfg))[0] == expected
+            assert run(tmp_path, *argv, "--tolerance", tolerance)[0] == expected
+
+    def test_config_switch_and_flag_types(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("regime=allowed-bulk\nN=100\nu1-range=-0.3:-0.3:1\n"
+                       "with_exact=yes\n")
+        status, out = run(tmp_path, "density", "--config", str(cfg))
+        assert status == 0
+        header, rows = read_table(out)
+        assert "relative_error" in header
+        assert rows[0][2] == 100.0
+
+    def test_config_switch_takes_only_true_or_false(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        base = "regime=allowed-bulk\nN=40\nu1_range=-0.3:-0.3:1\n"
+        cfg.write_text(base + "with_exact=maybe\n")
+        status, out = run(tmp_path, "density", "--config", str(cfg))
+        assert status == 1
+        assert "with_exact" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(base + "with_exact=false\n")
+        status, out = run(tmp_path, "density", "--config", str(cfg))
+        assert status == 0
+        assert "relative_error" not in read_table(out)[0]
+
+    def test_config_value_outside_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("regime=bogus\n")
+        with pytest.raises(SystemExit) as err:
+            main(["density", "--config", str(cfg), "-o", str(tmp_path / "x.csv")])
+        assert err.value.code == 1
+        assert "--regime" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
@@ -237,3 +281,18 @@ class TestConfigAndErrors:
         status, out = run(tmp_path, "airy", "--k", "-1", "--s", "0:0:1")
         assert status == 0
         assert len(read_table(out)[1]) == 1
+
+    @pytest.mark.parametrize("s_range", ["0:inf:1", "nan", "0:nan:1", "0,-inf", "inf:1:1",
+                                         "0:1:nan"])
+    def test_non_finite_range_is_an_error(self, tmp_path, capsys, s_range):
+        status, out = run(tmp_path, "airy", "--k", "-1", "--s", s_range)
+        assert status == 1
+        assert f"{s_range!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_is_an_error(self, tmp_path, capsys, k):
+        status, out = run(tmp_path, "airy", "--k", k, "--s", "0")
+        assert status == 1
+        assert "finite k" in capsys.readouterr().err
+        assert not out.exists()

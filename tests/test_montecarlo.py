@@ -20,12 +20,20 @@ from oscnodal import (
     sample_field,
 )
 from oscnodal.montecarlo import (
+    _PASS_ENTRIES,
     _grid_axis,
     _grid_values,
+    _index_table,
     _marching_squares_length,
+    _point_basis,
     _tensor_basis,
 )
-from oscnodal.semiclassical import ResourceLimitError, multi_indices
+from oscnodal.semiclassical import (
+    ResourceLimitError,
+    _phi_mantexp,
+    eigenspace_dim,
+    multi_indices,
+)
 
 
 class TestSampleField:
@@ -73,14 +81,14 @@ class TestSampleField:
         with pytest.raises(ResourceLimitError):
             sample_field(level_new(3, 3000), 0)
 
-    def test_general_dimension_evaluation(self):
-        level = level_new(3, 6)
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    def test_general_dimension_evaluation(self, d):
+        level = level_new(d, 6)
         field = sample_field(level, 21)
-        x = np.array([0.2, -0.1, 0.3])
-        basis = []
+        x = np.array([0.2, -0.1, 0.3, 0.15][:d])
         phis = [[t.to_float() for t in hermite_all(level, xi)] for xi in x]
-        for beta in multi_indices(3, 6):
-            basis.append(phis[0][beta[0]] * phis[1][beta[1]] * phis[2][beta[2]])
+        basis = [math.prod(phis[j][b] for j, b in enumerate(beta))
+                 for beta in multi_indices(d, 6)]
         assert field.evaluate(x)[0] == pytest.approx(
             float(field.coeffs @ np.asarray(basis)), rel=1e-10)
 
@@ -95,7 +103,6 @@ class TestSampleField:
         for lo in range(0, n_seeds, 5000):
             coeffs = np.stack([sample_field(level, s).coeffs
                                for s in range(lo + 1, lo + 5001)])
-            from oscnodal.montecarlo import _point_basis
             basis, scale = _point_basis(level, pts)
             vals[lo:lo + 5000] = np.ldexp(coeffs @ basis, scale)
         for i in range(10):
@@ -112,12 +119,61 @@ class TestSampleField:
         level = level_new(2, 20)
         pt = np.array([[0.3, 0.2]])
         vals = np.empty(2000)
-        from oscnodal.montecarlo import _point_basis
         basis, scale = _point_basis(level, pt)
         for i in range(2000):
             vals[i] = np.ldexp(sample_field(level, i + 1).coeffs @ basis, scale)[0]
         sigma = math.sqrt(pi_exact(level, pt[0]).to_float())
         assert stats.kstest(vals / sigma, "norm").pvalue >= 0.01
+
+
+def _point_basis_d2_reference(level, points):
+    """The two-axis d = 2 basis formula (the oracle for the product basis)."""
+    n = level.N
+    m1, e1 = _phi_mantexp(level.hbar, n, points[:, 0])
+    m2, e2 = _phi_mantexp(level.hbar, n, points[:, 1])
+    m = m1 * m2[::-1]
+    e = e1 + e2[::-1]
+    scale = e.max(axis=0)
+    b = m * np.exp2((e - scale[None, :]).astype(float))
+    return b, scale
+
+
+class TestPointBasis:
+    @pytest.mark.parametrize("n", [60, 400])
+    def test_d2_equals_the_two_axis_formula(self, n):
+        level = level_new(2, n)
+        theta = 2.0 * math.pi * np.arange(8192) / 8192
+        circle = np.column_stack([np.cos(theta), np.sin(theta)])
+        pts = np.concatenate([circle, 1.4 * circle[::64],
+                              np.random.default_rng(n).uniform(-1.4, 1.4, (500, 2))])
+        basis, scale = _point_basis(level, pts)
+        ref_basis, ref_scale = _point_basis_d2_reference(level, pts)
+        assert np.array_equal(basis, ref_basis)
+        assert np.array_equal(scale, ref_scale)
+        assert scale.dtype == ref_scale.dtype
+
+    @pytest.mark.parametrize("d, n", [(1, 5), (2, 7), (3, 6), (4, 4)])
+    def test_index_table_is_the_storage_order(self, d, n):
+        table = _index_table(d, n)
+        assert table.shape == (eigenspace_dim(level_new(d, n)), d)
+        assert [tuple(row) for row in table.tolist()] == list(multi_indices(d, n))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_evaluation_over_several_passes(self):
+        level = level_new(3, 120)
+        field = sample_field(level, 4)
+        step = _PASS_ENTRIES // eigenspace_dim(level)
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(2 * step + 37, 3))
+        pts *= rng.uniform(0.0, 1.4, (len(pts), 1)) / np.linalg.norm(pts, axis=1)[:, None]
+        by_pass = []
+        for lo in range(0, len(pts), step):
+            basis, scale = _point_basis(level, pts[lo:lo + step])
+            by_pass.append(np.ldexp(field.coeffs @ basis, scale))
+        assert len(by_pass) == 3
+        assert np.array_equal(field.evaluate(pts), np.concatenate(by_pass))
 
 
 class TestNodalLength:
@@ -257,6 +313,11 @@ class TestMarchingSquares:
                       for s in seeds]
         assert list(lengths) == single
 
+    def test_ensemble_enforces_the_resolution_rule(self):
+        level = level_new(2, 60)
+        with pytest.raises(ValueError, match="hbar/8"):
+            nodal_length_ensemble(level, [1, 2], self.BOX, level.hbar)
+
     def test_ensembles_are_d2_only(self):
         level = level_new(3, 6)
         with pytest.raises(ValueError, match="d = 2"):
@@ -278,6 +339,10 @@ class TestCausticCrossings:
             caustic_crossings(sample_field(level, 1),
                               angular_step=level.hbar ** (2.0 / 3.0))
 
+    def test_ensemble_enforces_the_step_cap(self):
+        with pytest.raises(ValueError, match="angular_step"):
+            caustic_crossings_ensemble(level_new(2, 60), [1, 2, 3], angular_step=0.5)
+
     def test_rotation_invariance_of_ensemble_mean(self):
         # composing the fields with a fixed rotation leaves the mean count
         # unchanged within error (counting on a rotated circle grid)
@@ -287,7 +352,6 @@ class TestCausticCrossings:
         n_pts = round(2 * math.pi / est.resolution)
         angles = 2 * math.pi * np.arange(n_pts) / n_pts + 0.7
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
-        from oscnodal.montecarlo import _point_basis
         basis, _ = _point_basis(level, pts)
         rotated = np.empty(len(counts))
         for i, seed in enumerate(seeds):
