@@ -30,7 +30,6 @@ import math
 
 import numpy as np
 from scipy import special as _sp
-from scipy.integrate import quad as _quad
 
 from . import quadrature
 
@@ -189,6 +188,10 @@ def _ai_k_gamma(k, s):
     """
     if k >= 0:
         raise ValueError("gamma_integral route requires k < 0")
+    # imported on first use: only this route needs it, and scipy.integrate
+    # pulls in scipy.optimize, scipy.sparse and scipy.linalg
+    from scipy.integrate import quad as _quad
+
     kappa = -float(k)
     s = float(s)
     if kappa < 1.0:

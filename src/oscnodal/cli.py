@@ -3,8 +3,9 @@
 Subcommands: projector, airy, pi0, density, scaling-sweep, montecarlo,
 tube-mass.  Every run writes an RFC-4180 CSV (leading '#' comment block
 describing each column, then a header row, full round-trip float precision)
-plus a JSON manifest recording the parameters, library version and wall-clock
-time.  Identical configuration and seed give byte-identical CSV output.
+plus a JSON manifest recording the parameters, library version, wall-clock
+time, the Python, numpy and scipy versions and the CPU count.  Identical
+configuration and seed give byte-identical CSV output.
 
 Configuration can come from flags or a plain key=value file (--config);
 explicit flags win.  Ranges use start:stop:step, discrete sets use commas.
@@ -23,6 +24,7 @@ import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__, airy, densities, montecarlo, projector, scaled_kernel
 from .semiclassical import level_new
@@ -103,6 +105,10 @@ def _write_manifest(path, command, params, elapsed):
         "command": command,
         "parameters": params,
         "library_version": __version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
         "wall_clock_seconds": elapsed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -268,30 +274,39 @@ _SWEEP_SLOPES = {
 }
 
 
+#: |x| of the sweep points that sit at a fixed radius
+_SWEEP_RADIUS = {"allowed": 0.5, "caustic": 1.0, "forbidden": 1.3}
+#: default --s of the annulus points, |x|^2 = 1 -+ hbar^alpha * s; s = 1 leaves
+#: the allowed-annulus point ~2.4 tube widths from the caustic at N = 100,
+#: short of the annulus regime
+_SWEEP_S = {"allowed-annulus": 4.0, "forbidden-annulus": 1.0}
+
+
 def _sweep_point(regime, level, alpha, s):
-    hbar = level.hbar
-    if regime == "allowed":
-        return np.array([0.5, 0.0])
-    if regime == "forbidden":
-        return np.array([1.3, 0.0])
-    if regime == "caustic":
-        return np.array([1.0, 0.0])
-    if regime == "allowed-annulus":
-        return np.array([math.sqrt(1.0 - hbar ** alpha * s), 0.0])
-    return np.array([math.sqrt(1.0 + hbar ** alpha * s), 0.0])
+    if regime in _SWEEP_RADIUS:
+        return np.array([_SWEEP_RADIUS[regime], 0.0])
+    shift = level.hbar ** alpha * s
+    inside = regime == "allowed-annulus"
+    if not s > 0 or (inside and not shift < 1.0):
+        need = "--s > 0 and hbar^alpha * s < 1" if inside else "--s > 0"
+        raise ValueError(f"--point {regime} needs {need}; at N = {level.N}, "
+                         f"--alpha {alpha!r} and --s {s!r} give hbar^alpha * s = {shift!r}")
+    return np.array([math.sqrt(1.0 - shift if inside else 1.0 + shift), 0.0])
 
 
 def _cmd_scaling_sweep(args):
     ns = _parse_int_list(args.N)
     if len(ns) < 2:
         raise SystemExit("scaling-sweep needs at least two N values")
+    if args.s is None:
+        args.s = _SWEEP_S.get(args.point)
+    levels = [level_new(args.d, n) for n in ns]
+    points = [_sweep_point(args.point, level, args.alpha, args.s) for level in levels]
     rows = []
     log_h, log_f = [], []
-    for n in ns:
-        level = level_new(args.d, n)
-        x = _sweep_point(args.point, level, args.alpha, args.s)
+    for level, x in zip(levels, points):
         dens = densities.kac_rice_density(densities.omega_exact(level, x), args.d)
-        rows.append([args.point, args.d, n, level.hbar, float(np.linalg.norm(x)),
+        rows.append([args.point, args.d, level.N, level.hbar, float(np.linalg.norm(x)),
                      dens.log_abs()])
         log_h.append(math.log(level.hbar))
         log_f.append(dens.log_abs())
@@ -414,7 +429,9 @@ def build_parser():
     p.add_argument("--N", default="100,200,400,800,1600", help="comma list")
     p.add_argument("--point", choices=sorted(_SWEEP_SLOPES), default="caustic")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=float, default=None,
+                   help="annulus points only: |x|^2 = 1 -+ hbar^alpha * s "
+                        "(default 4 on allowed-annulus, 1 on forbidden-annulus)")
     p.add_argument("--tolerance", type=float, default=None,
                    help="exit 2 if |slope - expected| exceeds this")
     common(p)

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy
 
-from oscnodal import cli, level_new, pi_exact
+import oscnodal
+from oscnodal import ai_k, cli, level_new, pi_exact
 from oscnodal.cli import main, read_table
 
 
@@ -23,7 +28,6 @@ class TestAiryCommand:
         header, rows = read_table(out)
         assert header == ["k", "s", "value", "method"]
         assert len(rows) == 401
-        from oscnodal import ai_k
         mid = rows[200]
         assert mid[1] == pytest.approx(0.0, abs=1e-12)
         assert mid[2] == pytest.approx(ai_k(-1.0, 0.0), rel=1e-12)
@@ -51,6 +55,10 @@ class TestAiryCommand:
         assert manifest["parameters"]["k"] == 0.0
         assert "library_version" in manifest
         assert manifest["wall_clock_seconds"] >= 0.0
+        assert manifest["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["cpu_count"] == os.cpu_count()
 
 
 class TestProjectorCommand:
@@ -124,6 +132,29 @@ class TestScalingSweepCommand:
                         "--N", "100,200", "--point", "allowed",
                         "--tolerance", "1e-6")
         assert status == 2
+
+    def test_default_allowed_annulus_within_tolerance(self, tmp_path):
+        # the default --s puts every N of the default list in the annulus regime
+        status, _ = run(tmp_path, "scaling-sweep", "--point", "allowed-annulus",
+                        "--tolerance", "0.06")
+        assert status == 0
+
+    def test_allowed_annulus_outside_unit_circle_is_usage_error(self, tmp_path, capsys):
+        # alpha = 0 and s = 4 ask for |x|^2 = 1 - 4 at every N
+        status, out = run(tmp_path, "scaling-sweep", "--N", "100,200",
+                          "--point", "allowed-annulus", "--alpha", "0", "--s", "4")
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "--s" in err and "--alpha" in err and "N = 100" in err
+        assert not out.exists()
+
+    def test_forbidden_annulus_negative_s_is_usage_error(self, tmp_path, capsys):
+        status, out = run(tmp_path, "scaling-sweep", "--N", "100,200",
+                          "--point", "forbidden-annulus", "--s", "-1")
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "--s > 0" in err and "--alpha" in err and "N = 100" in err
+        assert not out.exists()
 
 
 class TestMonteCarloCommand:
@@ -296,3 +327,29 @@ class TestConfigAndErrors:
         assert status == 1
         assert "finite k" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """Importing the CLI loads no scipy.integrate (nor what it pulls in);
+    the gamma_integral route loads it on first use, with unchanged values."""
+    script = (
+        "import sys\n"
+        "import oscnodal.cli\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        "from oscnodal import ai_k\n"
+        "print(repr(ai_k(-1.5, -3.2, method='gamma_integral')))\n"
+        "print(repr(ai_k(-0.5, 1.0, method='gamma_integral')))\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(oscnodal.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded, first, second, integrate_loaded = done.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(first) == ai_k(-1.5, -3.2, method="gamma_integral")
+    assert float(second) == ai_k(-0.5, 1.0, method="gamma_integral")
+    assert integrate_loaded == "True"
