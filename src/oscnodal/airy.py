@@ -189,7 +189,8 @@ def _ai_k_gamma(k, s):
     if k >= 0:
         raise ValueError("gamma_integral route requires k < 0")
     # imported on first use: only this route needs it, and scipy.integrate
-    # pulls in scipy.optimize, scipy.sparse and scipy.linalg
+    # pulls in scipy.optimize (and, from scipy 1.17 on, the scipy.sparse and
+    # scipy.linalg that scipy.special no longer loads)
     from scipy.integrate import quad as _quad
 
     kappa = -float(k)

@@ -276,10 +276,6 @@ _SWEEP_SLOPES = {
 
 #: |x| of the sweep points that sit at a fixed radius
 _SWEEP_RADIUS = {"allowed": 0.5, "caustic": 1.0, "forbidden": 1.3}
-#: default --s of the annulus points, |x|^2 = 1 -+ hbar^alpha * s; s = 1 leaves
-#: the allowed-annulus point ~2.4 tube widths from the caustic at N = 100,
-#: short of the annulus regime
-_SWEEP_S = {"allowed-annulus": 4.0, "forbidden-annulus": 1.0}
 
 
 def _sweep_point(regime, level, alpha, s):
@@ -287,9 +283,9 @@ def _sweep_point(regime, level, alpha, s):
         return np.array([_SWEEP_RADIUS[regime], 0.0])
     shift = level.hbar ** alpha * s
     inside = regime == "allowed-annulus"
-    if not s > 0 or (inside and not shift < 1.0):
-        need = "--s > 0 and hbar^alpha * s < 1" if inside else "--s > 0"
-        raise ValueError(f"--point {regime} needs {need}; at N = {level.N}, "
+    if not 0.0 < shift < (1.0 if inside else math.inf):
+        need = "0 < hbar^alpha * s < 1" if inside else "a finite hbar^alpha * s > 0"
+        raise ValueError(f"--point {regime} needs --s and --alpha with {need}; at N = {level.N}, "
                          f"--alpha {alpha!r} and --s {s!r} give hbar^alpha * s = {shift!r}")
     return np.array([math.sqrt(1.0 - shift if inside else 1.0 + shift), 0.0])
 
@@ -298,8 +294,6 @@ def _cmd_scaling_sweep(args):
     ns = _parse_int_list(args.N)
     if len(ns) < 2:
         raise SystemExit("scaling-sweep needs at least two N values")
-    if args.s is None:
-        args.s = _SWEEP_S.get(args.point)
     levels = [level_new(args.d, n) for n in ns]
     points = [_sweep_point(args.point, level, args.alpha, args.s) for level in levels]
     rows = []
@@ -429,9 +423,8 @@ def build_parser():
     p.add_argument("--N", default="100,200,400,800,1600", help="comma list")
     p.add_argument("--point", choices=sorted(_SWEEP_SLOPES), default="caustic")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--s", type=float, default=None,
-                   help="annulus points only: |x|^2 = 1 -+ hbar^alpha * s "
-                        "(default 4 on allowed-annulus, 1 on forbidden-annulus)")
+    p.add_argument("--s", type=float, default=1.0,
+                   help="annulus points only: |x|^2 = 1 -+ hbar^alpha * s")
     p.add_argument("--tolerance", type=float, default=None,
                    help="exit 2 if |slope - expected| exceeds this")
     common(p)
