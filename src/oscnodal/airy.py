@@ -150,17 +150,22 @@ def contour_integral(k, s, extra=None, s_ref=None):
     vals = w * t ** complex(k)
     if extra is not None:
         vals = vals * extra(t)
-    phase = t ** 3 / 3.0
-    expo = phase[:, None] - t[:, None] * s_arr[None, :]
-    # the path construction keeps Re(expo) modest; clip as a belt and braces
-    out = np.imag(vals @ np.exp(np.clip(expo.real, None, 500.0) + 1j * expo.imag)) / math.pi
+    out = np.imag(vals @ _contour_exponential(t, s_arr)) / math.pi
     if np.isscalar(s) or np.ndim(s) == 0:
         return float(out[0])
     return out
 
 
+def _contour_exponential(t, s_arr):
+    """exp(T^3/3 - T s) on the path nodes t, one column per s."""
+    phase = t ** 3 / 3.0
+    expo = phase[:, None] - t[:, None] * s_arr[None, :]
+    # the path construction keeps Re(expo) modest; clip as a belt and braces
+    return np.exp(np.clip(expo.real, None, 500.0) + 1j * expo.imag)
+
+
 def _ai_k_contour(k, s):
-    """Contour evaluation, banding array arguments so each band shares a path."""
+    """Contour evaluation of an array, banded so each band shares a path."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     out = np.empty_like(s_arr, dtype=float)
     order = np.argsort(s_arr)
@@ -175,8 +180,6 @@ def _ai_k_contour(k, s):
         band = sorted_s[start:stop]
         out[order[start:stop]] = contour_integral(k, band, s_ref=anchor)
         start = stop
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return float(out[0])
     return out
 
 
@@ -232,16 +235,35 @@ def ai_k(k, s, method="auto"):
     if method == "auto" and scalar and abs(float(s)) > 200.0:
         return ai_k_asymptotic(k, s)
     if scalar:
-        key = (float(k), float(s))
-        hit = _memo.get(key)
-        if hit is not None:
-            return hit
-        val = _ai_k_contour(k, float(s))
-        if len(_memo) > 100000:
-            _memo.clear()
-        _memo[key] = val
-        return val
+        return _memo_contour((k,), float(s))[0]
     return _ai_k_contour(k, s)
+
+
+def ai_k_family(ks, s):
+    """[ai_k(k, s) for k in ks] at one scalar s, method "auto", with one
+    contour exponential for all the weights; every value equals ai_k(k, s)."""
+    if not (math.isfinite(s) and abs(s) <= 200.0 and all(math.isfinite(k) for k in ks)):
+        return [ai_k(k, s) for k in ks]
+    return _memo_contour(ks, float(s))
+
+
+def _memo_contour(ks, s):
+    """Contour values Ai_k(s) for each k at one float s, through _memo.
+
+    The weights missing from _memo share one path and one contour
+    exponential exp(T^3/3 - T s), to which each w T^k is applied.
+    """
+    out = [_memo.get((float(k), s)) for k in ks]
+    missing = [i for i, val in enumerate(out) if val is None]
+    if missing:
+        t, w = _upper_path(s)
+        expo = _contour_exponential(t, np.array([s]))
+        for i in missing:
+            val = float(np.imag((w * t ** complex(ks[i])) @ expo)[0] / math.pi)
+            if len(_memo) > 100000:
+                _memo.clear()
+            _memo[(float(ks[i]), s)] = out[i] = val
+    return out
 
 
 def ai_k_asymptotic(k, s):

@@ -281,6 +281,8 @@ _SWEEP_RADIUS = {"allowed": 0.5, "caustic": 1.0, "forbidden": 1.3}
 def _sweep_point(regime, level, alpha, s):
     if regime in _SWEEP_RADIUS:
         return np.array([_SWEEP_RADIUS[regime], 0.0])
+    if not 0.0 <= alpha <= 2.0 / 3.0:
+        raise ValueError(f"--point {regime}: alpha must lie in [0, 2/3], got --alpha {alpha!r}")
     shift = level.hbar ** alpha * s
     inside = regime == "allowed-annulus"
     if not 0.0 < shift < (1.0 if inside else math.inf):

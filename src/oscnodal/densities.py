@@ -223,10 +223,11 @@ def omega_caustic_scaled(frame, u):
         raise ValueError("the caustic matrix needs d >= 2")
     u = np.asarray(u, dtype=float)
     s = 2.0 * frame.normal_component(u)
-    base = airy.ai_k(-d / 2.0, s)
+    base, second, first, lower = airy.ai_k_family(
+        (-d / 2.0, 2.0 - d / 2.0, 1.0 - d / 2.0, -1.0 - d / 2.0), s)
     assert base > 0.0, "Ai_{-d/2} must be positive"
-    radial = airy.ai_k(2.0 - d / 2.0, s) / base - (airy.ai_k(1.0 - d / 2.0, s) / base) ** 2
-    tangential = 0.5 * airy.ai_k(-1.0 - d / 2.0, s) / base
+    radial = second / base - (first / base) ** 2
+    tangential = 0.5 * lower / base
     omega = radial * np.outer(frame.x0, frame.x0) + tangential * np.eye(d)
     return KacRiceMatrix(omega=omega, scale_exponent=0)
 
@@ -349,7 +350,8 @@ def caustic_intersection_density(d):
     """
     if d < 2:
         raise ValueError("intersection density needs d >= 2")
-    ratio = airy.ai_k(-1.0 - d / 2.0, 0.0) / airy.ai_k(-d / 2.0, 0.0)
+    lower, base = airy.ai_k_family((-1.0 - d / 2.0, -d / 2.0), 0.0)
+    ratio = lower / base
     return math.gamma(d / 2.0) / (math.sqrt(2.0 * math.pi) * math.gamma((d - 1) / 2.0)) \
         * math.sqrt(ratio)
 

@@ -1,6 +1,6 @@
 """Gauss-Legendre nodes and composite panel rules, shared by every quadrature.
 
-The Airy contours, the tangential p-grids of Pi0, the composition windows, the
+The Airy contours, the radial rule of Pi0, the composition windows, the
 d = 3 sphere rule and the tube-mass integrals all draw their nodes here, so
 each rule size is computed once per process.
 """

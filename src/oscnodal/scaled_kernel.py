@@ -9,10 +9,22 @@ with the limit kernel available in two independent representations:
 
   * pi0_airy - the Airy-mode superposition over tangential frequencies p,
 
-        Pi0(u,v) = 2^(2/3) (2 pi)^(1-d) int_{R^(d-1)} e^{i<u'-v', p>}
-                   Ai(2^(1/3)(u1 + p^2/2)) Ai(2^(1/3)(v1 + p^2/2)) dp,
+        Pi0(u,v) = 2^(2/3) (2 pi)^(1-d) int_{R^(d-1)} e^{i<delta, p>}
+                   Ai(2^(1/3)(u1 + |p|^2/2)) Ai(2^(1/3)(v1 + |p|^2/2)) dp,
 
-    where u1 = <x0, u> is the normal component and u' the tangential part;
+    where u1 = <x0, u> is the normal component and delta = u' - v' the
+    tangential separation.  The integrand is radial in p, so with m = d - 1
+    and nu = m/2 - 1 it reduces to one Hankel integral (Stein-Weiss,
+    Introduction to Fourier Analysis on Euclidean Spaces, ch. IV),
+
+        Pi0(u,v) = 2^(2/3) (2 pi)^(1-d) |S^(m-1)| int_0^inf rho^(m-1)
+                   Lambda_nu(|delta| rho) Ai(2^(1/3)(u1 + rho^2/2))
+                   Ai(2^(1/3)(v1 + rho^2/2)) drho,
+
+        Lambda_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x),   Lambda_nu(0) = 1,
+
+    which is cos x at d = 2, J_0(x) at d = 3 and sin(x)/x at d = 4: one
+    real, one-dimensional rule in every d;
 
   * pi0_contour - the single-contour form obtained by resumming the modes,
 
@@ -25,19 +37,18 @@ On the diagonal both reduce to 2^(1-d) pi^(-d/2) Ai_{-d/2}(2 u1).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sp
 
 from . import airy, quadrature
-from .semiclassical import ResourceLimitError
 
 #: Ai(arg) < 1e-14 beyond this argument; sets the tangential frequency cutoff
 _AIRY_NEGLIGIBLE_ARG = 13.6
 
-#: tensor p-quadrature is capped at d <= 4 (quadrature dimension d-1)
-P_QUADRATURE_MAX_DIM = 4
+#: width of the 12-node Gauss-Legendre panels of the radial rule
+_P_WIDTH = 0.25
 
 
 @dataclass(frozen=True)
@@ -84,96 +95,78 @@ class CausticFrame:
         return u - (u @ self.x0) * self.x0
 
 
-def _p_nodes(p_max, freq, dim):
-    """Tensor Gauss-Legendre grid on [-p_max, p_max]^dim resolving e^{i freq p}."""
-    width = max(0.25, 2.0 / (1.0 + freq))
-    n_panels = int(math.ceil(2.0 * p_max / width))
-    p1, w1 = quadrature.panels(np.linspace(-p_max, p_max, n_panels + 1), 12)
-    if dim == 1:
-        return p1[:, None], w1
-    grids = np.meshgrid(*([p1] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    w = w1
-    for _ in range(dim - 1):
-        w = np.multiply.outer(w, w1)
-    return pts, w.ravel()
+def _sphere_average(nu, x):
+    """Lambda_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x), with Lambda_nu(0) = 1:
+    the mean of e^{i<delta, p>} over the sphere |p| = rho at x = |delta| rho."""
+    if nu == -0.5:
+        return np.cos(x)
+    if nu == 0.0:
+        return _sp.j0(x)
+    # below x = 1e-3 the series through x^4 is exact to ~1e-21, where
+    # (2/x)^nu may overflow and J_nu underflow
+    small = x < 1e-3
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        direct = math.gamma(nu + 1.0) * (2.0 / x) ** nu * _sp.jv(nu, x)
+    x_sq = x * x
+    series = 1.0 - x_sq / (4.0 * (nu + 1.0)) + x_sq * x_sq / (32.0 * (nu + 1.0) * (nu + 2.0))
+    return np.where(small, series, direct)
 
 
-def pi0_airy_batch(frame, us, vs, warn_imag=1e-10):
-    """Pi0 over a list of point pairs (u, v) by tensor quadrature over the
-    tangential frequencies; returns a float array in pair order.
+def pi0_airy_batch(frame, us, vs):
+    """Pi0 over a list of point pairs (u, v) by the radial Airy-mode rule;
+    returns a float array in pair order.
 
-    Each pair's p-range is chosen so the Airy factors are below 1e-14 at the
-    cutoff.  The p-grid depends only on (d, p_max, freq), so pairs with equal
-    grids share one, and on each grid the Airy factor Ai(2^(1/3)(t + p^2/2))
-    is evaluated once per distinct normal offset t, on the distinct p^2 values
-    only, then gathered back.  Every value is bit-identical to a pair-by-pair
-    evaluation.  The result is real up to quadrature noise; a pair whose
-    imaginary residue exceeds warn_imag (relative) raises a warning.
+    Pair i integrates over n_i = ceil(p_max / 0.25) panels [0, 0.25 n_i],
+    with p_max chosen so the Airy factors are below 1e-14 at the cutoff.
+    Every pair's panels are a prefix of one batch grid; the Airy factor is
+    evaluated once per distinct normal offset and the sphere average once per
+    distinct |delta|, on the longest prefix, and each pair sums its own
+    prefix, so a pair's value is the same alone or in any batch.
     """
     d = frame.d
     if d < 2:
         raise ValueError("the scaling limit needs d >= 2")
-    if d > P_QUADRATURE_MAX_DIM:
-        raise ResourceLimitError(
-            f"p-quadrature dimension {d-1} exceeds the cap; use pi0_contour")
     if len(us) != len(vs):
         raise ValueError("point lists must have equal length")
-    grids = {}
-    for i, (u, v) in enumerate(zip(us, vs)):
+    pairs = []
+    for u, v in zip(us, vs):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         u1 = frame.normal_component(u)
         v1 = frame.normal_component(v)
-        dt = frame.tangential_component(u) - frame.tangential_component(v)
-        # tangential separation in frame coordinates
-        delta = frame.basis[1:] @ dt
-        m = min(u1, v1)
-        p_max = math.sqrt(2.0 * max(1.0, _AIRY_NEGLIGIBLE_ARG * 2.0 ** (-1.0 / 3.0) - m))
-        freq = float(np.max(np.abs(delta))) + 2.2 * p_max
-        grids.setdefault((p_max, freq), []).append((i, u1, v1, delta))
-    out = np.empty(len(us))
-    for (p_max, freq), pairs in grids.items():
-        _pi0_airy_on_grid(d, p_max, freq, pairs, warn_imag, out)
+        # |delta|: the tangent rows of the frame are orthogonal to x0
+        sep = float(np.linalg.norm(frame.basis[1:] @ (u - v)))
+        p_max = math.sqrt(2.0 * max(1.0, _AIRY_NEGLIGIBLE_ARG * 2.0 ** (-1.0 / 3.0)
+                                    - min(u1, v1)))
+        pairs.append((u1, v1, sep, math.ceil(p_max / _P_WIDTH)))
+    out = np.empty(len(pairs))
+    if not pairs:
+        return out
+    m = d - 1
+    rho, w = quadrature.panels(_P_WIDTH * np.arange(max(p[3] for p in pairs) + 1.0), 12)
+    w = w * rho ** (m - 1)
+    half_rho_sq = rho * rho / 2.0
+    airy_factor = {}  # normal offset t -> Ai(2^(1/3)(t + rho^2/2))
+    sphere = {}  # |delta| -> w rho^(m-1) Lambda_nu(|delta| rho)
+    for u1, v1, sep, _ in pairs:
+        for t in (u1, v1):
+            if t not in airy_factor:
+                airy_factor[t] = airy.ai(2.0 ** (1.0 / 3.0) * (t + half_rho_sq))
+        if sep not in sphere:
+            sphere[sep] = w * _sphere_average(m / 2.0 - 1.0, sep * rho)
+    # 2^(2/3) (2 pi)^(1-d) |S^(m-1)|
+    pref = 2.0 ** (2.0 / 3.0) * (2.0 * math.pi) ** (1 - d) \
+        * 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    for i, (u1, v1, sep, n_panels) in enumerate(pairs):
+        n = 12 * n_panels
+        out[i] = pref * np.sum(sphere[sep][:n] * airy_factor[u1][:n] * airy_factor[v1][:n])
     return out
 
 
-def _pi0_airy_on_grid(d, p_max, freq, pairs, warn_imag, out):
-    """pi0_airy_batch for the pairs (index, u1, v1, delta) sharing one p-grid."""
-    pts, w = _p_nodes(p_max, freq, d - 1)
-    if pts.shape[0] > 2 * 10**7:
-        raise ResourceLimitError("p-quadrature grid too large")
-    p_sq, inv = np.unique(np.sum(pts * pts, axis=1), return_inverse=True)
-    half_p_sq = p_sq / 2.0
-    del p_sq
-    factors = {}  # distinct offset t -> Ai(2^(1/3)(t + p^2/2)) on the distinct p^2
-    for _, u1, v1, _ in pairs:
-        for t in (u1, v1):
-            if t not in factors:
-                factors[t] = airy.ai(2.0 ** (1.0 / 3.0) * (t + half_p_sq))
-    pref = 2.0 ** (2.0 / 3.0) * (2.0 * math.pi) ** (1 - d)
-    for i, u1, v1, delta in pairs:
-        # w * phase * au * av, in that order, with the products taken in place
-        # and the Airy factors gathered where they are used
-        terms = 1j * (pts @ delta)
-        np.exp(terms, out=terms)
-        terms *= w
-        terms *= factors[u1][inv]
-        terms *= factors[v1][inv]
-        value = pref * np.sum(terms)
-        del terms
-        magnitude = float(np.sum(np.abs(w * factors[u1][inv] * factors[v1][inv])))
-        scale = max(abs(value.real), pref * magnitude * 1e-4)
-        if abs(value.imag) > warn_imag * max(scale, 1e-300):
-            warnings.warn(f"pi0_airy imaginary residue {value.imag:.2e}",
-                          RuntimeWarning, stacklevel=3)
-        out[i] = value.real
-
-
-def pi0_airy(frame, u, v, warn_imag=1e-10):
-    """Pi0(u,v) by tensor quadrature over the tangential frequencies: the
-    one-pair case of pi0_airy_batch."""
-    return float(pi0_airy_batch(frame, [u], [v], warn_imag=warn_imag)[0])
+def pi0_airy(frame, u, v):
+    """Pi0(u,v) by the radial Airy-mode rule: the one-pair case of
+    pi0_airy_batch."""
+    return float(pi0_airy_batch(frame, [u], [v])[0])
 
 
 def pi0_contour(frame, u, v):
@@ -197,10 +190,8 @@ def pi0_contour(frame, u, v):
 
 
 def pi0(frame, u, v):
-    """Scaling-limit kernel; Airy-mode quadrature for d <= 3, contour beyond."""
-    if frame.d <= 3:
-        return pi0_airy(frame, u, v)
-    return pi0_contour(frame, u, v)
+    """Scaling-limit kernel by the radial Airy-mode rule, in every d."""
+    return pi0_airy(frame, u, v)
 
 
 def pi0_diagonal(frame, u1):

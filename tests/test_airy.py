@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oscnodal import ai, ai_k, ai_k_asymptotic, airy, quadrature
+from oscnodal import CausticFrame, ai, ai_k, ai_k_asymptotic, airy, quadrature
 from oscnodal.airy import (
     AI_PRIME_ZERO,
     AI_ZERO,
@@ -15,6 +15,7 @@ from oscnodal.airy import (
     airy_product_contour,
     contour_integral,
 )
+from oscnodal.densities import omega_caustic_scaled
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -294,3 +295,46 @@ class TestContourPath:
             ai_k(k, -3.3)
         info = airy._upper_path.cache_info()
         assert (info.misses, info.hits) == (1, 3)
+
+
+class TestSharedContourExponential:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_caustic_matrix_equals_four_scalar_weights(self, d):
+        # s = 2 u1 runs over [-12, 6]
+        frame = CausticFrame.from_point(np.eye(d)[0])
+        for u1 in np.arange(-6.0, 3.0 + 1e-9, 0.05):
+            u = u1 * frame.x0
+            airy._memo.clear()
+            got = omega_caustic_scaled(frame, u).omega
+            airy._memo.clear()
+            s = 2.0 * frame.normal_component(u)
+            base = ai_k(-d / 2.0, s)
+            radial = ai_k(2.0 - d / 2.0, s) / base - (ai_k(1.0 - d / 2.0, s) / base) ** 2
+            tangential = 0.5 * ai_k(-1.0 - d / 2.0, s) / base
+            want = radial * np.outer(frame.x0, frame.x0) + tangential * np.eye(d)
+            assert np.array_equal(got, want)
+
+    def test_family_fills_the_memo_that_ai_k_reads(self, monkeypatch):
+        ks = (-1.5, 0.5, -0.5, -2.5)
+        airy._memo.clear()
+        values = airy.ai_k_family(ks, -4.7)
+        assert all((k, -4.7) in airy._memo for k in ks)
+
+        def no_path(s_ref):
+            raise AssertionError("ai_k missed the memo")
+
+        monkeypatch.setattr(airy, "_upper_path", no_path)
+        assert [ai_k(k, -4.7) for k in ks] == values
+
+    def test_family_reads_the_memo_that_ai_k_fills(self):
+        airy._memo.clear()
+        first = ai_k(-1.0, 0.25)
+        airy._memo[(-1.0, 0.25)] = 123.0  # a hit must return the memo entry
+        assert airy.ai_k_family((-1.0, -2.0), 0.25) == [123.0, ai_k(-2.0, 0.25)]
+        airy._memo.clear()
+        assert airy.ai_k_family((-1.0,), 0.25) == [first]
+
+    def test_family_uses_the_asymptotic_expansion_beyond_200(self):
+        assert airy.ai_k_family((-1.0, 0.0), 250.0) == [ai_k(-1.0, 250.0), ai_k(0.0, 250.0)]
+        with pytest.raises(ValueError, match="finite s"):
+            airy.ai_k_family((-1.0,), math.nan)

@@ -144,14 +144,22 @@ class TestScalingSweepCommand:
         # alpha = 0 and s = 4 ask for |x|^2 = 1 - 4 at every N
         ("allowed-annulus", ("--alpha", "0", "--s", "4")),
         ("forbidden-annulus", ("--s", "-1")),
-        ("allowed-annulus", ("--alpha", "nan")),
-        ("forbidden-annulus", ("--alpha", "nan")),
     ])
     def test_annulus_shift_out_of_range_is_usage_error(self, tmp_path, capsys, point, flags):
         status, out = run(tmp_path, "scaling-sweep", "--N", "100,200", "--point", point, *flags)
         assert status == 1
         err = capsys.readouterr().err
         assert "--s" in err and "--alpha" in err and "N = 100" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("point", ["allowed-annulus", "forbidden-annulus"])
+    @pytest.mark.parametrize("alpha", ["-200", "0.9", "nan"])
+    def test_annulus_alpha_out_of_range_is_usage_error(self, tmp_path, capsys, point, alpha):
+        # -200 used to overflow in hbar ** alpha with an uncaught traceback
+        status, out = run(tmp_path, "scaling-sweep", "--N", "100,200", "--point", point,
+                          "--alpha", alpha)
+        assert status == 1
+        assert "alpha must lie in [0, 2/3]" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -200,6 +208,21 @@ class TestPi0Command:
         assert status == 0
         _, rows = read_table(out)
         assert len(rows) == 9
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_airy_and_contour_tables_agree_beyond_d4(self, tmp_path, d):
+        tables = []
+        for method in ("airy", "contour"):
+            status, out = run(tmp_path, "pi0", "--d", str(d), "--u1-range", "-2:1:1.5",
+                              "--v1-range", "-1:1:1", "--tangential-sep", "0.5",
+                              "--method", method)
+            assert status == 0
+            _, rows = read_table(out)
+            tables.append(np.array([row[3] for row in rows]))
+        airy_values, contour_values = tables
+        assert len(airy_values) == 9
+        scale = np.max(np.abs(contour_values))
+        assert np.max(np.abs(airy_values - contour_values)) <= 1e-12 * scale
 
 
 class TestTubeMassCommand:

@@ -1,14 +1,13 @@
 """The caustic scaling-limit kernel in its two representations."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
-from oscnodal import CausticFrame, ai, ai_k, airy, pi0, pi0_airy, pi0_contour
-from oscnodal.scaled_kernel import _panel_grid, pi0_airy_batch, pi0_diagonal
-from oscnodal.semiclassical import ResourceLimitError
+from oscnodal import CausticFrame, ai, ai_k, pi0, pi0_airy, pi0_contour
+from oscnodal.scaled_kernel import _panel_grid, _sphere_average, pi0_airy_batch, pi0_diagonal
 
 FRAME2 = CausticFrame.from_point([1.0, 0.0])
 
@@ -101,9 +100,11 @@ class TestKernelStructure:
         v = np.array([-0.1, 0.0, 0.2, 0.1])
         val = pi0(frame4, u, v)
         assert val == pytest.approx(pi0_contour(frame4, u, v), rel=1e-12)
+        # no dimension cap: the radial rule is one-dimensional in every d
         frame5 = CausticFrame.from_point([1.0] + [0.0] * 4)
-        with pytest.raises(ResourceLimitError):
-            pi0_airy(frame5, np.zeros(5), np.zeros(5))
+        us, vs = _table(frame5, [-1.0, 0.0, 0.5], [-0.5, 1.0], 0.7)
+        _assert_agrees(pi0_airy_batch(frame5, us, vs),
+                       [pi0_contour(frame5, u, v) for u, v in zip(us, vs)], 1e-12)
 
 
 def _p_nodes_reference(p_max, freq, dim):
@@ -128,7 +129,8 @@ def _p_nodes_reference(p_max, freq, dim):
 
 
 def _pi0_airy_reference(frame, u, v):
-    """The per-pair pi0_airy body pi0_airy_batch replaced: its == oracle."""
+    """Pi0 by the tensor p-grid over R^(d-1) that the radial rule replaced:
+    an independent oracle for pi0_airy_batch."""
     d = frame.d
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -157,15 +159,28 @@ def _table(frame, u1s, v1s, sep):
     return us, vs
 
 
+def _assert_agrees(values, refs, bound):
+    """max |values - refs| <= bound * max |refs|."""
+    refs = np.asarray(refs)
+    assert np.max(np.abs(np.asarray(values) - refs)) <= bound * np.max(np.abs(refs))
+
+
 class TestPi0AiryBatch:
+    """The radial rule against the tensor p-grid it replaced and the contour.
+
+    The tensor route (_pi0_airy_reference) and the contour are independent
+    oracles; the radial rule agrees with both to 1e-13 of each table's max."""
+
+    def _check(self, frame, us, vs):
+        values = pi0_airy_batch(frame, us, vs)
+        assert values.shape == (len(us),)
+        _assert_agrees(values, [_pi0_airy_reference(frame, u, v) for u, v in zip(us, vs)], 1e-13)
+        _assert_agrees(values, [pi0_contour(frame, u, v) for u, v in zip(us, vs)], 1e-13)
+
     @pytest.mark.parametrize("sep", [0.0, 0.5, 1.7])
     def test_d2_table_with_shared_grids(self, sep):
-        # pairs with equal min(u1, v1) share one p-grid; offsets repeat across pairs
-        us, vs = _table(FRAME2, np.arange(-4.0, 1.0, 0.37), np.arange(-3.0, 2.0, 0.41), sep)
-        values = pi0_airy_batch(FRAME2, us, vs)
-        assert values.shape == (len(us),)
-        for u, v, val in zip(us, vs, values):
-            assert val == _pi0_airy_reference(FRAME2, u, v)
+        self._check(FRAME2, *_table(FRAME2, np.arange(-4.0, 1.0, 0.37),
+                                    np.arange(-3.0, 2.0, 0.41), sep))
 
     def test_d2_random_pairs_in_any_direction(self):
         frame = CausticFrame.from_point([0.6, -0.8])
@@ -174,46 +189,59 @@ class TestPi0AiryBatch:
         vs = list(rng.uniform(-3.0, 2.0, (25, 2)))
         us += [us[0], us[1]]
         vs += [us[0], us[0]]
-        for u, v, val in zip(us, vs, pi0_airy_batch(frame, us, vs)):
-            assert val == _pi0_airy_reference(frame, u, v)
+        self._check(frame, us, vs)
 
     def test_d3_table(self):
         frame = CausticFrame.from_point([0.0, 0.0, 1.0])
-        us, vs = _table(frame, [-1.0, 0.5], [-1.0, 0.0], 0.5)
-        values = pi0_airy_batch(frame, us, vs)
-        for u, v, val in zip(us, vs, values):
-            assert val == _pi0_airy_reference(frame, u, v)
+        self._check(frame, *_table(frame, [-1.0, 0.5], [-1.0, 0.0], 0.5))
 
     def test_pairs_on_one_p_max_with_different_frequencies(self):
-        # far on the forbidden side the panel width depends on the tangential
-        # separation, so these pairs share p_max but not their p-grids
+        # far on the forbidden side, with one p_max and three tangential
+        # separations: the tensor route is 2.3e-12 (of the max) off the
+        # contour here, the radial rule within 1e-13 of it
         us = [np.array([8.0, 0.0])] * 3
         vs = [np.array([8.2, 0.0]), np.array([8.2, 1.5]), np.array([8.2, -1.5])]
         values = pi0_airy_batch(FRAME2, us, vs)
-        for u, v, val in zip(us, vs, values):
-            assert val == _pi0_airy_reference(FRAME2, u, v)
+        _assert_agrees(values, [pi0_contour(FRAME2, u, v) for u, v in zip(us, vs)], 1e-13)
+        _assert_agrees(values, [_pi0_airy_reference(FRAME2, u, v) for u, v in zip(us, vs)], 5e-12)
+
+    @pytest.mark.parametrize("d, u1s, v1s", [
+        # the tensor grid takes seconds at d = 3, u1 = -12 and is out of
+        # reach beyond d = 4: the contour alone checks these tables
+        (3, [-12.0, -6.0, 0.0], [-12.0, -3.0, 1.0]),
+        (4, [-2.0, -0.5, 1.0], [-1.0, 0.0, 2.0]),
+        (5, [-2.0, -0.5, 1.0], [-1.0, 0.0, 2.0]),
+        (6, [-2.0, -0.5, 1.0], [-1.0, 0.0, 2.0]),
+    ])
+    def test_against_contour_alone(self, d, u1s, v1s):
+        frame = CausticFrame.from_point(np.eye(d)[0])
+        us, vs = _table(frame, u1s, v1s, 0.5)
+        _assert_agrees(pi0_airy_batch(frame, us, vs),
+                       [pi0_contour(frame, u, v) for u, v in zip(us, vs)], 1e-13)
 
     def test_one_pair_alone(self):
+        # pairs of different cutoffs share prefixes of one grid, so a pair's
+        # value does not depend on the batch around it
         u, v = np.array([-0.9, 0.2]), np.array([0.1, -0.3])
-        ref = _pi0_airy_reference(FRAME2, u, v)
-        assert pi0_airy(FRAME2, u, v) == ref
-        assert pi0_airy_batch(FRAME2, [u], [v])[0] == ref
+        alone = pi0_airy_batch(FRAME2, [u], [v])[0]
+        assert pi0_airy(FRAME2, u, v) == alone
+        us, vs = _table(FRAME2, [-6.0, 2.0], [-1.0, 4.0], 1.1)
+        assert pi0_airy_batch(FRAME2, us + [u], vs + [v])[-1] == alone
+        assert pi0_airy_batch(FRAME2, [us[0], u], [vs[0], v])[1] == alone
+
+    def test_sphere_average_is_the_bessel_form(self):
+        x = np.concatenate([[1e-5, 1e-4, 9.9e-4], np.linspace(0.01, 40.0, 800)])
+        for nu in (-0.5, 0.0, 0.5, 1.0, 1.5):
+            bessel = math.gamma(nu + 1.0) * (2.0 / x) ** nu * special.jv(nu, x)
+            assert np.max(np.abs(_sphere_average(nu, x) - bessel)) < 1e-14
+        assert np.max(np.abs(_sphere_average(0.5, x) - np.sin(x) / x)) < 1e-14
+        for nu in (-0.5, 0.0, 0.5, 1.0, 4.0):
+            assert np.array_equal(_sphere_average(nu, np.array([0.0, 1e-300])), [1.0, 1.0])
 
     def test_empty_and_mismatched_lists(self):
         assert pi0_airy_batch(FRAME2, [], []).shape == (0,)
         with pytest.raises(ValueError, match="equal length"):
             pi0_airy_batch(FRAME2, [np.zeros(2)], [])
-
-    def test_imaginary_residue_warns_for_every_pair(self, monkeypatch):
-        us, vs = _table(FRAME2, [-1.0, 0.0], [-1.0, 0.5], 0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pi0_airy_batch(FRAME2, us, vs)
-        # a complex phase on the Airy factor leaves a large imaginary residue
-        monkeypatch.setattr(airy, "ai", lambda s: ai(s) * (1.0 + 0.2j))
-        with pytest.warns(RuntimeWarning, match="imaginary residue") as record:
-            pi0_airy_batch(FRAME2, us, vs)
-        assert len(record) == len(us)
 
     def test_panel_grid_equals_a_loop_over_panels(self):
         xs, ws = _panel_grid(-25.0, 8.0, 9.07)
