@@ -17,6 +17,7 @@ from .semiclassical import (  # noqa: F401
 from .projector import (  # noqa: F401
     CovarianceJet,
     covariance_jet,
+    covariance_jet_batch,
     pi_exact,
     pi_exact_batch,
     pi_mehler,
@@ -40,6 +41,7 @@ from .densities import (  # noqa: F401
     kac_rice_density,
     omega_caustic_scaled,
     omega_exact,
+    omega_exact_batch,
     tube_mass,
 )
 from .montecarlo import (  # noqa: F401

@@ -226,25 +226,28 @@ def _cmd_density(args):
              "caustic-tube": 2.0 / 3.0}.get(args.regime, args.alpha)
     if args.u1_range is None:
         args.u1_range = default_range
-    rows = []
-    worst = 0.0
+    rows, predictions, points = [], [], []
     for u1 in _parse_range(args.u1_range):
         u = u1 * frame.x0
         query = densities.RegimeQuery(frame=frame, u=u, alpha=alpha, region=region)
         predicted = densities.density_regime(query, level)
         s = 2.0 * u1
-        row = [args.regime, args.d, args.N, level.hbar, alpha, s,
-               predicted.log_abs() if predicted.mantissa else -math.inf]
-        if args.with_exact:
-            x = frame.x0 + level.hbar ** alpha * u
-            exact = densities.kac_rice_density(densities.omega_exact(level, x), args.d)
+        rows.append([args.regime, args.d, args.N, level.hbar, alpha, s,
+                     predicted.log_abs() if predicted.mantissa else -math.inf])
+        predictions.append(predicted)
+        points.append(frame.x0 + level.hbar ** alpha * u)
+    worst = 0.0
+    if args.with_exact:
+        # one basis recurrence for the whole table
+        omegas = densities.omega_exact_batch(level, points)
+        for row, predicted, omega in zip(rows, predictions, omegas):
+            exact = densities.kac_rice_density(omega, args.d)
             # compare in the physical (unscaled) normalization
             log_scale = alpha * math.log(level.hbar)
             log_pred_unscaled = predicted.log_abs() - log_scale
             rel = abs(math.exp(log_pred_unscaled - exact.log_abs()) - 1.0)
             row += [exact.log_abs(), rel]
             worst = max(worst, rel)
-        rows.append(row)
     header = ["regime", "d", "N", "hbar", "alpha", "s", "predicted_density_log"]
     comments = [
         "Kac-Rice nodal density by regime; densities reported as natural logs",

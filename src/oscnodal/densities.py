@@ -132,8 +132,12 @@ def _circle_average_norm(lo, hi):
     The closed form (2/pi) sqrt(hi) E(1 - lo/hi), E the complete elliptic
     integral of the second kind (0 where hi = 0): the d = 2 reduction of both
     kac_rice_density and density_grid.  An angle rule loses up to ~1e-4 at
-    the near rank-one matrices of the forbidden regimes.
+    the near rank-one matrices of the forbidden regimes.  Scalars take a
+    plain-float branch of the same formula (0-d array ufuncs cost ~10x more).
     """
+    if not isinstance(hi, np.ndarray):
+        ratio = lo / hi if hi > 0.0 else 0.0
+        return 2.0 / math.pi * math.sqrt(hi) * ellipe(1.0 - ratio)
     ratio = np.divide(lo, hi, out=np.zeros_like(hi), where=hi > 0.0)
     return 2.0 / math.pi * np.sqrt(hi) * ellipe(1.0 - ratio)
 
@@ -192,20 +196,32 @@ def omega_exact(level, x):
     Omega is a ratio of kernels, so the huge tracked exponents cancel; the
     entries land comfortably inside float range even deep in the forbidden
     region.  x = 0 is rejected (the 1-jet map degenerates there for odd N).
+    The one-point case of omega_exact_batch.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.linalg.norm(x) == 0.0:
+    return omega_exact_batch(level, [x])[0]
+
+
+def omega_exact_batch(level, points):
+    """omega_exact at every point of a list, from one covariance_jet_batch call.
+
+    One basis recurrence serves the whole table; each matrix is equal (==) to
+    a one-point omega_exact.
+    """
+    points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in points]
+    if any(np.linalg.norm(x) == 0.0 for x in points):
         raise ValueError("omega_exact requires x != 0")
-    jet = projector.covariance_jet(level, x)
     d = level.d
-    ratio_grad = np.array([(g / jet.pi).to_float() for g in jet.grad])
-    omega = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            omega[i, j] = (jet.hess[i][j] / jet.pi).to_float() \
-                - ratio_grad[i] * ratio_grad[j]
-    omega = 0.5 * (omega + omega.T)
-    return KacRiceMatrix(omega=omega, scale_exponent=0)
+    out = []
+    for jet in projector.covariance_jet_batch(level, points):
+        ratio_grad = np.array([(g / jet.pi).to_float() for g in jet.grad])
+        omega = np.empty((d, d))
+        for i in range(d):
+            for j in range(d):
+                omega[i, j] = (jet.hess[i][j] / jet.pi).to_float() \
+                    - ratio_grad[i] * ratio_grad[j]
+        omega = 0.5 * (omega + omega.T)
+        out.append(KacRiceMatrix(omega=omega, scale_exponent=0))
+    return out
 
 
 def omega_caustic_scaled(frame, u):

@@ -87,13 +87,6 @@ class RandomEigenfunction:
             out[sl] = np.ldexp(self.coeffs @ basis, scale)
         return out
 
-    def evaluate_grid(self, xs, ys):
-        """Values on the tensor grid (ys x xs) for d = 2; shape (len(ys), len(xs))."""
-        if self.level.d != 2:
-            raise ValueError("tensor-grid evaluation is d = 2 only")
-        cx, cy = _tensor_basis(self.level, xs, ys)
-        return _grid_values(self.coeffs, cx, cy)
-
 
 def sample_field(level, seed, budget=_DEFAULT_FIELD_BUDGET):
     """Draw a random eigenfunction; deterministic and bitwise stable in seed."""

@@ -20,6 +20,11 @@ Two independent evaluation routes cross-validate each other:
 
 Derivative kernels on the diagonal (the Kac-Rice input) are assembled from
 the basis derivative ladder, never by differentiating the residue integrand.
+
+Both exact entry points take whole tables: pi_exact_batch and
+covariance_jet_batch run one basis recurrence per table (per pass of
+_PAIRS_PER_PASS entries) over its distinct coordinates, and pi_exact and
+covariance_jet are their one-entry cases.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ from .semiclassical import (
 #: reaches exp(c(|x|^2-1)/hbar) above the result and the rule is uncertified
 MEHLER_RADIUS_LIMIT = 1.3
 
-#: point pairs per basis recurrence in pi_exact_batch; the pass holds
-#: 2 * d * _PAIRS_PER_PASS columns of N + 1 extended-precision values
+#: point pairs (pi_exact_batch) or diagonal points (covariance_jet_batch) per
+#: basis recurrence; a pass holds at most 2 * d * _PAIRS_PER_PASS columns of
+#: N + 1 extended-precision values
 _PAIRS_PER_PASS = 64
 
 
@@ -119,25 +125,46 @@ def covariance_jet(level, x, budget=DEFAULT_DIM_BUDGET):
 
     grad_i = d_{x_i} Pi(x,y)|_{y=x} and hess_ij = d_{x_i} d_{y_j} Pi(x,y)|_{y=x};
     both come from the same separable accumulation with the derivative arrays
-    phi_k phi_k' and phi_k' phi_k' substituted in slots i (and j).
+    phi_k phi_k' and phi_k' phi_k' substituted in slots i (and j).  The
+    one-point case of covariance_jet_batch.
     """
+    return covariance_jet_batch(level, [x], budget=budget)[0]
+
+
+def covariance_jet_batch(level, points, budget=DEFAULT_DIM_BUDGET):
+    """covariance_jet over a list of diagonal points, positionally ordered.
+
+    As in pi_exact_batch, one extended-precision derivative recurrence runs
+    over the distinct coordinates of up to _PAIRS_PER_PASS points at once and
+    each point is then folded on its own, so every jet is bit-identical to a
+    one-point call.
+    """
+    if len(points) == 0:
+        return []
     _check_budget(level, budget)
-    dtype = np.longdouble
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (level.d,):
+    points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in points]
+    if any(x.shape != (level.d,) for x in points):
         raise ValueError(f"point must be a {level.d}-vector")
-    if not np.all(np.isfinite(x)):
+    points = np.array(points)
+    if not np.all(np.isfinite(points)):
         raise ValueError("point must be finite")
-    d, n = level.d, level.N
-    val = []   # phi phi
-    mix = []   # phi phi'
-    der = []   # phi' phi'
-    basis = _phi_deriv_mantexp(level.hbar, n, x, dtype=dtype)
-    for j in range(d):
-        m, e, dm, de = (a[:, j] for a in basis)
-        val.append((m * m, 2 * e))
-        mix.append((m * dm, e + de))
-        der.append((dm * dm, 2 * de))
+    dtype, n = np.longdouble, level.N
+    jets = []
+    for start in range(0, len(points), _PAIRS_PER_PASS):
+        chunk = points[start:start + _PAIRS_PER_PASS]
+        coords, col = _distinct_columns(chunk)
+        m, e, dm, de = _phi_deriv_mantexp(level.hbar, n, coords, dtype=dtype)
+        for x, cols in zip(chunk, col):
+            val = [(m[:, c] * m[:, c], 2 * e[:, c]) for c in cols]            # phi phi
+            mix = [(m[:, c] * dm[:, c], e[:, c] + de[:, c]) for c in cols]    # phi phi'
+            der = [(dm[:, c] * dm[:, c], 2 * de[:, c]) for c in cols]         # phi' phi'
+            jets.append(_jet(x, val, mix, der, n, dtype))
+    return jets
+
+
+def _jet(x, val, mix, der, n, dtype):
+    """Fold one point's coordinate arrays into its CovarianceJet."""
+    d = len(val)
     pi_m, pi_e = _fold(val, n, dtype)
     grad = []
     for i in range(d):
@@ -159,6 +186,17 @@ def covariance_jet(level, x, budget=DEFAULT_DIM_BUDGET):
             hess[j][i] = h
     return CovarianceJet(point=x, pi=_mantexp_to_tracked(pi_m, pi_e),
                          grad=grad, hess=hess)
+
+
+def _distinct_columns(coords):
+    """The distinct entries of a coordinate array and each entry's index among them.
+
+    Distinct is bitwise, so -0.0 and 0.0 stay apart; returns (distinct values,
+    an index array shaped like coords).
+    """
+    flat = coords.ravel()
+    _, first, inv = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
+    return flat[first], inv.reshape(coords.shape)
 
 
 def _circle_log_max(level, x, y, r, n_theta=256):
@@ -319,13 +357,9 @@ def pi_exact_batch(level, points_x, points_y, budget=DEFAULT_DIM_BUDGET):
     values = []
     for start in range(0, pairs.shape[1], _PAIRS_PER_PASS):
         chunk = pairs[:, start:start + _PAIRS_PER_PASS]
-        # one recurrence per distinct coordinate (bitwise, so -0.0 stays apart);
         # col[side, pair, j] is the basis column of that coordinate
-        coords = chunk.ravel()
-        _, first, inv = np.unique(coords.view(np.int64), return_index=True,
-                                  return_inverse=True)
-        m, e = _phi_mantexp(level.hbar, n, coords[first], dtype=dtype)
-        col = inv.reshape(chunk.shape)
+        coords, col = _distinct_columns(chunk)
+        m, e = _phi_mantexp(level.hbar, n, coords, dtype=dtype)
         for p in range(chunk.shape[1]):
             arrays = [(m[:, cx] * m[:, cy], e[:, cx] + e[:, cy])
                       for cx, cy in zip(col[0, p], col[1, p])]

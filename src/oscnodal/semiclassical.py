@@ -233,7 +233,10 @@ def _psi_mantexp(nmax, xi, dtype=np.float64):
     Returns (m, e) with value = m * 2**e elementwise, shapes (nmax+1, len(xi)).
     The running pair is renormalized every 8 steps; the per-step growth factor
     is at most ~sqrt(2)|xi| + 1, which keeps mantissas inside float range for
-    |xi| up to several hundred.
+    |xi| up to several hundred.  Each step is (a_k xi) psi_k - b_k psi_{k-1},
+    written straight into its row of m; a_k and b_k are computed once, and the
+    products a_k xi once per block of 8 steps (one renormalization block), so
+    no per-step coefficient work and no (nmax, len(xi)) temporary remain.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=dtype))
     npts = xi.size
@@ -241,23 +244,30 @@ def _psi_mantexp(nmax, xi, dtype=np.float64):
     e = np.empty((nmax + 1, npts), dtype=np.int64)
     t = -xi * xi * dtype(0.5) * dtype(_LOG2E)
     ecur = np.floor(t).astype(np.int64)
-    cur = dtype(_PI_M14) * np.exp2(t - ecur)
-    prev = np.zeros(npts, dtype=dtype)
-    m[0] = cur
-    e[0] = ecur
-    for k in range(nmax):
-        a = np.sqrt(dtype(2.0) / dtype(k + 1))
-        b = np.sqrt(dtype(k) / dtype(k + 1))
-        cur, prev = a * xi * cur - b * prev, cur
-        if (k + 1) % 8 == 0:
-            mag = np.maximum(np.abs(cur), np.abs(prev))
-            _, sh = np.frexp(mag)
+    m[0] = dtype(_PI_M14) * np.exp2(t - ecur)
+    k1 = np.arange(1, nmax + 1, dtype=dtype)
+    a = np.sqrt(dtype(2.0) / k1)[:, None]          # a_k = sqrt(2/(k+1))
+    b = np.sqrt((k1 - dtype(1.0)) / k1)[:, None]   # b_k = sqrt(k/(k+1))
+    a_xi = np.empty((8, npts), dtype=dtype)
+    tmp = np.empty(npts, dtype=dtype)
+    cur, prev = m[0], np.zeros(npts, dtype=dtype)
+    for k0 in range(0, nmax, 8):
+        k_end = min(k0 + 8, nmax)
+        np.multiply(a[k0:k_end], xi, out=a_xi[:k_end - k0])
+        for k in range(k0, k_end):
+            new = m[k + 1]
+            np.multiply(a_xi[k - k0], cur, out=new)
+            np.multiply(b[k], prev, out=tmp)
+            np.subtract(new, tmp, out=new)
+            prev, cur = cur, new
+        e[k0:k_end] = ecur
+        if k_end % 8 == 0:
+            _, sh = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
             sh = sh.astype(np.int64)
-            cur = np.ldexp(cur, -sh)
-            prev = np.ldexp(prev, -sh)
+            np.ldexp(cur, -sh, out=cur)
+            prev = np.ldexp(prev, -sh)   # a copy: row k_end - 1 keeps its own scale
             ecur = ecur + sh
-        m[k + 1] = cur
-        e[k + 1] = ecur
+    e[nmax] = ecur
     return m, e
 
 

@@ -18,8 +18,10 @@ from oscnodal import (
     level_new,
     omega_caustic_scaled,
     omega_exact,
+    omega_exact_batch,
     tube_mass,
 )
+from oscnodal import projector
 from oscnodal.airy import AI_PRIME_ZERO
 from oscnodal.densities import (
     C_d,
@@ -147,6 +149,27 @@ class TestOmegaExact:
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
             omega_exact(level_new(2, 10), [0.0, 0.0])
+        with pytest.raises(ValueError, match="x != 0"):
+            omega_exact_batch(level_new(2, 10), [[0.5, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("d,n,count,per_pass", [
+        (2, 800, projector._PAIRS_PER_PASS + 6, None), (3, 200, 3, 2)])
+    def test_batch_equals_one_point_calls(self, d, n, count, per_pass, monkeypatch):
+        # off-axis points out to |x| = 1.6, across a pass boundary (at d = 3
+        # with a pass of two points, to keep the d = 3 folds cheap)
+        if per_pass is not None:
+            monkeypatch.setattr(projector, "_PAIRS_PER_PASS", per_pass)
+        level = level_new(d, n)
+        rng = np.random.default_rng(40 + d)
+        far = rng.standard_normal(d)
+        points = [1.6 * far / np.linalg.norm(far)]
+        points += [rng.uniform(-1.3, 1.3, d) for _ in range(count - 1)]
+        omegas = omega_exact_batch(level, points)
+        assert len(omegas) == count
+        for x, omega in zip(points, omegas):
+            one = omega_exact(level, x)
+            assert np.array_equal(omega.omega, one.omega)
+            assert omega.scale_exponent == one.scale_exponent == 0
 
     def test_density_grid_matches_pointwise(self):
         # allowed points, and forbidden ones where Omega is near rank one

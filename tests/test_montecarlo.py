@@ -414,7 +414,10 @@ class TestNoForbiddenNodalDomain:
     def test_components_in_forbidden_region_touch_allowed(self):
         # every nodal domain meeting {|x| > 1} must also meet {|x| <= 1};
         # checked on the evaluation grid for 50 fields (domains that touch
-        # the window edge are inconclusive and skipped)
+        # the window edge are inconclusive and skipped).  Only the sign set
+        # outside the disc is labelled: a domain misses the disc exactly when
+        # its outside part is a component with no 4-neighbour of its own sign
+        # inside the disc
         level = level_new(2, 100)
         step = level.hbar / 8.0
         half = 1.55
@@ -423,18 +426,27 @@ class TestNoForbiddenNodalDomain:
         cx, cy = _tensor_basis(level, xs, ys)
         gx, gy = np.meshgrid(xs, ys)
         inside = gx ** 2 + gy ** 2 <= 1.0
+        outside = ~inside
+        # flat indices of every (outside pixel, inside 4-neighbour) pair
+        index = np.arange(inside.size).reshape(inside.shape)
+        rim_out, rim_in = [], []
+        for a, b in ((np.s_[1:], np.s_[:-1]), (np.s_[:-1], np.s_[1:])):
+            for here, there in (((a, slice(None)), (b, slice(None))),
+                                ((slice(None), a), (slice(None), b))):
+                hit = outside[here] & inside[there]
+                rim_out.append(index[here][hit])
+                rim_in.append(index[there][hit])
+        rim_out, rim_in = np.concatenate(rim_out), np.concatenate(rim_in)
         structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
         for seed in range(1, 51):
             values = _grid_values(sample_field(level, seed).coeffs, cx, cy)
-            for sign in (values >= 0, values < 0):
-                labels, n_labels = ndimage.label(sign, structure=structure)
-                touches_inside = np.zeros(n_labels + 1, dtype=bool)
-                touches_inside[labels[inside]] = True
-                touches_edge = np.zeros(n_labels + 1, dtype=bool)
+            positive = values >= 0
+            joined = positive.ravel()[rim_out] == positive.ravel()[rim_in]
+            for sign in (positive, ~positive):
+                labels, n_labels = ndimage.label(sign & outside, structure=structure)
+                # components that reach the window edge or a same-sign inside pixel
+                reaches = np.zeros(n_labels + 1, dtype=bool)
                 for border in (labels[0], labels[-1], labels[:, 0], labels[:, -1]):
-                    touches_edge[border] = True
-                present = np.zeros(n_labels + 1, dtype=bool)
-                present[labels[~inside]] = True
-                bad = present & ~touches_inside & ~touches_edge
-                bad[0] = False
-                assert not bad.any(), f"seed {seed}: isolated forbidden domain"
+                    reaches[border] = True
+                reaches[labels.ravel()[rim_out[joined]]] = True
+                assert reaches[1:].all(), f"seed {seed}: isolated forbidden domain"

@@ -7,14 +7,21 @@ import pytest
 
 from oscnodal import (
     covariance_jet,
+    covariance_jet_batch,
     level_new,
     pi_exact,
     pi_exact_batch,
     pi_mehler,
 )
 from oscnodal.cli import main
-from oscnodal.projector import _PAIRS_PER_PASS, _fold, read_batch_csv
-from oscnodal.semiclassical import ResourceLimitError, _mantexp_to_tracked, _phi_mantexp
+from oscnodal import projector
+from oscnodal.projector import _PAIRS_PER_PASS, _fold, _jet, read_batch_csv
+from oscnodal.semiclassical import (
+    ResourceLimitError,
+    _mantexp_to_tracked,
+    _phi_deriv_mantexp,
+    _phi_mantexp,
+)
 
 
 def rotation(theta):
@@ -327,3 +334,60 @@ class TestBatch:
             pi_exact_batch(level, [good, good], [good, [0.1, math.nan]])
         with pytest.raises(ValueError, match="equal length"):
             pi_exact_batch(level, [good, good], [good])
+
+
+def jet_per_point(level, x):
+    """covariance_jet with its own basis recurrence over x's d coordinates."""
+    ld = np.longdouble
+    m, e, dm, de = _phi_deriv_mantexp(level.hbar, level.N, x, dtype=ld)
+    val = [(m[:, j] * m[:, j], 2 * e[:, j]) for j in range(level.d)]
+    mix = [(m[:, j] * dm[:, j], e[:, j] + de[:, j]) for j in range(level.d)]
+    der = [(dm[:, j] * dm[:, j], 2 * de[:, j]) for j in range(level.d)]
+    return _jet(np.asarray(x, dtype=float), val, mix, der, level.N, ld)
+
+
+def same_jet(a, b):
+    return (np.array_equal(a.point, b.point) and same(a.pi, b.pi)
+            and all(same(g, h) for g, h in zip(a.grad, b.grad))
+            and all(same(g, h) for row_a, row_b in zip(a.hess, b.hess)
+                    for g, h in zip(row_a, row_b)))
+
+
+def jet_table(d, count, seed):
+    """count off-axis points: |x| = 1.6, a point with both zeros, random ones
+    and a point that shares the coordinates of the first random one."""
+    rng = np.random.default_rng(seed)
+    far = rng.standard_normal(d)
+    zeros = np.where(np.arange(d) == 0, 0.7, 0.0)
+    zeros[-1] = -0.0
+    points = [1.6 * far / np.linalg.norm(far), zeros]
+    points += [rng.uniform(-1.2, 1.2, d) for _ in range(count - 3)]
+    return points + [points[-1][::-1].copy()]
+
+
+class TestJetBatch:
+    # d = 2 runs more than one pass of the real _PAIRS_PER_PASS; at d = 3,
+    # where the folds cost ~0.4 s a point at N = 800, a pass of two points
+    # puts a pass boundary inside a three-point table
+    @pytest.mark.parametrize("d,count,per_pass", [(2, _PAIRS_PER_PASS + 6, None), (3, 3, 2)])
+    def test_batch_equals_one_point_calls(self, d, count, per_pass, monkeypatch):
+        if per_pass is not None:
+            monkeypatch.setattr(projector, "_PAIRS_PER_PASS", per_pass)
+        level = level_new(d, 800)
+        points = jet_table(d, count, 30 + d)
+        jets = covariance_jet_batch(level, points)
+        assert len(jets) == count
+        for x, jet in zip(points, jets):
+            assert same_jet(jet, jet_per_point(level, x))
+        assert same_jet(jets[0], covariance_jet(level, points[0]))
+        if d == 2:
+            for x, jet in zip(points, jets):
+                assert same_jet(jet, covariance_jet(level, x))
+
+    def test_empty_batch_and_validation(self):
+        level = level_new(2, 10)
+        assert covariance_jet_batch(level, []) == []
+        with pytest.raises(ValueError, match="2-vector"):
+            covariance_jet_batch(level, [[0.1, 0.2], [0.1, 0.2, 0.3]])
+        with pytest.raises(ValueError, match="finite"):
+            covariance_jet_batch(level, [[0.1, 0.2], [0.1, math.inf]])

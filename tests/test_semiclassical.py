@@ -145,6 +145,46 @@ class TestHermiteAll:
                 assert float(abs(got - ref) / abs(ref)) < 1e-10
 
 
+def psi_reference(nmax, xi, dtype):
+    """The recurrence step by step, with two scalar sqrt calls per step."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=dtype))
+    m = np.empty((nmax + 1, xi.size), dtype=dtype)
+    e = np.empty((nmax + 1, xi.size), dtype=np.int64)
+    t = -xi * xi * dtype(0.5) * dtype(1.0 / math.log(2.0))
+    ecur = np.floor(t).astype(np.int64)
+    cur = dtype(math.pi ** -0.25) * np.exp2(t - ecur)
+    prev = np.zeros(xi.size, dtype=dtype)
+    m[0] = cur
+    e[0] = ecur
+    for k in range(nmax):
+        a = np.sqrt(dtype(2.0) / dtype(k + 1))
+        b = np.sqrt(dtype(k) / dtype(k + 1))
+        cur, prev = a * xi * cur - b * prev, cur
+        if (k + 1) % 8 == 0:
+            _, sh = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+            sh = sh.astype(np.int64)
+            cur = np.ldexp(cur, -sh)
+            prev = np.ldexp(prev, -sh)
+            ecur = ecur + sh
+        m[k + 1] = cur
+        e[k + 1] = ecur
+    return m, e
+
+
+class TestPsiRecurrence:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("nmax", [0, 1, 7, 8, 9, 17, 400, 1601])
+    def test_equals_per_step_reference(self, dtype, nmax):
+        # both zeros, and |xi| up to ~90, i.e. |x| = 1.6 at N = 1600
+        rng = np.random.default_rng(nmax)
+        xi = np.concatenate([[0.0, -0.0, 90.5, -90.5], rng.uniform(-60.0, 60.0, 5)])
+        m, e = _psi_mantexp(nmax, xi.astype(dtype), dtype=dtype)
+        m_ref, e_ref = psi_reference(nmax, xi.astype(dtype), dtype)
+        assert m.dtype == m_ref.dtype and e.dtype == e_ref.dtype
+        assert np.array_equal(m, m_ref) and np.array_equal(e, e_ref)
+        assert np.array_equal(np.signbit(m), np.signbit(m_ref))
+
+
 class TestHermiteDerivAll:
     def test_ground_state_derivative_vanishes(self):
         level = level_new(1, 4)
