@@ -281,9 +281,9 @@ _SWEEP_SLOPES = {
 _SWEEP_RADIUS = {"allowed": 0.5, "caustic": 1.0, "forbidden": 1.3}
 
 
-def _sweep_point(regime, level, alpha, s):
+def _sweep_radius(regime, level, alpha, s):
     if regime in _SWEEP_RADIUS:
-        return np.array([_SWEEP_RADIUS[regime], 0.0])
+        return _SWEEP_RADIUS[regime]
     if not 0.0 <= alpha <= 2.0 / 3.0:
         raise ValueError(f"--point {regime}: alpha must lie in [0, 2/3], got --alpha {alpha!r}")
     shift = level.hbar ** alpha * s
@@ -292,7 +292,7 @@ def _sweep_point(regime, level, alpha, s):
         need = "0 < hbar^alpha * s < 1" if inside else "a finite hbar^alpha * s > 0"
         raise ValueError(f"--point {regime} needs --s and --alpha with {need}; at N = {level.N}, "
                          f"--alpha {alpha!r} and --s {s!r} give hbar^alpha * s = {shift!r}")
-    return np.array([math.sqrt(1.0 - shift if inside else 1.0 + shift), 0.0])
+    return math.sqrt(1.0 - shift if inside else 1.0 + shift)
 
 
 def _cmd_scaling_sweep(args):
@@ -300,7 +300,9 @@ def _cmd_scaling_sweep(args):
     if len(ns) < 2:
         raise SystemExit("scaling-sweep needs at least two N values")
     levels = [level_new(args.d, n) for n in ns]
-    points = [_sweep_point(args.point, level, args.alpha, args.s) for level in levels]
+    # the sweep points r e1, in d dimensions
+    points = [_sweep_radius(args.point, level, args.alpha, args.s) * np.eye(args.d)[0]
+              for level in levels]
     rows = []
     log_h, log_f = [], []
     for level, x in zip(levels, points):

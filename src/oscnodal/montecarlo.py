@@ -12,6 +12,12 @@ and rays through shared-basis matrix products, and measures:
   * zero densities along radial segments (one sweep crossing bulk, annuli,
     tube and forbidden region).
 
+The circle and ray grids are symmetric under x -> -x and y -> -y, and a
+degree-N field obeys Phi(sx x, sy y) = sy^N (S_e + sx sy S_o), where S_e and
+S_o are its even-k and odd-k halves (phi_k has parity (-1)^k).  So the basis
+is built on the first-quadrant angles only, and every other angle is read
+from its base angle by index arithmetic (the reflection fold).
+
 Resolution rules: the allowed-region wavelength is ~hbar, so box grids use
 steps <= hbar/8; caustic-tube structure lives at scale hbar^(2/3), so angular
 steps use <= hbar^(2/3)/16.  All estimators are deterministic in their seeds.
@@ -302,8 +308,20 @@ def nodal_length(field, box, grid_step):
                          n_samples=1, resolution=grid_step / 2.0)
 
 
+def _check_ensemble_size(n):
+    if n < 2:
+        raise ValueError(f"an ensemble needs at least two seeds for a standard error, got {n}")
+
+
+def _ensemble_coeffs(level, seeds):
+    """Coefficient vectors of the ensemble's fields, one row per seed."""
+    _check_ensemble_size(len(seeds))
+    return np.stack([sample_field(level, s).coeffs for s in seeds])
+
+
 def _mean_estimate(samples, resolution):
     """The mean of per-seed samples, with its standard error."""
+    _check_ensemble_size(len(samples))
     return NodalEstimate(value=float(np.mean(samples)),
                          std_error=float(np.std(samples, ddof=1) / math.sqrt(len(samples))),
                          n_samples=len(samples), resolution=resolution)
@@ -320,7 +338,7 @@ def nodal_length_ensemble(level, seeds, box, grid_step):
         raise ValueError("nodal_length_ensemble is d = 2 only")
     _check_grid_step(level, box, grid_step)
     (x0, x1), (y0, y1) = box
-    coeffs = np.stack([sample_field(level, s).coeffs for s in seeds])
+    coeffs = _ensemble_coeffs(level, seeds)
     values = {}
     for step_name, step in (("coarse", grid_step), ("fine", grid_step / 2.0)):
         xs = _grid_axis(x0, x1, step)
@@ -335,15 +353,59 @@ def nodal_length_ensemble(level, seeds, box, grid_step):
     return refined, _mean_estimate(refined, grid_step / 2.0)
 
 
+def _reflection_fold(n, degree):
+    """Fold the n angles 2 pi j / n onto their first-quadrant base angles.
+
+    Returns (base, code): angle j is base angle base[j] under the reflection
+    (x, y) -> (sx x, sy y), and code[j] picks its row of the sign table of
+    _reflected_sign_table: code = (sx sy == -1) + 2 (sy^degree == -1).
+    Pure index arithmetic: j <-> n - j sets sy = -1 and, for even n,
+    j <-> n/2 - j sets sx = -1; the base angles are 0 <= j <= n/4.  Odd n
+    folds through j <-> n - j only, onto 0 <= j <= n/2.
+    """
+    j = np.arange(n)
+    flip_y = 2 * j > n
+    base = np.where(flip_y, n - j, j)
+    flip_x = np.zeros(n, dtype=bool)
+    if n % 2 == 0:
+        flip_x = 4 * base > n
+        base = np.where(flip_x, n // 2 - base, base)
+    return base, (flip_x != flip_y) + 2 * (flip_y & bool(degree % 2))
+
+
+def _reflected_sign_table(level, coeffs_matrix, points):
+    """Signs of the d = 2 fields at the points and at their reflections.
+
+    Row k of the basis is phi_k(x) phi_{N-k}(y), and phi_k(-x) = (-1)^k
+    phi_k(x) bit for bit, so Phi(sx x, sy y) = sy^N (S_e + sx sy S_o) with
+    S_e, S_o the even-k and odd-k halves of coeffs @ basis.  Returns the int8
+    table[seed, code, p] = where(Phi >= 0, 1, -1) for the four values
+    S_e + S_o, S_e - S_o and their negatives, in that order of code.
+    """
+    even = np.ascontiguousarray(coeffs_matrix[:, 0::2])
+    odd = np.ascontiguousarray(coeffs_matrix[:, 1::2])
+    table = np.empty((coeffs_matrix.shape[0], 4, len(points)), dtype=np.int8)
+    one, minus = np.int8(1), np.int8(-1)
+    for sl in _passes(level, len(points)):
+        basis, _ = _point_basis(level, points[sl])
+        s_e = even @ basis[0::2]
+        s_o = odd @ basis[1::2]
+        for c, v in enumerate((s_e + s_o, s_e - s_o)):
+            table[:, c, sl] = np.where(v >= 0, one, minus)
+            table[:, c + 2, sl] = np.where(v <= 0, one, minus)   # -v >= 0
+    return table
+
+
 def _circle_signs(level, coeffs_matrix, n_points):
-    """Signs of the fields on the uniform circle grid; shape (n_seeds, n_points)."""
-    theta = 2.0 * math.pi * np.arange(n_points) / n_points
+    """Signs of the fields on the uniform circle grid; shape (n_seeds, n_points).
+
+    The basis is built on the first-quadrant angles only; every other grid
+    angle is read from its base angle through the reflection fold.
+    """
+    base, code = _reflection_fold(n_points, level.N)
+    theta = 2.0 * math.pi * np.arange(base.max() + 1) / n_points
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    signs = np.empty((coeffs_matrix.shape[0], n_points), dtype=np.int8)
-    for sl in _passes(level, n_points):
-        basis, _ = _point_basis(level, pts[sl])
-        signs[:, sl] = np.where(coeffs_matrix @ basis >= 0, 1, -1)
-    return signs
+    return _reflected_sign_table(level, coeffs_matrix, pts)[:, code, base]
 
 
 def _count_changes(signs):
@@ -392,7 +454,7 @@ def caustic_crossings_ensemble(level, seeds, angular_step=None):
     if level.d != 2:
         raise ValueError("caustic_crossings_ensemble is d = 2 only")
     n_fine = _circle_points(level, angular_step)
-    coeffs = np.stack([sample_field(level, s).coeffs for s in seeds])
+    coeffs = _ensemble_coeffs(level, seeds)
     signs = _circle_signs(level, coeffs, n_fine)
     counts = _count_changes(signs).astype(float)
     return counts, _mean_estimate(counts, 2.0 * math.pi / n_fine)
@@ -409,6 +471,8 @@ class EnsembleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if self.n_rays < 1:
+            raise ValueError(f"a radial profile needs at least one ray, got n_rays = {self.n_rays}")
 
 
 def radial_zero_profile(spec, radii, half_width=None):
@@ -432,17 +496,16 @@ def radial_zero_profile(spec, radii, half_width=None):
     t_hi = radii[-1] + half_width
     ts = _grid_axis(t_lo, t_hi, t_step)
     mids = 0.5 * (ts[1:] + ts[:-1])
-    per_seed = np.zeros((len(spec.seeds), len(radii)))
-    angles = 2.0 * math.pi * np.arange(spec.n_rays) / spec.n_rays
-    coeffs = np.stack([sample_field(level, s).coeffs for s in spec.seeds])
+    base, code = _reflection_fold(spec.n_rays, level.N)
+    angles = 2.0 * math.pi * np.arange(base.max() + 1) / spec.n_rays
+    pts = np.concatenate([np.column_stack([ts * math.cos(ang), ts * math.sin(ang)])
+                          for ang in angles])
+    table = _reflected_sign_table(level, _ensemble_coeffs(level, spec.seeds), pts)
+    table = table.reshape(table.shape[0], 4, len(angles), len(ts))
+    signs = table[:, code, base]   # (seed, ray, t)
+    changes = np.sum(signs[..., 1:] != signs[..., :-1], axis=1)
     # bin membership of each grid interval midpoint
-    bins = [np.abs(mids - r) <= half_width for r in radii]
-    for ang in angles:
-        pts = np.column_stack([ts * math.cos(ang), ts * math.sin(ang)])
-        basis, _ = _point_basis(level, pts)
-        signs = np.where(coeffs @ basis >= 0, 1, -1)
-        changes = signs[:, 1:] != signs[:, :-1]
-        for i, mask in enumerate(bins):
-            per_seed[:, i] += np.sum(changes[:, mask], axis=1)
+    bins = np.abs(mids[:, None] - radii[None, :]) <= half_width
+    per_seed = changes @ bins.astype(float)
     per_seed /= spec.n_rays * 2.0 * half_width
     return [_mean_estimate(col, t_step) for col in per_seed.T]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,14 @@ class TestScalingSweepCommand:
         assert not out.exists()
 
 
+    def test_d3_sweep_point_is_r_e1(self, tmp_path):
+        status, out = run(tmp_path, "scaling-sweep", "--d", "3", "--N", "20,40",
+                          "--point", "caustic")
+        assert status == 0
+        _, rows = read_table(out)
+        assert [(row[1], row[4]) for row in rows] == [(3, 1.0), (3, 1.0)]
+
+
 class TestMonteCarloCommand:
     def test_crossings_table(self, tmp_path):
         status, out = run(tmp_path, "montecarlo", "--statistic",
@@ -189,6 +198,26 @@ class TestMonteCarloCommand:
                           "--d", "3", "--N", "6", "--seeds", "2")
         assert status == 1
         assert "d = 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rays", ["0", "-4"])
+    def test_rays_below_one_is_a_usage_error(self, tmp_path, capsys, rays):
+        status, out = run(tmp_path, "montecarlo", "--statistic", "radial-profile",
+                          "--d", "2", "--N", "20", "--seeds", "2", "--rays", rays)
+        assert status == 1
+        assert "at least one ray" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("statistic", ["caustic-crossings", "nodal-length",
+                                           "radial-profile"])
+    @pytest.mark.parametrize("seeds", ["0", "1"])
+    def test_seeds_below_two_is_a_usage_error(self, tmp_path, capsys, statistic, seeds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run(tmp_path, "montecarlo", "--statistic", statistic,
+                              "--d", "2", "--N", "20", "--seeds", seeds)
+        assert status == 1
+        assert "at least two seeds for a standard error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nodal_length_table(self, tmp_path):

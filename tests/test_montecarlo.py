@@ -21,6 +21,8 @@ from oscnodal import (
 )
 from oscnodal.montecarlo import (
     _PASS_ENTRIES,
+    NodalEstimate,
+    _circle_signs,
     _grid_axis,
     _grid_values,
     _index_table,
@@ -174,6 +176,70 @@ class TestPointBasis:
             by_pass.append(np.ldexp(field.coeffs @ basis, scale))
         assert len(by_pass) == 3
         assert np.array_equal(field.evaluate(pts), np.concatenate(by_pass))
+
+
+class TestReflectionFold:
+    """The circle and ray grids are evaluated on their first quadrant only."""
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_basis_parity_is_bitwise(self, n):
+        # B[k, (sx x, sy y)] = sx^k sy^(N-k) B[k, (x, y)], with equal scales
+        level = level_new(2, n)
+        pts = np.random.default_rng(n).uniform(0.0, 1.5, (200, 2))
+        basis, scale = _point_basis(level, pts)
+        k = np.arange(n + 1)[:, None]
+        for sx, sy in ((-1, 1), (1, -1), (-1, -1)):
+            reflected, reflected_scale = _point_basis(level, pts * [sx, sy])
+            assert np.array_equal(reflected, sx ** k * sy ** (n - k) * basis)
+            assert np.array_equal(reflected_scale, scale)
+
+    @pytest.mark.parametrize("n, n_points", [
+        (200, 5476), (400, 8678),   # even N; n % 4 == 0 and n % 4 == 2
+        (61, 2500), (201, 5494),    # odd N; n % 4 == 0 and n % 4 == 2
+        (40, 1001),                 # an odd grid folds through y -> -y only
+    ])
+    def test_circle_signs_equal_direct_evaluation(self, n, n_points):
+        level = level_new(2, n)
+        coeffs = np.stack([sample_field(level, s).coeffs for s in range(1, 9)])
+        theta = 2.0 * math.pi * np.arange(n_points) / n_points
+        pts = np.column_stack([np.cos(theta), np.sin(theta)])
+        direct = np.where(coeffs @ _point_basis(level, pts)[0] >= 0, 1, -1)
+        signs = _circle_signs(level, coeffs, n_points)
+        assert signs.shape == (8, n_points)
+        assert np.array_equal(signs, direct)
+
+    @pytest.mark.parametrize("n", [40, 41])
+    @pytest.mark.parametrize("n_rays", [1, 2, 7, 30, 32])
+    def test_radial_profile_equals_per_ray_evaluation(self, n, n_rays):
+        spec = EnsembleSpec(level=level_new(2, n), seeds=tuple(range(1, 7)), n_rays=n_rays)
+        radii = [0.6, 0.8, 1.0, 1.2]
+        folded = radial_zero_profile(spec, radii)
+        reference = _radial_zero_profile_per_ray(spec, radii)
+        assert [(e.value, e.std_error) for e in folded] == \
+            [(e.value, e.std_error) for e in reference]
+
+
+def _radial_zero_profile_per_ray(spec, radii):
+    """radial_zero_profile evaluated ray by ray, radius bin by radius bin."""
+    level = spec.level
+    radii = np.asarray(sorted(radii), dtype=float)
+    half_width = float(np.diff(radii).min()) / 2.0
+    t_step = level.hbar / 8.0
+    ts = _grid_axis(max(radii[0] - half_width, t_step), radii[-1] + half_width, t_step)
+    mids = 0.5 * (ts[1:] + ts[:-1])
+    per_seed = np.zeros((len(spec.seeds), len(radii)))
+    coeffs = np.stack([sample_field(level, s).coeffs for s in spec.seeds])
+    for ang in 2.0 * math.pi * np.arange(spec.n_rays) / spec.n_rays:
+        pts = np.column_stack([ts * math.cos(ang), ts * math.sin(ang)])
+        signs = np.where(coeffs @ _point_basis(level, pts)[0] >= 0, 1, -1)
+        changes = signs[:, 1:] != signs[:, :-1]
+        for i, r in enumerate(radii):
+            per_seed[:, i] += np.sum(changes[:, np.abs(mids - r) <= half_width], axis=1)
+    per_seed /= spec.n_rays * 2.0 * half_width
+    return [NodalEstimate(value=float(np.mean(col)),
+                          std_error=float(np.std(col, ddof=1) / math.sqrt(len(col))),
+                          n_samples=len(col), resolution=t_step)
+            for col in per_seed.T]
 
 
 class TestNodalLength:
