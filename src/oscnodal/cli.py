@@ -59,6 +59,26 @@ def _parse_range(text):
     return values
 
 
+class _FlagError(Exception):
+    """A float flag off its domain.  Not a ValueError, so argparse passes it to main (exit 1)."""
+
+
+def _real(name, low=-math.inf, high=math.inf, interval=None):
+    """argparse type of the float flag --name: finite, in [low, high] (spelled `interval`)."""
+    want = f"{name} must lie in {interval}" if interval else f"needs a finite {name}"
+
+    def parse(text):
+        value = float(text)
+        if not (math.isfinite(value) and low <= value <= high):
+            raise _FlagError(f"--{name}: {want}, got {text!r}")
+        return value
+    return parse
+
+
+_TOLERANCE = _real("tolerance", 0.0, interval="[0, inf)")
+_ALPHA = _real("alpha", 0.0, 2.0 / 3.0, interval="[0, 2/3]")
+
+
 def _parse_int_list(text):
     return [int(p) for p in text.split(",") if p]
 
@@ -284,8 +304,6 @@ _SWEEP_RADIUS = {"allowed": 0.5, "caustic": 1.0, "forbidden": 1.3}
 def _sweep_radius(regime, level, alpha, s):
     if regime in _SWEEP_RADIUS:
         return _SWEEP_RADIUS[regime]
-    if not 0.0 <= alpha <= 2.0 / 3.0:
-        raise ValueError(f"--point {regime}: alpha must lie in [0, 2/3], got --alpha {alpha!r}")
     shift = level.hbar ** alpha * s
     inside = regime == "allowed-annulus"
     if not 0.0 < shift < (1.0 if inside else math.inf):
@@ -297,8 +315,8 @@ def _sweep_radius(regime, level, alpha, s):
 
 def _cmd_scaling_sweep(args):
     ns = _parse_int_list(args.N)
-    if len(ns) < 2:
-        raise SystemExit("scaling-sweep needs at least two N values")
+    if len(set(ns)) < 2:
+        raise ValueError(f"scaling-sweep needs at least two distinct N values, got --N {args.N!r}")
     levels = [level_new(args.d, n) for n in ns]
     # the sweep points r e1, in d dimensions
     points = [_sweep_radius(args.point, level, args.alpha, args.s) * np.eye(args.d)[0]
@@ -399,7 +417,7 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("airy", help="weighted Airy function table")
-    p.add_argument("--k", type=float, default=None)
+    p.add_argument("--k", type=_real("k"), default=None)
     p.add_argument("--s", default=None, help="range start:stop:step or comma list")
     p.add_argument("--method", choices=["auto", "contour", "gamma_integral",
                                         "asymptotic"], default="auto")
@@ -409,7 +427,7 @@ def build_parser():
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--u1-range", default="-2:2:0.5")
     p.add_argument("--v1-range", default="-2:2:0.5")
-    p.add_argument("--tangential-sep", type=float, default=0.0)
+    p.add_argument("--tangential-sep", type=_real("tangential-sep"), default=0.0)
     p.add_argument("--method", choices=["airy", "contour"], default="airy")
     common(p)
 
@@ -417,11 +435,11 @@ def build_parser():
     p.add_argument("--regime", choices=sorted(_REGIMES), default=None)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--N", type=int, default=200)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_ALPHA, default=0.5)
     p.add_argument("--u1-range", default=None,
                    help="start:stop:step or comma list; the default depends on --regime")
     p.add_argument("--with-exact", action="store_true")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_TOLERANCE, default=None,
                    help="exit 2 if any relative error exceeds this")
     common(p)
 
@@ -429,10 +447,11 @@ def build_parser():
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--N", default="100,200,400,800,1600", help="comma list")
     p.add_argument("--point", choices=sorted(_SWEEP_SLOPES), default="caustic")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--s", type=float, default=1.0,
-                   help="annulus points only: |x|^2 = 1 -+ hbar^alpha * s")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--alpha", type=_ALPHA, default=0.5)
+    p.add_argument("--s", type=_real("s"), default=4.0,
+                   help="annulus points only: |x|^2 = 1 -+ hbar^alpha * s "
+                        "(at 4 every default N sits in the annulus regime)")
+    p.add_argument("--tolerance", type=_TOLERANCE, default=None,
                    help="exit 2 if |slope - expected| exceeds this")
     common(p)
 
@@ -443,9 +462,9 @@ def build_parser():
     p.add_argument("--N", type=int, default=200)
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--box-x", type=float, default=0.5)
-    p.add_argument("--box-y", type=float, default=0.0)
-    p.add_argument("--box-size", type=float, default=0.2)
+    p.add_argument("--box-x", type=_real("box-x"), default=0.5)
+    p.add_argument("--box-y", type=_real("box-y"), default=0.0)
+    p.add_argument("--box-size", type=_real("box-size"), default=0.2)
     p.add_argument("--rays", type=int, default=32)
     p.add_argument("--radii", default="0.5:1.4:0.1")
     common(p)
@@ -453,8 +472,8 @@ def build_parser():
     p = sub.add_parser("tube-mass", help="L2 mass in the critical caustic tube")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--N", type=int, default=400)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--kappa", type=_real("kappa"), default=1.0)
+    p.add_argument("--tolerance", type=_TOLERANCE, default=None)
     common(p)
 
     return parser
@@ -502,15 +521,14 @@ def main(argv=None):
         argv = sys.argv[1:]
     argv = _normalize_argv(list(argv))
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        # config values parse as flags ahead of the explicit ones, which win
-        try:
-            flags = _config_flags(args)
-        except (ValueError, OSError) as exc:
-            print(f"oscnodal: error: {exc}", file=sys.stderr)
-            return 1
-        args = parser.parse_args(argv[:1] + flags + argv[1:])
+    try:
+        args = parser.parse_args(argv)
+        if args.config:
+            # config values parse as flags ahead of the explicit ones, which win
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
+    except (_FlagError, ValueError, OSError) as exc:
+        print(f"oscnodal: error: {exc}", file=sys.stderr)
+        return 1
     for key in _REQUIRED.get(args.command, ()):
         if getattr(args, key) is None:
             print(f"oscnodal: error: --{key} is required (flag or config)",

@@ -8,24 +8,24 @@ hypersurface density at x is
 
 with Omega = d_x d_y log Pi on the diagonal.  The expectation factorizes into
 the chi-distribution mean E[chi_d] = sqrt(2) Gamma((d+1)/2)/Gamma(d/2) times a
-sphere average of ||Omega^(1/2) omega||, evaluated by deterministic quadrature
-for d <= 3 and Monte Carlo beyond.
+sphere average of ||Omega^(1/2) omega||, exact to rounding in every d.
 
-Regimes (E = 1/2, caustic = unit sphere, s measured by |x|^2 = 1 -+ hbar^a s):
+Regimes (E = 1/2, caustic = unit sphere, s measured by |x|^2 = 1 -+ hbar^a s),
+each an Omega through that one reduction:
 
-  allowed bulk       F = hbar^-1 c_d sqrt(1-|x|^2)
+  allowed bulk       Omega = hbar^-2 (1-|x|^2)/d I  -> F = hbar^-1 c_d sqrt(1-|x|^2)
   allowed annulus    Omega = (s/d) hbar^(a-2) I          -> slope -(1-3a/2) rescaled
   caustic tube       Omega = hbar^(-4/3) * Omega0(u)     -> hbar-free rescaled F(u)
   forbidden annulus  Omega = hbar^(-1-a/2) (I - x x^T)/(2 sqrt(s))
-  forbidden bulk     F = hbar^(-1/2) C_d sqrt(E) / (sqrt(|x|) (|x|^2-1)^(1/4))
+  forbidden bulk     Omega = (I - xhat xhat^T)/(2 hbar |x| sqrt(|x|^2-1))
+      -> F = hbar^(-1/2) C_d sqrt(E) / (sqrt(|x|) (|x|^2-1)^(1/4)) E[chi_(d-1)]/E[chi_d]
 
-with c_d = Gamma((d+1)/2)/(sqrt(d pi) Gamma(d/2)) and
-C_d = Gamma((d+1)/2)/(sqrt(pi) Gamma(d/2)).  Annulus densities are *computed*
-from their Omega matrices through the same Kac-Rice reduction (the allowed
-constant then reproduces c_d identically; the forbidden one comes out as
-Gamma(d/2)/(sqrt(2 pi) Gamma((d-1)/2)), which is reported, not assumed equal
-to C_d).  Rescaled (zoomed) densities carry the extra hbar^(2a) factor on
-Omega from the coordinate dilation.
+with the paper's constants c_d = Gamma((d+1)/2)/(sqrt(d pi) Gamma(d/2)) and
+C_d = Gamma((d+1)/2)/(sqrt(pi) Gamma(d/2)).  C_d is what a full-rank Omega
+gives; the forbidden Omegas have rank d - 1 (see DECISIONS.md), and the
+forbidden-annulus constant comes out as Gamma(d/2)/(sqrt(2 pi) Gamma((d-1)/2)).
+Rescaled (zoomed) densities carry the extra hbar^(2a) factor on Omega from
+the coordinate dilation.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from scipy.special import ellipe
 from . import airy, projector, quadrature
 from .scaled_kernel import CausticFrame
 from .semiclassical import TrackedReal
-
-_LOG2 = math.log(2.0)
 
 #: eigenvalues in [-tol * lambda_max, 0) are clipped to zero (roundoff from
 #: the tracked-float boundary); anything more negative is an error
@@ -142,52 +140,42 @@ def _circle_average_norm(lo, hi):
     return 2.0 / math.pi * np.sqrt(hi) * ellipe(1.0 - ratio)
 
 
-def _sphere_average_norm(lam, d, mc_seed=0, mc_samples=10**6):
-    """Mean of sqrt(sum lam_i w_i^2) over the unit sphere.
+#: nodes e^v and weights h e^(-v/2) of the trapezoid rule in v, step h = 1/2 on
+#: [-84, 82], where the integrand falls below 1e-17 of its peak at both ends
+_EXP_V = np.exp(np.arange(333) * 0.5 - 84.0)
+_WEIGHTS = 0.5 / np.sqrt(_EXP_V)
 
-    d = 2 is the closed form of _circle_average_norm; d = 3 uses a 64 x 128
-    product Gauss rule, d >= 4 Monte Carlo with a reported standard error.
+
+def _sphere_average_norm(lam, d):
+    """Mean of sqrt(sum lam_i w_i^2) over the unit sphere, for sorted lam >= 0, not all 0.
+
+    d = 2 is _circle_average_norm.  Otherwise E sqrt(Q), Q = sum lam_i xi_i^2, is
+    (2 sqrt(pi))^-1 int_0^inf (1 - prod_i (1 + 2 t lam_i)^(-1/2)) t^(-3/2) dt (Mathai-Provost
+    1992), over E[chi_d]; with t = e^v / lam_max the integrand is analytic in a strip of
+    half-width pi, so the trapezoid rule is exact to rounding for every spectrum.
     """
-    if d == 1:
-        return math.sqrt(lam[0]), 0.0
     if d == 2:
-        return float(_circle_average_norm(lam[0], lam[1])), 0.0
-    if d == 3:
-        cx, cw = quadrature.gauss_legendre(64)
-        theta = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-        sin_phi_sq = 1.0 - cx[:, None] ** 2
-        vals = np.sqrt(lam[0] * sin_phi_sq * np.cos(theta)[None, :] ** 2
-                       + lam[1] * sin_phi_sq * np.sin(theta)[None, :] ** 2
-                       + lam[2] * cx[:, None] ** 2)
-        return float(np.sum(cw[:, None] * vals) / (2.0 * 128)), 0.0
-    rng = np.random.Generator(np.random.Philox(mc_seed))
-    w = rng.standard_normal((mc_samples, d))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    vals = np.sqrt(w * w @ lam)
-    return float(np.mean(vals)), float(np.std(vals) / math.sqrt(mc_samples))
+        return float(_circle_average_norm(lam[0], lam[1]))
+    lam_max = float(lam[-1])
+    log_prod = np.log1p(2.0 * np.multiply.outer(_EXP_V, lam / lam_max)).sum(axis=1)
+    integral = float(np.dot(-np.expm1(-0.5 * log_prod), _WEIGHTS))
+    return math.sqrt(lam_max / math.pi) * 0.5 * integral / chi_mean(d)
 
 
-def kac_rice_density(kr, d, mc_seed=0, mc_samples=10**6, return_stderr=False):
+def kac_rice_density(kr, d):
     """Expected nodal density (2 pi)^(-1/2) E||Omega^(1/2) xi|| as a TrackedReal.
 
     Omega is eigendecomposed, tiny negative eigenvalues are clipped (see
     PSD_CLIP_TOL), and E||.|| factorizes into E[chi_d] times a sphere average.
-    For d >= 4 the sphere average is Monte Carlo; pass return_stderr=True to
-    get (density, standard_error_of_the_mantissa).
     """
     if kr.omega.shape != (d, d):
         raise ValueError(f"omega must be {d}x{d}")
     lam, lam_max = _clipped_eigenvalues(kr)
     if lam_max == 0.0:
-        out = TrackedReal(0.0, 0)
-        return (out, 0.0) if return_stderr else out
-    avg, stderr = _sphere_average_norm(lam, d, mc_seed=mc_seed, mc_samples=mc_samples)
-    mantissa = avg * chi_mean(d) / math.sqrt(2.0 * math.pi)
+        return TrackedReal(0.0, 0)
+    mantissa = _sphere_average_norm(lam, d) * chi_mean(d) / math.sqrt(2.0 * math.pi)
     half, rem = divmod(kr.scale_exponent, 2)
-    out = TrackedReal(mantissa * math.exp(rem / 2.0), half).normalized()
-    if return_stderr:
-        return out, stderr * chi_mean(d) / math.sqrt(2.0 * math.pi)
-    return out
+    return TrackedReal(mantissa * math.exp(rem / 2.0), half).normalized()
 
 
 def omega_exact(level, x):
@@ -248,54 +236,46 @@ def omega_caustic_scaled(frame, u):
     return KacRiceMatrix(omega=omega, scale_exponent=0)
 
 
-def _hbar_power(hbar, power):
-    """hbar**power as a TrackedReal (power may make it huge or tiny)."""
-    return TrackedReal.from_log(power * math.log(hbar))
-
-
 def density_regime(query, level):
     """Leading-order density for the query's regime, as a TrackedReal.
 
-    Bulk regions return the unscaled density F(x) at x = x0 + u; annuli and
-    the tube return the rescaled density of the zoomed field at offset u
-    (annulus Omegas carry the hbar^(2 alpha) dilation factor; the tube value
-    is hbar-independent).
+    Every region builds (KacRiceMatrix, log sigma^2) and ends in kac_rice_density.
+    Bulk regions return the unscaled density F(x) at x = x0 + u; annuli and the
+    tube return the rescaled density of the zoomed field at offset u (annulus
+    Omegas carry the hbar^(2 alpha) dilation factor; the tube value is
+    hbar-independent).
     """
     frame, u, alpha, region = query.frame, np.asarray(query.u, float), query.alpha, query.region
     d = level.d
     if d != frame.d:
         raise ValueError("level and frame dimensions differ")
-    hbar = level.hbar
+    x = frame.x0 + u
+    r_sq = float(x @ x)
     u1 = frame.normal_component(u)
     if region is Region.ALLOWED_BULK:
-        x = frame.x0 + u
-        r_sq = float(x @ x)
         if not 0.0 < r_sq < 1.0:
             raise ValueError("allowed_bulk point must satisfy 0 < |x| < 1")
-        return _hbar_power(hbar, -1.0) * (c_d(d) * math.sqrt(1.0 - r_sq))
-    if region is Region.FORBIDDEN_BULK:
-        x = frame.x0 + u
-        r_sq = float(x @ x)
+        omega, log_sigma_sq = omega_allowed_annulus(level, frame, 0.0, 1.0 - r_sq)
+    elif region is Region.FORBIDDEN_BULK:
         if r_sq <= 1.0:
             raise ValueError("forbidden_bulk point must satisfy |x| > 1")
-        val = C_d(d) * math.sqrt(level.energy) / (r_sq ** 0.25 * (r_sq - 1.0) ** 0.25)
-        return _hbar_power(hbar, -0.5) * val
-    if region is Region.CAUSTIC_TUBE:
-        return kac_rice_density(omega_caustic_scaled(frame, u), d)
+        # the forbidden-annulus matrix before its |x| -> 1 limit (rank d - 1)
+        xhat = x / math.sqrt(r_sq)
+        omega = KacRiceMatrix(np.eye(d) - np.outer(xhat, xhat), 0)
+        log_sigma_sq = -math.log(2.0 * level.hbar * math.sqrt(r_sq * (r_sq - 1.0)))
+    elif region is Region.CAUSTIC_TUBE:
+        omega, log_sigma_sq = omega_caustic_scaled(frame, u), 0.0
     # annuli: |x|^2 = 1 -+ hbar^alpha s with s > 0 on the matching side
-    if region is Region.ALLOWED_ANNULUS:
-        s = -2.0 * u1
-        if s <= 0.0:
+    elif region is Region.ALLOWED_ANNULUS:
+        if u1 >= 0.0:
             raise ValueError("allowed annulus requires <u, x0> < 0")
-        omega, log_sigma_sq = omega_allowed_annulus(level, frame, alpha, s)
+        omega, log_sigma_sq = omega_allowed_annulus(level, frame, alpha, -2.0 * u1)
     else:
-        s = 2.0 * u1
-        if s <= 0.0:
+        if u1 <= 0.0:
             raise ValueError("forbidden annulus requires <u, x0> > 0")
-        omega, log_sigma_sq = omega_forbidden_annulus(level, frame, alpha, s)
-    base = kac_rice_density(omega, d)
+        omega, log_sigma_sq = omega_forbidden_annulus(level, frame, alpha, 2.0 * u1)
     # the density is 1-homogeneous under Omega -> c^2 Omega
-    return base * TrackedReal.from_log(0.5 * log_sigma_sq)
+    return kac_rice_density(omega, d) * TrackedReal.from_log(0.5 * log_sigma_sq)
 
 
 def omega_allowed_annulus(level, frame, alpha, s):

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -117,6 +119,15 @@ class TestDensityCommand:
                         "--with-exact", "--tolerance", "1e-12")
         assert status == 2
 
+    def test_caustic_tube_d4_is_fast(self, tmp_path):
+        # the d >= 4 sphere average is one fixed 333-node rule per point
+        start = time.perf_counter()
+        status, out = run(tmp_path, "density", "--regime", "caustic-tube", "--d", "4")
+        elapsed = time.perf_counter() - start
+        assert status == 0
+        assert len(read_table(out)[1]) == 61
+        assert elapsed < 1.0
+
 
 class TestScalingSweepCommand:
     def test_slope_report(self, tmp_path, capsys):
@@ -135,8 +146,8 @@ class TestScalingSweepCommand:
         assert status == 2
 
     def test_allowed_annulus_at_s4_within_tolerance(self, tmp_path):
-        # s = 4 (criterion 5) puts every N of the default list in the annulus
-        # regime; the default s = 1 does not (slope -0.93 against -0.75)
+        # s = 4 (criterion 5, and the default) puts every N of the default
+        # list in the annulus regime; s = 1 does not (slope -0.93 against -0.75)
         status, _ = run(tmp_path, "scaling-sweep", "--point", "allowed-annulus",
                         "--s", "4", "--tolerance", "0.06")
         assert status == 0
@@ -163,6 +174,19 @@ class TestScalingSweepCommand:
         assert "alpha must lie in [0, 2/3]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_default_s_fits_both_annuli(self, tmp_path):
+        for point in ("allowed-annulus", "forbidden-annulus"):
+            assert run(tmp_path, "scaling-sweep", "--point", point, "--tolerance", "0.06")[0] == 0
+
+    @pytest.mark.parametrize("ns", ["100,100", "200", "100,100,100"])
+    def test_fewer_than_two_distinct_n_is_a_usage_error(self, tmp_path, capsys, ns):
+        # one distinct hbar leaves the slope undetermined (numpy's RankWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run(tmp_path, "scaling-sweep", "--N", ns, "--point", "allowed")
+        assert status == 1
+        assert "at least two distinct N values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_d3_sweep_point_is_r_e1(self, tmp_path):
         status, out = run(tmp_path, "scaling-sweep", "--d", "3", "--N", "20,40",
@@ -377,6 +401,62 @@ class TestConfigAndErrors:
         assert status == 1
         assert "finite k" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("airy", "--s", "0", "--k"),
+        ("pi0", "--tangential-sep"),
+        ("density", "--regime", "allowed-annulus", "--alpha"),
+        ("density", "--regime", "allowed-bulk", "--tolerance"),
+        ("scaling-sweep", "--alpha"),
+        ("scaling-sweep", "--s"),
+        ("scaling-sweep", "--tolerance"),
+        ("montecarlo", "--statistic", "nodal-length", "--box-x"),
+        ("montecarlo", "--statistic", "nodal-length", "--box-y"),
+        ("montecarlo", "--statistic", "nodal-length", "--box-size"),
+        ("tube-mass", "--kappa"),
+        ("tube-mass", "--tolerance"),
+    ])
+    def test_non_finite_float_flag_is_a_usage_error(self, tmp_path, capsys, argv, value):
+        # rejected at parse time, naming the flag: a nan tolerance would switch
+        # its check off, a nan offset would write NaN rows
+        status, out = run(tmp_path, *argv, value)
+        assert status == 1
+        assert argv[-1] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("tube-mass", "--N", "40"),
+        ("density", "--regime", "allowed-bulk", "--N", "40", "--with-exact"),
+        ("scaling-sweep", "--N", "20,40", "--point", "allowed"),
+    ])
+    def test_negative_tolerance_is_a_usage_error(self, tmp_path, capsys, command):
+        status, out = run(tmp_path, *command, "--tolerance", "-0.1")
+        assert status == 1
+        assert "tolerance must lie in [0, inf)" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tolerance=nan\n")
+        assert run(tmp_path, *command, "--config", str(cfg))[0] == 1
+
+
+def _readme_commands():
+    """The command lines of the README's "Command line" block."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("oscnodal ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # every command of the README block exits 0 (outputs land in tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

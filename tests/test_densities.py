@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ellipe, elliprg, hyp2f1
 
 from oscnodal import (
     CausticFrame,
@@ -72,20 +73,48 @@ class TestKacRiceDensity:
         val = kac_rice_density(KacRiceMatrix(np.eye(3), 0), 3).to_float()
         assert val == pytest.approx(chi_mean(3) / math.sqrt(2 * math.pi), rel=1e-12)
 
-    def test_d4_monte_carlo_route(self):
-        val, stderr = kac_rice_density(KacRiceMatrix(np.eye(4), 0), 4,
-                                       return_stderr=True)
-        exact = chi_mean(4) / math.sqrt(2 * math.pi)
-        assert stderr < 1e-12  # isotropic: the sphere average is constant
-        assert val.to_float() == pytest.approx(exact, rel=1e-3)
-        aniso = KacRiceMatrix(np.diag([4.0, 1.0, 1.0, 0.25]), 0)
-        val, stderr = kac_rice_density(aniso, 4, return_stderr=True)
-        assert stderr > 0
-        rng = np.random.default_rng(9)
-        xi = rng.standard_normal((10**6, 4))
-        mc = np.mean(np.linalg.norm(xi * np.sqrt(np.diag(aniso.omega)), axis=1)) \
-            / math.sqrt(2 * math.pi)
-        assert val.to_float() == pytest.approx(mc, abs=4 * stderr + 4 * stderr)
+    def test_sphere_average_matches_closed_forms(self):
+        # three independent closed forms of the sphere average, on seeded
+        # random spectra with zero entries and rank-one cases:
+        #   d = 2: (2/pi) sqrt(hi) E(1 - lo/hi), E the elliptic integral;
+        #   d = 3: Carlson's R_G(lam) (DLMF 19.16);
+        #   d >= 3, spectrum (a, b, ..., b): the Euler integral over the
+        #   Beta((d-1)/2, 1/2)-distributed 1 - w_1^2 (DLMF 15.6.1),
+        #   sqrt(a) 2F1(-1/2, (d-1)/2; d/2; 1 - b/a); scipy's 2F1 holds ~1e-15
+        #   on this branch (~1e-13 on sqrt(b) 2F1(-1/2, 1/2; d/2; 1 - a/b)
+        #   as a/b -> 0), which serves only a = 0
+        rng = np.random.default_rng(13)
+
+        def density(lam):
+            d = len(lam)
+            return kac_rice_density(KacRiceMatrix(np.diag(lam), 0), d).to_float() \
+                * math.sqrt(2 * math.pi) / chi_mean(d)
+
+        def two_eigenvalue(a, b, d):
+            if a == 0.0:
+                return math.sqrt(b) * hyp2f1(-0.5, 0.5, d / 2.0, 1.0)
+            return math.sqrt(a) * hyp2f1(-0.5, (d - 1) / 2.0, d / 2.0, 1.0 - b / a)
+
+        checked = 0
+        for trial in range(40):
+            lam = 10.0 ** rng.uniform(-6.0, 2.0, 8)
+            lam[rng.uniform(size=8) < 0.2] = 0.0
+            if trial % 5 == 0:  # rank one
+                lam[1:] = 0.0
+            lo, hi = sorted(lam[:2])
+            if hi > 0.0:
+                elliptic = 2.0 / math.pi * math.sqrt(hi) * ellipe(1.0 - lo / hi)
+                assert density(lam[:2]) == pytest.approx(elliptic, rel=1e-13)
+            if lam[:3].max() > 0.0:
+                assert density(lam[:3]) == pytest.approx(elliprg(*lam[:3]), rel=1e-13)
+            a, b = lam[0], lam[1]
+            if max(a, b) > 0.0:
+                for d in range(3, 9):
+                    spectrum = np.r_[a, np.full(d - 1, b)]
+                    assert density(spectrum) == pytest.approx(
+                        two_eigenvalue(a, b, d), rel=1e-13)
+                    checked += 1
+        assert checked >= 6 * 30
 
     def test_scale_exponent_carried(self):
         base = kac_rice_density(KacRiceMatrix(np.eye(2), 0), 2)
@@ -252,6 +281,26 @@ class TestDensityRegime:
         pred = level.hbar ** (-0.5 * (1.0 - 1.5 * alpha)) * const * s ** -0.25
         assert value == pytest.approx(pred, rel=1e-10)
         assert const != pytest.approx(C_d(2), rel=0.2)
+
+    @pytest.mark.parametrize("d,n,tolerance", [(2, 800, 0.01), (3, 200, 0.02)])
+    def test_forbidden_bulk_matches_exact(self, d, n, tolerance):
+        # the rank-(d-1) forbidden Omega through the one reduction: the paper's
+        # full-rank closed form times E[chi_(d-1)]/E[chi_d], within 1-2% of the
+        # exact density (the closed form alone reads pi/2 times it at d = 2)
+        frame = CausticFrame.from_point([1.0] + [0.0] * (d - 1))
+        level = level_new(d, n)
+        radii = [1.2, 1.4, 1.6, 1.8, 2.0]
+        omegas = omega_exact_batch(level, [r * frame.x0 for r in radii])
+        for r, omega in zip(radii, omegas):
+            query = RegimeQuery(frame=frame, u=(r - 1.0) * frame.x0, alpha=0.0,
+                                region=Region.FORBIDDEN_BULK)
+            value = density_regime(query, level).log_abs()
+            exact = kac_rice_density(omega, d).log_abs()
+            assert abs(math.expm1(value - exact)) <= tolerance
+            closed = C_d(d) * math.sqrt(0.5) / (math.sqrt(r) * (r * r - 1.0) ** 0.25) \
+                * level.hbar ** -0.5
+            assert math.exp(value) == pytest.approx(
+                chi_mean(d - 1) / chi_mean(d) * closed, rel=1e-12)
 
     def test_caustic_tube_density_against_monte_carlo(self):
         level = level_new(2, 100)
