@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__, airy, densities, montecarlo, projector, scaled_kernel
-from .semiclassical import level_new
+from .semiclassical import TrackedReal, level_new
 
 VALIDATION_EXIT = 2
 
@@ -170,13 +170,12 @@ def _cmd_projector(args):
     if args.method == "exact":
         values = projector.pi_exact_batch(level, xs, ys)
     else:
-        from .semiclassical import TrackedReal
-        values = [TrackedReal.from_float(projector.pi_mehler(level, x, y)).normalized()
+        values = [TrackedReal.from_float(projector.pi_mehler(level, x, y))
                   for x, y in zip(xs, ys)]
     d = level.d
     header = [f"x{j+1}" for j in range(d)] + [f"y{j+1}" for j in range(d)] \
         + ["pi_mantissa", "pi_exponent"]
-    rows = [[float(c) for c in x] + [float(c) for c in y] + [v.mantissa, v.exponent]
+    rows = [[float(c) for c in x] + [float(c) for c in y] + list(v.to_base_e())
             for x, y, v in zip(xs, ys, values)]
     comments = [
         f"eigenspace projection kernel, d={d} N={level.N} hbar={level.hbar!r}",
@@ -228,22 +227,22 @@ def _cmd_pi0(args):
 
 
 _REGIMES = {
-    # regime -> (region, default --u1-range on the regime's side of the caustic)
-    "allowed-bulk": (densities.Region.ALLOWED_BULK, "-0.9:-0.1:0.1"),
-    "allowed-annulus": (densities.Region.ALLOWED_ANNULUS, "-3:-0.1:0.1"),
-    "caustic-tube": (densities.Region.CAUSTIC_TUBE, "-3:3:0.1"),
-    "forbidden-annulus": (densities.Region.FORBIDDEN_ANNULUS, "0.1:3:0.1"),
-    "forbidden-bulk": (densities.Region.FORBIDDEN_BULK, "0.1:3:0.1"),
+    # regime -> (region, default --u1-range on the regime's side, default --alpha)
+    "allowed-bulk": (densities.Region.ALLOWED_BULK, "-0.9:-0.1:0.1", 0.0),
+    "allowed-annulus": (densities.Region.ALLOWED_ANNULUS, "-3:-0.1:0.1", 0.5),
+    "caustic-tube": (densities.Region.CAUSTIC_TUBE, "-3:3:0.1", 2.0 / 3.0),
+    "forbidden-annulus": (densities.Region.FORBIDDEN_ANNULUS, "0.1:3:0.1", 0.5),
+    "forbidden-bulk": (densities.Region.FORBIDDEN_BULK, "0.1:3:0.1", 0.0),
 }
 
 
 def _cmd_density(args):
     level = level_new(args.d, args.N)
-    region, default_range = _REGIMES[args.regime]
+    region, default_range, default_alpha = _REGIMES[args.regime]
     frame = scaled_kernel.CausticFrame.from_point(
         np.array([1.0] + [0.0] * (args.d - 1)))
-    alpha = {"allowed-bulk": 0.0, "forbidden-bulk": 0.0,
-             "caustic-tube": 2.0 / 3.0}.get(args.regime, args.alpha)
+    # an explicit --alpha off the regime's own is rejected by RegimeQuery
+    alpha = default_alpha if args.alpha is None else args.alpha
     if args.u1_range is None:
         args.u1_range = default_range
     rows, predictions, points = [], [], []
@@ -435,7 +434,8 @@ def build_parser():
     p.add_argument("--regime", choices=sorted(_REGIMES), default=None)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--N", type=int, default=200)
-    p.add_argument("--alpha", type=_ALPHA, default=0.5)
+    p.add_argument("--alpha", type=_ALPHA, default=None,
+                   help="the default depends on --regime: bulk 0, annuli 0.5, tube 2/3")
     p.add_argument("--u1-range", default=None,
                    help="start:stop:step or comma list; the default depends on --regime")
     p.add_argument("--with-exact", action="store_true")
@@ -464,7 +464,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--box-x", type=_real("box-x"), default=0.5)
     p.add_argument("--box-y", type=_real("box-y"), default=0.0)
-    p.add_argument("--box-size", type=_real("box-size"), default=0.2)
+    p.add_argument("--box-size", type=_real("box-size", math.nextafter(0.0, 1.0),
+                                            interval="(0, inf)"), default=0.2)
     p.add_argument("--rays", type=int, default=32)
     p.add_argument("--radii", default="0.5:1.4:0.1")
     common(p)

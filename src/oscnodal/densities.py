@@ -56,10 +56,9 @@ class Region(enum.Enum):
 
 @dataclass(frozen=True)
 class KacRiceMatrix:
-    """Symmetric PSD matrix Omega with a tracked scale: Omega_full = omega * e**scale."""
+    """Symmetric PSD Kac-Rice matrix Omega."""
 
     omega: np.ndarray
-    scale_exponent: int = 0
 
     def __post_init__(self):
         w = np.asarray(self.omega, dtype=float)
@@ -173,9 +172,8 @@ def kac_rice_density(kr, d):
     lam, lam_max = _clipped_eigenvalues(kr)
     if lam_max == 0.0:
         return TrackedReal(0.0, 0)
-    mantissa = _sphere_average_norm(lam, d) * chi_mean(d) / math.sqrt(2.0 * math.pi)
-    half, rem = divmod(kr.scale_exponent, 2)
-    return TrackedReal(mantissa * math.exp(rem / 2.0), half).normalized()
+    return TrackedReal.from_float(
+        _sphere_average_norm(lam, d) * chi_mean(d) / math.sqrt(2.0 * math.pi))
 
 
 def omega_exact(level, x):
@@ -208,7 +206,7 @@ def omega_exact_batch(level, points):
                 omega[i, j] = (jet.hess[i][j] / jet.pi).to_float() \
                     - ratio_grad[i] * ratio_grad[j]
         omega = 0.5 * (omega + omega.T)
-        out.append(KacRiceMatrix(omega=omega, scale_exponent=0))
+        out.append(KacRiceMatrix(omega=omega))
     return out
 
 
@@ -233,7 +231,7 @@ def omega_caustic_scaled(frame, u):
     radial = second / base - (first / base) ** 2
     tangential = 0.5 * lower / base
     omega = radial * np.outer(frame.x0, frame.x0) + tangential * np.eye(d)
-    return KacRiceMatrix(omega=omega, scale_exponent=0)
+    return KacRiceMatrix(omega=omega)
 
 
 def density_regime(query, level):
@@ -261,7 +259,7 @@ def density_regime(query, level):
             raise ValueError("forbidden_bulk point must satisfy |x| > 1")
         # the forbidden-annulus matrix before its |x| -> 1 limit (rank d - 1)
         xhat = x / math.sqrt(r_sq)
-        omega = KacRiceMatrix(np.eye(d) - np.outer(xhat, xhat), 0)
+        omega = KacRiceMatrix(np.eye(d) - np.outer(xhat, xhat))
         log_sigma_sq = -math.log(2.0 * level.hbar * math.sqrt(r_sq * (r_sq - 1.0)))
     elif region is Region.CAUSTIC_TUBE:
         omega, log_sigma_sq = omega_caustic_scaled(frame, u), 0.0
@@ -287,7 +285,7 @@ def omega_allowed_annulus(level, frame, alpha, s):
     if s <= 0.0:
         raise ValueError("annulus offset s must be positive")
     log_sigma_sq = math.log(s / level.d) + (3.0 * alpha - 2.0) * math.log(level.hbar)
-    return KacRiceMatrix(np.eye(level.d), 0), log_sigma_sq
+    return KacRiceMatrix(np.eye(level.d)), log_sigma_sq
 
 
 def omega_forbidden_annulus(level, frame, alpha, s):
@@ -301,7 +299,7 @@ def omega_forbidden_annulus(level, frame, alpha, s):
     log_sigma_sq = (1.5 * alpha - 1.0) * math.log(level.hbar) \
         - math.log(2.0 * math.sqrt(s))
     shape = np.eye(level.d) - np.outer(frame.x0, frame.x0)
-    return KacRiceMatrix(shape, 0), log_sigma_sq
+    return KacRiceMatrix(shape), log_sigma_sq
 
 
 def density_grid(level, xs, ys):

@@ -270,8 +270,14 @@ def _box_values(level_or_callable, box, step, coeffs=None):
     return _grid_values(coeffs, cx, cy), xs, ys
 
 
+def _check_box(box):
+    if not all(hi > lo for lo, hi in box):
+        raise ValueError(f"box sides must be positive, got {box}")
+
+
 def _check_grid_step(level, box, grid_step):
     """The box-grid rule: grid_step <= hbar/8 where the box meets the allowed region."""
+    _check_box(box)
     gaps = [0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)) for lo, hi in box]
     if gaps[0] ** 2 + gaps[1] ** 2 < 1.0 and grid_step > level.hbar / 8.0 * (1 + 1e-9):
         raise ValueError("grid_step must be <= hbar/8 inside the allowed region")
@@ -292,6 +298,7 @@ def nodal_length(field, box, grid_step):
         evaluator = field.level
         coeffs = field.coeffs
     else:
+        _check_box(box)
         evaluator = field
         coeffs = None
     lengths = []

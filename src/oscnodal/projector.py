@@ -40,7 +40,6 @@ from .semiclassical import (
     DEFAULT_DIM_BUDGET,
     ResourceLimitError,
     TrackedReal,
-    _mantexp_to_tracked,
     _phi_deriv_mantexp,
     _phi_mantexp,
 )
@@ -165,11 +164,10 @@ def covariance_jet_batch(level, points, budget=DEFAULT_DIM_BUDGET):
 def _jet(x, val, mix, der, n, dtype):
     """Fold one point's coordinate arrays into its CovarianceJet."""
     d = len(val)
-    pi_m, pi_e = _fold(val, n, dtype)
     grad = []
     for i in range(d):
         arrays = [mix[j] if j == i else val[j] for j in range(d)]
-        grad.append(_mantexp_to_tracked(*_fold(arrays, n, dtype)))
+        grad.append(TrackedReal(*_fold(arrays, n, dtype)))
     hess = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
@@ -181,10 +179,10 @@ def _jet(x, val, mix, der, n, dtype):
                     arrays.append(mix[l])
                 else:
                     arrays.append(val[l])
-            h = _mantexp_to_tracked(*_fold(arrays, n, dtype))
+            h = TrackedReal(*_fold(arrays, n, dtype))
             hess[i][j] = h
             hess[j][i] = h
-    return CovarianceJet(point=x, pi=_mantexp_to_tracked(pi_m, pi_e),
+    return CovarianceJet(point=x, pi=TrackedReal(*_fold(val, n, dtype)),
                          grad=grad, hess=hess)
 
 
@@ -363,7 +361,7 @@ def pi_exact_batch(level, points_x, points_y, budget=DEFAULT_DIM_BUDGET):
         for p in range(chunk.shape[1]):
             arrays = [(m[:, cx] * m[:, cy], e[:, cx] + e[:, cy])
                       for cx, cy in zip(col[0, p], col[1, p])]
-            values.append(_mantexp_to_tracked(*_fold(arrays, n, dtype)))
+            values.append(TrackedReal(*_fold(arrays, n, dtype)))
     return values
 
 
@@ -376,6 +374,8 @@ def read_batch_csv(path):
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    if not rows:
+        raise ValueError(f"pairs CSV {path} has no header row")
     header, rows = rows[0], rows[1:]
     d = sum(1 for name in header if name.startswith("x"))
     has_values = len(header) >= 2 * d + 2
@@ -384,5 +384,5 @@ def read_batch_csv(path):
         xs.append(np.array([float(v) for v in row[:d]]))
         ys.append(np.array([float(v) for v in row[d:2 * d]]))
         if has_values:
-            vals.append(TrackedReal(float(row[2 * d]), int(row[2 * d + 1])))
+            vals.append(TrackedReal.from_base_e(row[2 * d], row[2 * d + 1]))
     return xs, ys, (vals if has_values else None)

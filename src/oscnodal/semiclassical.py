@@ -13,7 +13,8 @@ on the functions themselves (Gaussian weight folded in from the start), which
 follows the dominant solution and therefore stays relatively accurate for all
 real arguments.  In the classically forbidden region the values decay like
 exp(-c/hbar), far below float underflow, so every value is carried as a
-(mantissa, exponent) pair; see TrackedReal.
+(mantissa, exponent) pair in base 2, from the recurrence through the folds
+to TrackedReal; see TrackedReal.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrackedReal:
-    """A real number stored as mantissa * e**exponent with integer exponent.
+    """A real number stored as mantissa * 2**exponent with integer exponent.
 
-    Freshly encoded doubles keep exponent 0, so encode/decode round-trips are
-    exact.  Arithmetic renormalizes the mantissa into [1, e) (up to sign),
-    which costs at most one ulp per renormalization.
+    Base 2 is the basis recurrence's and the folds' own, so fold results are
+    taken as they are and every rescaling is exact.  Arithmetic renormalizes
+    the mantissa into [0.5, 1) (up to sign) with frexp; only the mantissa
+    operation rounds.  to_base_e and from_base_e convert at the projector
+    CSV's mantissa * e**exponent edge.
     """
 
     mantissa: float
@@ -52,46 +55,47 @@ class TrackedReal:
 
     @staticmethod
     def from_log(log_abs, sign=1.0):
-        """Build from log|value| and a sign; mantissa lands in [1, e)."""
+        """Build from log|value| and a sign, split by ln 2."""
         if sign == 0.0:
             return TrackedReal(0.0, 0)
+        e = math.floor(log_abs * _LOG2E)
+        return TrackedReal(math.copysign(math.exp(log_abs - e * _LOG2), sign),
+                           int(e)).normalized()
+
+    @staticmethod
+    def from_base_e(mantissa, exponent):
+        """Read a value stored as mantissa * e**exponent (the projector CSV)."""
+        mantissa = float(mantissa)
+        if mantissa == 0.0:
+            return TrackedReal(0.0, 0)
+        return TrackedReal.from_log(math.log(abs(mantissa)) + int(exponent),
+                                    math.copysign(1.0, mantissa))
+
+    def to_base_e(self):
+        """(mantissa, exponent) with value = mantissa * e**exponent, mantissa in [1, e)."""
+        if self.mantissa == 0.0:
+            return 0.0, 0
+        log_abs = int(self.exponent) * _LOG2 + math.log(abs(self.mantissa))
         e = math.floor(log_abs)
-        return TrackedReal(math.copysign(math.exp(log_abs - e), sign), int(e))
+        return math.copysign(math.exp(log_abs - e), self.mantissa), int(e)
 
     def normalized(self):
-        if self.mantissa == 0.0:
+        m, shift = math.frexp(self.mantissa)
+        if m == 0.0:
             return TrackedReal(0.0, 0)
-        shift = math.floor(math.log(abs(self.mantissa)))
-        if shift == 0:
-            return self
-        if abs(shift) <= 700:
-            m = self.mantissa * math.exp(-shift)
-        else:  # subnormal-scale mantissas: split the rescaling
-            half = shift // 2
-            m = (self.mantissa * math.exp(-half)) * math.exp(-(shift - half))
-        # log/exp rounding can leave m a hair outside [1, e)
-        if abs(m) < 1.0:
-            m *= math.e
-            shift -= 1
-        elif abs(m) >= math.e:
-            m /= math.e
-            shift += 1
         return TrackedReal(m, self.exponent + shift)
 
     def to_float(self):
         """Collapse to a plain float; overflows to inf for huge exponents."""
-        if self.mantissa == 0.0:
-            return 0.0
-        if self.exponent > 700:
-            return math.copysign(math.inf, self.mantissa)
-        if self.exponent < -760:
-            return math.copysign(0.0, self.mantissa)
-        return self.mantissa * math.exp(self.exponent)
+        m, e = math.frexp(self.mantissa)
+        if m != 0.0 and e + self.exponent > 1024:
+            return math.copysign(math.inf, m)
+        return math.ldexp(m, e + self.exponent)
 
     def log_abs(self):
         if self.mantissa == 0.0:
             raise ValueError("log of zero")
-        return math.log(abs(self.mantissa)) + self.exponent
+        return math.log(abs(self.mantissa)) + self.exponent * _LOG2
 
     @property
     def sign(self):
@@ -125,15 +129,12 @@ class TrackedReal:
     def __add__(self, other):
         if not isinstance(other, TrackedReal):
             other = TrackedReal.from_float(other)
-        if self.mantissa == 0.0:
-            return other
-        if other.mantissa == 0.0:
-            return self
-        hi, lo = (self, other) if self.exponent >= other.exponent else (other, self)
-        de = lo.exponent - hi.exponent
-        if de < -745:
-            return hi
-        return TrackedReal(hi.mantissa + lo.mantissa * math.exp(de),
+        # fold results may be unnormalized; align on normalized exponents
+        a, b = self.normalized(), other.normalized()
+        if a.mantissa == 0.0 or b.mantissa == 0.0:
+            return b if a.mantissa == 0.0 else a
+        hi, lo = (a, b) if a.exponent >= b.exponent else (b, a)
+        return TrackedReal(hi.mantissa + math.ldexp(lo.mantissa, lo.exponent - hi.exponent),
                            hi.exponent).normalized()
 
     __radd__ = __add__
@@ -314,15 +315,6 @@ def _phi_deriv_mantexp(hbar, nmax, xs, dtype=np.float64):
     return m * hb ** dtype(-0.25), e, dm * hb ** dtype(-0.75), de
 
 
-def _mantexp_to_tracked(m, e2):
-    """Convert a base-2 (mantissa, exponent) pair to a normalized TrackedReal."""
-    m = float(m)
-    if m == 0.0:
-        return TrackedReal(0.0, 0)
-    log_abs = int(e2) * _LOG2 + math.log(abs(m))
-    return TrackedReal.from_log(log_abs, math.copysign(1.0, m))
-
-
 def hermite_all(level, x):
     """[phi_0(x), ..., phi_N(x)] for the 1D scaled basis, as TrackedReal.
 
@@ -334,7 +326,7 @@ def hermite_all(level, x):
     if not math.isfinite(x):
         raise ValueError("coordinate must be finite")
     m, e = _phi_mantexp(level.hbar, level.N, [x], dtype=np.longdouble)
-    return [_mantexp_to_tracked(m[k, 0], e[k, 0]) for k in range(level.N + 1)]
+    return [TrackedReal(float(m[k, 0]), int(e[k, 0])) for k in range(level.N + 1)]
 
 
 def hermite_deriv_all(level, x):
@@ -343,4 +335,4 @@ def hermite_deriv_all(level, x):
     if not math.isfinite(x):
         raise ValueError("coordinate must be finite")
     _, _, dm, de = _phi_deriv_mantexp(level.hbar, level.N, [x], dtype=np.longdouble)
-    return [_mantexp_to_tracked(dm[k, 0], de[k, 0]) for k in range(level.N + 1)]
+    return [TrackedReal(float(dm[k, 0]), int(de[k, 0])) for k in range(level.N + 1)]

@@ -75,6 +75,15 @@ class TestProjectorCommand:
         expect = pi_exact(level_new(2, 12), [0.5, 0.1], [0.2, -0.3]).to_float()
         assert value == pytest.approx(expect, rel=1e-12)
 
+    def test_empty_pairs_csv_is_a_usage_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        status, out = run(tmp_path, "projector", "--d", "2", "--N", "12",
+                          "--pairs-csv", str(empty))
+        assert status == 1
+        assert "empty.csv has no header row" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mehler_method(self, tmp_path):
         status, out = run(tmp_path, "projector", "--d", "2", "--N", "12",
                           "--x", "0.5,0.1", "--method", "mehler")
@@ -111,6 +120,39 @@ class TestDensityCommand:
         assert status == 1
         assert "allowed annulus" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("regime,alpha", [("allowed-bulk", 0.0), ("allowed-annulus", 0.5),
+                                              ("caustic-tube", 2.0 / 3.0),
+                                              ("forbidden-annulus", 0.5), ("forbidden-bulk", 0.0)])
+    def test_default_alpha_is_the_regime_own(self, tmp_path, regime, alpha):
+        status, out = run(tmp_path, "density", "--regime", regime, "--N", "20")
+        assert status == 0
+        header, rows = read_table(out)
+        assert {r[header.index("alpha")] for r in rows} == {alpha}
+        explicit = tmp_path / "explicit.csv"
+        assert main(["density", "--regime", regime, "--N", "20", "--alpha", repr(alpha),
+                     "-o", str(explicit)]) == 0
+        assert explicit.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("regime,message", [
+        ("caustic-tube", "caustic_tube requires alpha = 2/3"),
+        ("allowed-bulk", "bulk regions require alpha = 0"),
+        ("forbidden-bulk", "bulk regions require alpha = 0"),
+    ])
+    def test_alpha_off_the_regime_is_a_usage_error(self, tmp_path, capsys, regime, message):
+        # --alpha used to be overridden silently for these regimes
+        status, out = run(tmp_path, "density", "--regime", regime, "--N", "20",
+                          "--alpha", "0.3", "--u1-range", "0,1")
+        assert status == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explicit_alpha_moves_an_annulus(self, tmp_path):
+        status, out = run(tmp_path, "density", "--regime", "forbidden-annulus",
+                          "--N", "20", "--alpha", "0.3", "--u1-range", "1")
+        assert status == 0
+        header, rows = read_table(out)
+        assert rows[0][header.index("alpha")] == 0.3
 
     def test_validation_exit_code(self, tmp_path):
         # an absurdly tight tolerance forces the validation failure path
@@ -242,6 +284,15 @@ class TestMonteCarloCommand:
                               "--d", "2", "--N", "20", "--seeds", seeds)
         assert status == 1
         assert "at least two seeds for a standard error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["0", "-0.2"])
+    def test_box_size_must_be_positive(self, tmp_path, capsys, size):
+        # a zero or negative box used to write zero lengths and exit 0
+        status, out = run(tmp_path, "montecarlo", "--statistic", "nodal-length",
+                          "--d", "2", "--N", "20", "--seeds", "2", "--box-size", size)
+        assert status == 1
+        assert "box-size must lie in (0, inf)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nodal_length_table(self, tmp_path):

@@ -24,6 +24,8 @@ from oscnodal import (
 )
 from oscnodal import projector
 from oscnodal.airy import AI_PRIME_ZERO
+from oscnodal.projector import _conv_last
+from oscnodal.semiclassical import _phi_deriv_mantexp
 from oscnodal.densities import (
     C_d,
     c_d,
@@ -45,7 +47,7 @@ class TestKacRiceDensity:
     def test_isotropic_d2(self):
         # closed form sigma (2 pi)^(-1/2) E[chi_2] = 1/2 at sigma = 1;
         # frozen from the Monte Carlo oracle of the defining integral
-        val = kac_rice_density(KacRiceMatrix(np.eye(2), 0), 2).to_float()
+        val = kac_rice_density(KacRiceMatrix(np.eye(2)), 2).to_float()
         assert val == pytest.approx(0.5, rel=1e-12)
         rng = np.random.default_rng(0)
         xi = rng.standard_normal((10**7, 2))
@@ -54,23 +56,23 @@ class TestKacRiceDensity:
 
     def test_rank_deficient(self):
         # diag(1, 0): density (2 pi)^(-1/2) E|xi_1| = 1/pi
-        val = kac_rice_density(KacRiceMatrix(np.diag([1.0, 0.0]), 0), 2).to_float()
+        val = kac_rice_density(KacRiceMatrix(np.diag([1.0, 0.0])), 2).to_float()
         assert val == pytest.approx(1.0 / math.pi, rel=1e-12)
 
     def test_zero_matrix(self):
-        assert kac_rice_density(KacRiceMatrix(np.zeros((2, 2)), 0), 2).to_float() == 0.0
+        assert kac_rice_density(KacRiceMatrix(np.zeros((2, 2))), 2).to_float() == 0.0
 
     def test_one_homogeneous_in_sigma(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((2, 2))
         omega = a @ a.T
-        base = kac_rice_density(KacRiceMatrix(omega, 0), 2).to_float()
+        base = kac_rice_density(KacRiceMatrix(omega), 2).to_float()
         for c in (2.0, 10.0):
-            scaled = kac_rice_density(KacRiceMatrix(c * c * omega, 0), 2).to_float()
+            scaled = kac_rice_density(KacRiceMatrix(c * c * omega), 2).to_float()
             assert scaled == pytest.approx(c * base, rel=1e-12)
 
     def test_isotropic_d3_quadrature(self):
-        val = kac_rice_density(KacRiceMatrix(np.eye(3), 0), 3).to_float()
+        val = kac_rice_density(KacRiceMatrix(np.eye(3)), 3).to_float()
         assert val == pytest.approx(chi_mean(3) / math.sqrt(2 * math.pi), rel=1e-12)
 
     def test_sphere_average_matches_closed_forms(self):
@@ -87,7 +89,7 @@ class TestKacRiceDensity:
 
         def density(lam):
             d = len(lam)
-            return kac_rice_density(KacRiceMatrix(np.diag(lam), 0), d).to_float() \
+            return kac_rice_density(KacRiceMatrix(np.diag(lam)), d).to_float() \
                 * math.sqrt(2 * math.pi) / chi_mean(d)
 
         def two_eigenvalue(a, b, d):
@@ -116,19 +118,37 @@ class TestKacRiceDensity:
                     checked += 1
         assert checked >= 6 * 30
 
-    def test_scale_exponent_carried(self):
-        base = kac_rice_density(KacRiceMatrix(np.eye(2), 0), 2)
-        scaled = kac_rice_density(KacRiceMatrix(np.eye(2), 100), 2)
-        assert scaled.log_abs() == pytest.approx(base.log_abs() + 50.0, abs=1e-12)
-
     def test_psd_clipping_and_rejection(self):
         nearly = np.diag([1.0, -1e-9])
-        assert kac_rice_density(KacRiceMatrix(nearly, 0), 2).to_float() > 0
+        assert kac_rice_density(KacRiceMatrix(nearly), 2).to_float() > 0
         with pytest.raises(ValueError):
-            kac_rice_density(KacRiceMatrix(np.diag([1.0, -1e-3]), 0), 2)
+            kac_rice_density(KacRiceMatrix(np.diag([1.0, -1e-3])), 2)
 
 
 class TestOmegaExact:
+    @pytest.mark.parametrize("x", [(1.3, 0.0), (1.6, 0.3)])
+    def test_forbidden_ratio_matches_longdouble_reference(self, x):
+        # the same fold totals, left unrounded and divided in longdouble; the
+        # difference H/Pi - (G/Pi)^2 amplifies any error in the ratios by ~1/hbar
+        level, ld = level_new(2, 1600), np.longdouble
+        m, e, dm, de = _phi_deriv_mantexp(level.hbar, level.N, np.array(x), dtype=ld)
+        val = [(m[:, j] * m[:, j], 2 * e[:, j]) for j in range(2)]
+        mix = [(m[:, j] * dm[:, j], e[:, j] + de[:, j]) for j in range(2)]
+        der = [(dm[:, j] * dm[:, j], 2 * de[:, j]) for j in range(2)]
+        pi_total, pi_exp = _conv_last(*val[0], *val[1], level.N, ld)
+
+        def ratio(a, b):
+            total, exp = _conv_last(*a, *b, level.N, ld)
+            return np.ldexp(total / pi_total, exp - pi_exp)
+
+        grad = [ratio(mix[0], val[1]), ratio(val[0], mix[1])]
+        hess = [[ratio(der[0], val[1]), ratio(mix[0], mix[1])],
+                [ratio(mix[0], mix[1]), ratio(val[0], der[1])]]
+        ref = np.array([[hess[i][j] - grad[i] * grad[j] for j in range(2)]
+                        for i in range(2)])
+        omega = omega_exact(level, x).omega
+        assert np.max(np.abs(omega - ref)) <= 1e-11 * np.max(np.abs(ref))
+
     def test_rotational_covariance(self):
         level = level_new(2, 30)
         rng = np.random.default_rng(2)
@@ -198,7 +218,6 @@ class TestOmegaExact:
         for x, omega in zip(points, omegas):
             one = omega_exact(level, x)
             assert np.array_equal(omega.omega, one.omega)
-            assert omega.scale_exponent == one.scale_exponent == 0
 
     def test_density_grid_matches_pointwise(self):
         # allowed points, and forbidden ones where Omega is near rank one

@@ -265,6 +265,16 @@ class TestNodalLength:
         with pytest.raises(ValueError):
             nodal_length(field, ((0.4, 0.6), (-0.1, 0.1)), level.hbar)
 
+    @pytest.mark.parametrize("box", [((0.5, 0.5), (-0.1, 0.1)), ((0.4, 0.6), (0.1, -0.1))])
+    def test_box_sides_must_be_positive(self, box):
+        level = level_new(2, 20)
+        with pytest.raises(ValueError, match="box sides must be positive"):
+            nodal_length(sample_field(level, 1), box, level.hbar / 8)
+        with pytest.raises(ValueError, match="box sides must be positive"):
+            nodal_length_ensemble(level, [1, 2], box, level.hbar / 8)
+        with pytest.raises(ValueError, match="box sides must be positive"):
+            nodal_length(lambda pts: pts[:, 0] - 0.5, box, 0.01)
+
     def test_field_path_matches_callable_path(self):
         level = level_new(2, 60)
         field = sample_field(level, 3)

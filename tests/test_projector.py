@@ -13,12 +13,12 @@ from oscnodal import (
     pi_exact_batch,
     pi_mehler,
 )
-from oscnodal.cli import main
+from oscnodal.cli import main, read_table
 from oscnodal import projector
 from oscnodal.projector import _PAIRS_PER_PASS, _fold, _jet, read_batch_csv
 from oscnodal.semiclassical import (
     ResourceLimitError,
-    _mantexp_to_tracked,
+    TrackedReal,
     _phi_deriv_mantexp,
     _phi_mantexp,
 )
@@ -236,15 +236,31 @@ def same(a, b):
     return a.mantissa == b.mantissa and a.exponent == b.exponent
 
 
-def per_coordinate(level, x, y):
-    """Pi(x, y) with one basis recurrence per coordinate: the batch's oracle."""
+def fold_per_coordinate(level, x, y):
+    """The fold's (mantissa, exponent) pair for Pi(x, y), one basis recurrence per coordinate."""
     ld = np.longdouble
     arrays = []
     for xj, yj in zip(x, y):
         mx, ex = _phi_mantexp(level.hbar, level.N, [xj], dtype=ld)
         my, ey = _phi_mantexp(level.hbar, level.N, [yj], dtype=ld)
         arrays.append((mx[:, 0] * my[:, 0], ex[:, 0] + ey[:, 0]))
-    return _mantexp_to_tracked(*_fold(arrays, level.N, ld))
+    return _fold(arrays, level.N, ld)
+
+
+def per_coordinate(level, x, y):
+    """Pi(x, y) with one basis recurrence per coordinate: the batch's oracle."""
+    return TrackedReal(*fold_per_coordinate(level, x, y))
+
+
+def base_e_oracle(m, e2):
+    """A fold's base-2 pair as the base-e pair mantissa * e**exponent, by the
+    conversion the projector CSV was written with before TrackedReal was base 2."""
+    m = float(m)
+    if m == 0.0:
+        return 0.0, 0
+    log_abs = int(e2) * math.log(2.0) + math.log(abs(m))
+    e = math.floor(log_abs)
+    return math.copysign(math.exp(log_abs - e), m), int(e)
 
 
 class TestBatch:
@@ -264,12 +280,33 @@ class TestBatch:
         path = tmp_path / "batch.csv"
         assert main(["projector", "--d", "2", "--N", "15", "--pairs-csv", str(pairs),
                      "-o", str(path)]) == 0
+        # written side: the CSV holds to_base_e() of each value exactly
+        _, rows = read_table(path)
+        assert [tuple(row[4:]) for row in rows] == [v.to_base_e() for v in values]
+        # read side: equal up to the base-e format's own rounding
         rx, ry, rv = read_batch_csv(path)
         for a, b in zip(rx + ry, xs + ys):
             assert np.array_equal(a, b)
         assert len(rv) == len(values)
         for a, b in zip(rv, values):
-            assert same(a, b)
+            assert a.log_abs() == pytest.approx(b.log_abs(), rel=4e-15, abs=4e-15)
+
+    @pytest.mark.parametrize("d,n,count", [(2, 40, 12), (2, 1600, 12), (3, 40, 12), (3, 1600, 4)])
+    def test_base_e_edge_matches_the_old_conversion(self, d, n, count):
+        # the CSV's base-e columns are bit for bit those of the old conversion
+        level = level_new(d, n)
+        rng = np.random.default_rng(60 + d)
+        points = rng.standard_normal((2 * count, d))
+        points *= (rng.uniform(0.0, 1.7, 2 * count) / np.linalg.norm(points, axis=1))[:, None]
+        xs, ys = points[:count], points[count:]
+        for x, y, v in zip(xs, ys, pi_exact_batch(level, xs, ys)):
+            assert v.to_base_e() == base_e_oracle(*fold_per_coordinate(level, x, y))
+
+    def test_empty_pairs_csv_is_an_error(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# only a comment\n")
+        with pytest.raises(ValueError, match="empty.csv.*no header row"):
+            read_batch_csv(empty)
 
     @pytest.mark.parametrize("d,n", [(1, 30), (2, 40), (3, 12), (2, 1600)])
     def test_batch_equals_one_pair_calls(self, d, n):
