@@ -38,6 +38,7 @@ from .densities import (  # noqa: F401
     caustic_crossing_constant,
     caustic_intersection_density,
     density_regime,
+    density_regime_batch,
     kac_rice_density,
     omega_caustic_scaled,
     omega_exact,

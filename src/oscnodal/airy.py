@@ -15,7 +15,9 @@ Evaluation routes:
   * contour      - quadrature on a half-contour exploiting conjugate symmetry;
                    for s < -2 the path is rerouted through the oscillatory
                    saddles at +-i sqrt(|s|) so double precision keeps ~1e-12
-                   relative accuracy down to s = -40 and beyond.
+                   relative accuracy down to s = -40 and beyond.  Paths sit
+                   on the anchor lattice h floor(s / h); a table shares one
+                   path and one exponential block per anchor.
   * gamma_integral - adaptive quadrature of the antiderivative form (k < 0).
   * asymptotic   - large-|s| expansions (see ai_k_asymptotic).
 
@@ -44,6 +46,14 @@ AI_PRIME_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 _SADDLE_SWITCH = -2.0
 #: |s| >= this is required before the asymptotic expansions are trusted
 ASYMPTOTIC_CROSSOVER = 8.0
+#: method "auto" takes the asymptotic expansion for |s| beyond this
+ASYMPTOTIC_SWITCH = 200.0
+
+#: contour paths are anchored on the lattice a(s) = h floor(s / h) of this
+#: spacing h, so a path serves every s in [a, a + h) (DECISIONS.md)
+_ANCHOR_STEP = 0.5
+#: an anchor's exponential block is built at most this many entries at a time
+_BLOCK_ENTRIES = 1 << 18
 
 #: a ray leaves its base along e^{i pi/3} in at most this many unit panels
 _RAY_PANELS = 120
@@ -140,46 +150,65 @@ def contour_integral(k, s, extra=None, s_ref=None):
     """(1/2 pi i) int_C T^k exp(T^3/3 - T s) extra(T) dT for real s.
 
     `s` may be a scalar or an array sharing one contour: pass s_ref (defaults
-    to min(s)) to anchor the path.  `extra` must satisfy
+    to min(s)) to anchor the path.  `k` may be a sequence of weights; they
+    share the path and its exponential block, and the result gains a leading
+    axis, one row per weight.  `extra` must satisfy
     extra(conj T) = conj extra(T) and stay bounded on Re T > 0.
+
+    The exponential block holds one contiguous row exp(T^3/3 - T s) per s,
+    and each value is the last-axis sum of its own row times the weights, so
+    it depends on (k, s, s_ref, extra) alone, not on the other arguments.
+    Rows are taken _BLOCK_ENTRIES entries at a time.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if s_ref is None:
         s_ref = float(np.min(s_arr))
     t, w = _upper_path(s_ref)
-    vals = w * t ** complex(k)
+    weighted = [w * t ** complex(kk) for kk in np.atleast_1d(k)]
     if extra is not None:
-        vals = vals * extra(t)
-    out = np.imag(vals @ _contour_exponential(t, s_arr)) / math.pi
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return float(out[0])
+        factor = extra(t)
+        weighted = [vals * factor for vals in weighted]
+    phase = t ** 3 / 3.0
+    out = np.empty((len(weighted), s_arr.size))
+    rows = max(1, _BLOCK_ENTRIES // t.size)
+    for lo in range(0, s_arr.size, rows):
+        block = _contour_exponential(t, phase, s_arr[lo:lo + rows])
+        for i, vals in enumerate(weighted):
+            out[i, lo:lo + rows] = np.sum(block * vals, axis=-1).imag / math.pi
+    if np.ndim(k) == 0:
+        out = out[0]
+        if np.ndim(s) == 0:
+            return float(out[0])
     return out
 
 
-def _contour_exponential(t, s_arr):
-    """exp(T^3/3 - T s) on the path nodes t, one column per s."""
-    phase = t ** 3 / 3.0
-    expo = phase[:, None] - t[:, None] * s_arr[None, :]
+def _contour_exponential(t, phase, s_arr):
+    """exp(T^3/3 - T s) on the path nodes t, one row per s (phase = T^3/3)."""
+    block = np.empty((s_arr.size, t.size), dtype=complex)
+    block.real = phase.real - s_arr[:, None] * t.real
+    block.imag = phase.imag - s_arr[:, None] * t.imag
     # the path construction keeps Re(expo) modest; clip as a belt and braces
-    return np.exp(np.clip(expo.real, None, 500.0) + 1j * expo.imag)
+    np.minimum(block.real, 500.0, out=block.real)
+    return np.exp(block, out=block)
 
 
-def _ai_k_contour(k, s):
-    """Contour evaluation of an array, banded so each band shares a path."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty_like(s_arr, dtype=float)
-    order = np.argsort(s_arr)
-    sorted_s = s_arr[order]
-    start = 0
-    while start < sorted_s.size:
-        anchor = sorted_s[start]
-        stop = start
-        while stop < sorted_s.size and sorted_s[stop] <= anchor + 3.0 and \
-                (sorted_s[stop] < _SADDLE_SWITCH) == (anchor < _SADDLE_SWITCH):
-            stop += 1
-        band = sorted_s[start:stop]
-        out[order[start:stop]] = contour_integral(k, band, s_ref=anchor)
-        start = stop
+def _ai_k_contour(ks, s):
+    """Ai_k(s) by the contour for every k in ks and every s of a 1-d array,
+    shape (len(ks), len(s)).
+
+    The arguments are grouped by their lattice anchor
+    a(s) = _ANCHOR_STEP * floor(s / _ANCHOR_STEP), which depends on s alone;
+    each group makes one contour_integral call on the path anchored at a(s).
+    -2 is a lattice point, so s < -2 and only those take a saddle path.  A
+    value is therefore the same (==) in any table, alone or with any others.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.empty((len(ks), s.size))
+    anchors = _ANCHOR_STEP * np.floor(s / _ANCHOR_STEP)
+    order = np.argsort(anchors, kind="stable")
+    starts = np.flatnonzero(np.diff(anchors[order])) + 1
+    for group in np.split(order, starts) if s.size else ():
+        out[:, group] = contour_integral(ks, s[group], s_ref=float(anchors[group[0]]))
     return out
 
 
@@ -215,55 +244,71 @@ def ai_k(k, s, method="auto"):
     """Weighted Airy function Ai_k(s); k is the subscript as printed.
 
     method: one of "auto", "contour", "gamma_integral", "asymptotic".
-    auto uses the contour for |s| <= 200 and the asymptotic expansion beyond.
-    Scalar contour results are memoized in _memo, keyed by (float(k),
-    float(s)); the weights at one s also share one cached contour path.
+    auto uses the contour for |s| <= ASYMPTOTIC_SWITCH and the asymptotic
+    expansion beyond, element by element; contour refuses |s| beyond it.
+    `s` may be a scalar or an array; a scalar contour value goes through
+    _memo, keyed by (float(k), float(s)).  Every contour value is the one
+    _ai_k_contour gives for (k, s) in any table.
     """
     if method not in ("auto", "contour", "gamma_integral", "asymptotic"):
         raise ValueError(f"unknown method {method!r}")
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    if not math.isfinite(k):
-        raise ValueError(f"ai_k needs a finite k, got {k!r}")
-    if not (math.isfinite(s) if scalar else np.isfinite(s).all()):
-        raise ValueError(f"ai_k needs a finite s, got {s!r}")
+    _check_finite((k,), s)
     if method == "gamma_integral":
-        if not scalar:
+        if np.ndim(s) > 0:
             return np.array([_ai_k_gamma(k, v) for v in np.asarray(s, float)])
         return _ai_k_gamma(k, s)
     if method == "asymptotic":
         return ai_k_asymptotic(k, s)
-    if method == "auto" and scalar and abs(float(s)) > 200.0:
-        return ai_k_asymptotic(k, s)
-    if scalar:
-        return _memo_contour((k,), float(s))[0]
-    return _ai_k_contour(k, s)
+    if method == "contour" and np.any(np.abs(s) > ASYMPTOTIC_SWITCH):
+        raise ValueError(f"the contour route takes |s| <= {ASYMPTOTIC_SWITCH:g} (its saddle "
+                         f"path grows like |s|^(3/2)); use auto or asymptotic for s = {s!r}")
+    return _family((k,), s)[0]
 
 
 def ai_k_family(ks, s):
-    """[ai_k(k, s) for k in ks] at one scalar s, method "auto", with one
-    contour exponential for all the weights; every value equals ai_k(k, s)."""
-    if not (math.isfinite(s) and abs(s) <= 200.0 and all(math.isfinite(k) for k in ks)):
-        return [ai_k(k, s) for k in ks]
-    return _memo_contour(ks, float(s))
+    """[ai_k(k, s) for k in ks], method "auto": a list at a scalar s, an array
+    with one row per weight for an array s.  The weights share each contour
+    path and exponential block; every value equals ai_k(k, s)."""
+    _check_finite(ks, s)
+    return _family(ks, s)
 
 
-def _memo_contour(ks, s):
-    """Contour values Ai_k(s) for each k at one float s, through _memo.
+def _check_finite(ks, s):
+    for k in ks:
+        if not math.isfinite(k):
+            raise ValueError(f"ai_k needs a finite k, got {k!r}")
+    if not np.isfinite(s).all():
+        raise ValueError(f"ai_k needs a finite s, got {s!r}")
 
-    The weights missing from _memo share one path and one contour
-    exponential exp(T^3/3 - T s), to which each w T^k is applied.
+
+def _family(ks, s):
+    """Contour values for |s| <= ASYMPTOTIC_SWITCH, asymptotic ones beyond.
+
+    A scalar s reads and fills _memo, and the weights missing from it make
+    one _ai_k_contour call.
     """
-    out = [_memo.get((float(k), s)) for k in ks]
-    missing = [i for i, val in enumerate(out) if val is None]
-    if missing:
-        t, w = _upper_path(s)
-        expo = _contour_exponential(t, np.array([s]))
-        for i in missing:
-            val = float(np.imag((w * t ** complex(ks[i])) @ expo)[0] / math.pi)
+    if np.ndim(s) == 0:
+        s = float(s)
+        if abs(s) > ASYMPTOTIC_SWITCH:
+            return [ai_k_asymptotic(k, s) for k in ks]
+        out = [_memo.get((float(k), s)) for k in ks]
+        missing = [i for i, val in enumerate(out) if val is None]
+        if missing:
+            vals = _ai_k_contour([ks[i] for i in missing], np.array([s]))
             if len(_memo) > 100000:
                 _memo.clear()
-            _memo[(float(ks[i]), s)] = out[i] = val
-    return out
+            for i, val in zip(missing, vals[:, 0].tolist()):
+                _memo[(float(ks[i]), s)] = out[i] = val
+        return out
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    out = np.empty((len(ks), flat.size))
+    far = np.abs(flat) > ASYMPTOTIC_SWITCH
+    if far.any():
+        for i, k in enumerate(ks):
+            out[i, far] = ai_k_asymptotic(k, flat[far])
+    out[:, ~far] = _ai_k_contour(ks, flat[~far])
+    return out.reshape((len(ks),) + s.shape)
 
 
 def ai_k_asymptotic(k, s):
@@ -288,12 +333,27 @@ def ai_k_asymptotic(k, s):
     terms whose Gamma argument sits at a pole are dropped.  The oscillatory
     phase grows like |s|^(3/2); the relative error of the oscillatory part is
     O(1/|s|).
+
+    An array s is expanded element by element.  Where a term overflows the
+    float range (s^3 at s > 5e102, |s|^(3/2) at s < -3e205) the expansion is
+    refused with a ValueError.
     """
+    if np.ndim(s) > 0:
+        s = np.asarray(s, dtype=float)
+        return np.array([ai_k_asymptotic(k, v) for v in s.ravel().tolist()]).reshape(s.shape)
     s = float(s)
     if abs(s) < ASYMPTOTIC_CROSSOVER:
         raise ValueError(
             f"asymptotic expansion needs |s| >= {ASYMPTOTIC_CROSSOVER}, got {s}")
-    kappa = -float(k)
+    try:
+        return _asymptotic(-float(k), s)
+    except OverflowError:
+        raise ValueError(f"the asymptotic expansion of Ai_k overflows at s = {s!r} "
+                         f"(k = {k!r})") from None
+
+
+def _asymptotic(kappa, s):
+    """The expansions of ai_k_asymptotic at one float s, kappa = -k."""
     if s > 0:
         c2 = (kappa * kappa + 2.0 * kappa) / 4.0 + 5.0 / 48.0
         c4 = 10395.0 / 124416.0 + 945.0 * kappa / 5184.0 \

@@ -189,10 +189,8 @@ def _cmd_projector(args):
 
 def _cmd_airy(args):
     svals = _parse_range(args.s)
-    rows = []
-    for s in svals:
-        value = airy.ai_k(args.k, s, method=args.method)
-        rows.append([args.k, s, float(value), args.method])
+    values = airy.ai_k(args.k, np.array(svals), method=args.method)
+    rows = [[args.k, s, float(value), args.method] for s, value in zip(svals, values)]
     comments = [
         "weighted Airy function values",
         "columns: k (weight), s (argument), value = Ai_k(s), method",
@@ -245,16 +243,18 @@ def _cmd_density(args):
     alpha = default_alpha if args.alpha is None else args.alpha
     if args.u1_range is None:
         args.u1_range = default_range
-    rows, predictions, points = [], [], []
-    for u1 in _parse_range(args.u1_range):
-        u = u1 * frame.x0
-        query = densities.RegimeQuery(frame=frame, u=u, alpha=alpha, region=region)
-        predicted = densities.density_regime(query, level)
-        s = 2.0 * u1
-        rows.append([args.regime, args.d, args.N, level.hbar, alpha, s,
-                     predicted.log_abs() if predicted.mantissa else -math.inf])
-        predictions.append(predicted)
-        points.append(frame.x0 + level.hbar ** alpha * u)
+    u1s = _parse_range(args.u1_range)
+    queries = [densities.RegimeQuery(frame=frame, u=u1 * frame.x0, alpha=alpha, region=region)
+               for u1 in u1s]
+    try:
+        # one Airy table for a caustic-tube range
+        predictions = densities.density_regime_batch(queries, level)
+    except ValueError as exc:
+        raise ValueError(f"--u1-range {args.u1_range!r}: {exc}") from None
+    rows = [[args.regime, args.d, args.N, level.hbar, alpha, 2.0 * u1,
+             predicted.log_abs() if predicted.mantissa else -math.inf]
+            for u1, predicted in zip(u1s, predictions)]
+    points = [frame.x0 + level.hbar ** alpha * query.u for query in queries]
     worst = 0.0
     if args.with_exact:
         # one basis recurrence for the whole table

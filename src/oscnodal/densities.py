@@ -218,20 +218,35 @@ def omega_caustic_scaled(frame, u):
                 + (delta_ij/2) Ai_{-1-d/2}(s)/Ai_{-d/2}(s).
 
     The physical matrix at x0 + hbar^(2/3) u is hbar^(-4/3) Omega0(u).
-    Ai_{-d/2} > 0 for every integer d >= 2, so the ratios are well defined.
+    Ai_{-d/2} > 0 for every integer d >= 2, but it underflows for s beyond
+    ~105; an offset whose Ai_{-d/2}(s) is below the smallest normal float is
+    refused with a ValueError, since the ratios are then not computable.
+    An (m, d) array of offsets gives a list of m matrices from one
+    four-weight ai_k_family table.
     """
     d = frame.d
     if d < 2:
         raise ValueError("the caustic matrix needs d >= 2")
     u = np.asarray(u, dtype=float)
-    s = 2.0 * frame.normal_component(u)
+    s = 2.0 * (u @ frame.x0)
+    if u.ndim == 1:
+        s = float(s)
     base, second, first, lower = airy.ai_k_family(
         (-d / 2.0, 2.0 - d / 2.0, 1.0 - d / 2.0, -1.0 - d / 2.0), s)
-    assert base > 0.0, "Ai_{-d/2} must be positive"
+    small = np.flatnonzero(np.atleast_1d(base) < np.finfo(float).tiny)
+    if small.size:
+        i = small[0]
+        s_i, base_i = float(np.atleast_1d(s)[i]), float(np.atleast_1d(base)[i])
+        raise ValueError(f"caustic-tube offset <u, x0> = {s_i / 2.0!r}: Ai_{{-d/2}}({s_i!r}) = "
+                         f"{base_i!r} is below the smallest normal float, so Omega0 is not "
+                         f"computable there")
     radial = second / base - (first / base) ** 2
     tangential = 0.5 * lower / base
-    omega = radial * np.outer(frame.x0, frame.x0) + tangential * np.eye(d)
-    return KacRiceMatrix(omega=omega)
+    outer = np.outer(frame.x0, frame.x0)
+    if u.ndim == 1:
+        return KacRiceMatrix(omega=radial * outer + tangential * np.eye(d))
+    return [KacRiceMatrix(omega=r * outer + t * np.eye(d))
+            for r, t in zip(radial.tolist(), tangential.tolist())]
 
 
 def density_regime(query, level):
@@ -241,39 +256,66 @@ def density_regime(query, level):
     Bulk regions return the unscaled density F(x) at x = x0 + u; annuli and the
     tube return the rescaled density of the zoomed field at offset u (annulus
     Omegas carry the hbar^(2 alpha) dilation factor; the tube value is
-    hbar-independent).
+    hbar-independent).  The one-query case of density_regime_batch.
     """
+    return density_regime_batch([query], level)[0]
+
+
+def density_regime_batch(queries, level):
+    """density_regime at every query of a list.
+
+    The caustic-tube queries that share a frame take their Omegas from one
+    omega_caustic_scaled call, that is one Airy table; every density equals
+    (==) a one-query density_regime.
+    """
+    d = level.d
+    if any(q.frame.d != d for q in queries):
+        raise ValueError("level and frame dimensions differ")
+    tube = {}
+    for i, q in enumerate(queries):
+        if q.region is Region.CAUSTIC_TUBE:
+            tube.setdefault(id(q.frame), []).append(i)
+    omegas = {}
+    for group in tube.values():
+        offsets = np.array([np.asarray(queries[i].u, float) for i in group])
+        omegas.update(zip(group, omega_caustic_scaled(queries[group[0]].frame, offsets)))
+    out = []
+    for i, query in enumerate(queries):
+        if i in omegas:
+            omega, log_sigma_sq = omegas[i], 0.0
+        else:
+            omega, log_sigma_sq = _regime_omega(query, level)
+        # the density is 1-homogeneous under Omega -> c^2 Omega
+        out.append(kac_rice_density(omega, d) * TrackedReal.from_log(0.5 * log_sigma_sq))
+    return out
+
+
+def _regime_omega(query, level):
+    """(KacRiceMatrix, log sigma^2) of a query off the caustic tube."""
     frame, u, alpha, region = query.frame, np.asarray(query.u, float), query.alpha, query.region
     d = level.d
-    if d != frame.d:
-        raise ValueError("level and frame dimensions differ")
     x = frame.x0 + u
     r_sq = float(x @ x)
     u1 = frame.normal_component(u)
     if region is Region.ALLOWED_BULK:
         if not 0.0 < r_sq < 1.0:
             raise ValueError("allowed_bulk point must satisfy 0 < |x| < 1")
-        omega, log_sigma_sq = omega_allowed_annulus(level, frame, 0.0, 1.0 - r_sq)
-    elif region is Region.FORBIDDEN_BULK:
+        return omega_allowed_annulus(level, frame, 0.0, 1.0 - r_sq)
+    if region is Region.FORBIDDEN_BULK:
         if r_sq <= 1.0:
             raise ValueError("forbidden_bulk point must satisfy |x| > 1")
         # the forbidden-annulus matrix before its |x| -> 1 limit (rank d - 1)
         xhat = x / math.sqrt(r_sq)
         omega = KacRiceMatrix(np.eye(d) - np.outer(xhat, xhat))
-        log_sigma_sq = -math.log(2.0 * level.hbar * math.sqrt(r_sq * (r_sq - 1.0)))
-    elif region is Region.CAUSTIC_TUBE:
-        omega, log_sigma_sq = omega_caustic_scaled(frame, u), 0.0
+        return omega, -math.log(2.0 * level.hbar * math.sqrt(r_sq * (r_sq - 1.0)))
     # annuli: |x|^2 = 1 -+ hbar^alpha s with s > 0 on the matching side
-    elif region is Region.ALLOWED_ANNULUS:
+    if region is Region.ALLOWED_ANNULUS:
         if u1 >= 0.0:
             raise ValueError("allowed annulus requires <u, x0> < 0")
-        omega, log_sigma_sq = omega_allowed_annulus(level, frame, alpha, -2.0 * u1)
-    else:
-        if u1 <= 0.0:
-            raise ValueError("forbidden annulus requires <u, x0> > 0")
-        omega, log_sigma_sq = omega_forbidden_annulus(level, frame, alpha, 2.0 * u1)
-    # the density is 1-homogeneous under Omega -> c^2 Omega
-    return kac_rice_density(omega, d) * TrackedReal.from_log(0.5 * log_sigma_sq)
+        return omega_allowed_annulus(level, frame, alpha, -2.0 * u1)
+    if u1 <= 0.0:
+        raise ValueError("forbidden annulus requires <u, x0> > 0")
+    return omega_forbidden_annulus(level, frame, alpha, 2.0 * u1)
 
 
 def omega_allowed_annulus(level, frame, alpha, s):

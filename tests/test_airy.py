@@ -338,3 +338,146 @@ class TestSharedContourExponential:
         assert airy.ai_k_family((-1.0, 0.0), 250.0) == [ai_k(-1.0, 250.0), ai_k(0.0, 250.0)]
         with pytest.raises(ValueError, match="finite s"):
             airy.ai_k_family((-1.0,), math.nan)
+
+
+def _mp_ai_k(k, s):
+    """Ai_k(s) as an mpmath number, from the Maclaurin series
+
+        Ai_k(s) = sum_n (-s)^n / n! Ai_{k+n}(0),  Ai_j(0) = 3^((j-2)/3) / Gamma((2-j)/3)
+
+    (the contour integral expanded in s; 1/Gamma is 0 at its poles).  The
+    terms peak near e^((2/3)|s|^(3/2)) = 10^(0.29 |s|^(3/2)), and for s > 0
+    the sum is as far below 1, so the series carries 30 + 0.3 |s|^(3/2)
+    digits (0.6 s^(3/2) for s > 0) and keeps ~30 significant ones.  Any real
+    k works, and there is no endpoint singularity to cost digits.
+    """
+    import mpmath
+
+    digits = 30 + int((0.6 if s > 0 else 0.3) * abs(float(s)) ** 1.5)
+    with mpmath.workdps(digits):
+        k, s = mpmath.mpf(k), mpmath.mpf(s)
+        cbrt3 = mpmath.cbrt(3)
+        # 1/Gamma((2-k-n)/3) for n = 0, 1, 2, stepped by 3 through 1/Gamma(x-1) = (x-1)/Gamma(x)
+        rgamma = [mpmath.rgamma((2 - k - n) / 3) for n in range(3)]
+        coeff = mpmath.power(3, (k - 2) / 3)  # (-s)^n / n! 3^((k+n-2)/3)
+        total, n, quiet = mpmath.mpf(0), 0, 0
+        while quiet < 3:
+            term = coeff * rgamma[n % 3]
+            total += term
+            rgamma[n % 3] *= (2 - k - n) / 3 - 1
+            n += 1
+            coeff *= -s * cbrt3 / n
+            quiet = quiet + 1 if abs(term) <= mpmath.mpf(10) ** -digits * abs(total) else 0
+        return total
+
+
+def _mp_ai_k_tau(k, s):
+    """Ai_k(s) for k < 0 from the antiderivative form with rho = tau^2,
+
+        Ai_{-kappa}(s) = (2/Gamma(kappa)) int_0^inf Ai(s + tau^2) tau^(2 kappa - 1) dtau,
+
+    smooth at tau = 0, by mpmath Gauss-Legendre panels of width 1/4 (~0.3 s a
+    point, which is why the series above is the oracle on whole grids)."""
+    import mpmath
+
+    with mpmath.workdps(20):
+        kappa, s = -mpmath.mpf(k), mpmath.mpf(s)
+        upper = mpmath.sqrt(max(4, 40 - s))
+        edges = mpmath.linspace(0, upper, int(4 * upper) + 2)
+        total = mpmath.quad(lambda tau: mpmath.airyai(s + tau * tau) * tau ** (2 * kappa - 1),
+                            edges, method="gauss-legendre")
+        return 2 * total / mpmath.gamma(kappa)
+
+
+TUBE_WEIGHTS = {d: (-d / 2.0, 2.0 - d / 2.0, 1.0 - d / 2.0, -1.0 - d / 2.0) for d in (2, 3)}
+
+
+class TestAnchorLatticeTable:
+    """One table routine: paths on the lattice h floor(s / h), one block per anchor."""
+
+    @pytest.mark.parametrize("ks", [TUBE_WEIGHTS[2], TUBE_WEIGHTS[3], (-1.5,)])
+    def test_value_does_not_depend_on_the_table(self, ks):
+        rng = np.random.default_rng(15)
+        s = np.concatenate([np.linspace(-40.0, 10.0, 61), rng.uniform(-40.0, 10.0, 20),
+                            [-2.0, np.nextafter(-2.0, -3.0), -0.5, 0.0, 7.25, -200.0, 200.0]])
+        table = airy.ai_k_family(ks, s)
+        perm = rng.permutation(s.size)
+        assert np.array_equal(airy.ai_k_family(ks, s[perm]), table[:, perm])
+        airy._memo.clear()
+        for j, x in enumerate(s):
+            assert np.array_equal(airy.ai_k_family(ks, s[j:j + 1])[:, 0], table[:, j])
+            assert airy.ai_k_family(ks, float(x)) == table[:, j].tolist()
+        airy._memo.clear()
+        for i, k in enumerate(ks):
+            assert [ai_k(k, float(x)) for x in s] == table[i].tolist()
+            assert np.array_equal(ai_k(k, s), table[i])
+
+    def test_chunked_rows_change_no_value(self, monkeypatch):
+        s = np.linspace(-30.0, 8.0, 301)
+        whole = airy.ai_k_family(TUBE_WEIGHTS[3], s)
+        monkeypatch.setattr(airy, "_BLOCK_ENTRIES", 1500)  # a row or two per block
+        assert np.array_equal(airy.ai_k_family(TUBE_WEIGHTS[3], s), whole)
+
+    def test_one_path_per_anchor(self):
+        airy._upper_path.cache_clear()
+        ai_k(-1.5, np.array([-2.4, -2.1, -2.0, -1.6, 0.2, 0.45, 0.5]))
+        info = airy._upper_path.cache_info()
+        assert (info.misses, info.hits) == (4, 0)  # anchors -2.5, -2, 0 and 0.5
+
+    def test_series_oracle_is_the_antiderivative_form(self):
+        pytest.importorskip("mpmath")
+        assert float(_mp_ai_k(-1.5, -7.3)) == pytest.approx(float(_mp_ai_k_tau(-1.5, -7.3)),
+                                                             rel=1e-15)
+
+    def test_table_matches_mpmath(self):
+        pytest.importorskip("mpmath")
+        s = np.linspace(-40.0, 10.0, 40)
+        got = ai_k(-1.5, s)
+        want = np.array([float(_mp_ai_k(-1.5, x)) for x in s])
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 3e-14
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tube_omega_matches_mpmath(self, d):
+        mpmath = pytest.importorskip("mpmath")
+        frame = CausticFrame.from_point(np.eye(d)[0])
+        u1 = np.linspace(-6.0, 3.0, 16)
+        got = np.array([m.omega for m in omega_caustic_scaled(frame, np.outer(u1, frame.x0))])
+        want = np.empty_like(got)
+        with mpmath.workdps(30):
+            for i, x in enumerate(u1):
+                base, second, first, lower = (_mp_ai_k(k, 2.0 * x) for k in TUBE_WEIGHTS[d])
+                radial = float(second / base - (first / base) ** 2)
+                tangential = float(lower / (2 * base))
+                want[i] = radial * np.outer(frame.x0, frame.x0) + tangential * np.eye(d)
+        assert np.max(np.abs(got - want)) <= 3e-14 * np.max(np.abs(want))
+
+    def test_array_takes_the_asymptotic_switch_element_by_element(self):
+        s = np.array([-250.0, -1000.0, 250.0, -3.0])
+        got = ai_k(-1.0, s)
+        assert got.tolist() == [ai_k(-1.0, float(x)) for x in s]
+        assert got[:3].tolist() == [ai_k_asymptotic(-1.0, x) for x in s[:3]]
+        assert airy.ai_k_family((-1.0, 0.0), s)[:, 1].tolist() == [ai_k(-1.0, -1000.0),
+                                                                    ai_k(0.0, -1000.0)]
+
+    def test_contour_method_stops_at_the_switch(self):
+        assert ai_k(-1.0, -200.0, method="contour") == ai_k(-1.0, -200.0)
+        with pytest.raises(ValueError, match="contour route"):
+            ai_k(-1.0, np.array([0.0, -250.0]), method="contour")
+
+
+class TestAsymptoticEdges:
+    def test_array_input_is_expanded_element_by_element(self):
+        s = np.array([[10.0, 20.0], [-9.0, -300.0]])
+        got = ai_k(-1.5, s, method="asymptotic")
+        assert got.shape == s.shape
+        assert got.ravel().tolist() == [ai_k_asymptotic(-1.5, x) for x in s.ravel()]
+        with pytest.raises(ValueError, match="needs"):
+            ai_k(-1.5, np.array([10.0, 3.0]), method="asymptotic")
+
+    @pytest.mark.parametrize("s", [1e308, -1e308])
+    def test_overflow_is_a_value_error(self, s):
+        for k in (-1.0, 0.0, -2.5):
+            with pytest.raises(ValueError, match="overflows"):
+                ai_k(k, s)
+            with pytest.raises(ValueError, match="overflows"):
+                ai_k(k, np.array([0.0, s]))

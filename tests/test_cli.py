@@ -37,6 +37,20 @@ class TestAiryCommand:
         # full round-trip precision: re-parsed values match exactly
         assert mid[2] == float(repr(mid[2]))
 
+    def test_table_equals_scalar_values(self, tmp_path):
+        # one ai_k call per table, each value the scalar ai_k's to the bit
+        status, out = run(tmp_path, "airy", "--k", "-1.5", "--s", "-40:10:0.35")
+        assert status == 0
+        rows = read_table(out)[1]
+        assert [row[2] for row in rows] == [ai_k(-1.5, row[1]) for row in rows]
+
+    @pytest.mark.parametrize("s", ["1e308", "-1e308"])
+    def test_overflowing_argument_is_a_usage_error(self, tmp_path, capsys, s):
+        status, out = run(tmp_path, "airy", "--k", "-1", "--s", s)
+        assert status == 1
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_header_and_comment_block(self, tmp_path):
         _, out = run(tmp_path, "airy", "--k", "0", "--s", "0:1:0.5")
         lines = out.read_text().splitlines()
@@ -160,6 +174,20 @@ class TestDensityCommand:
                         "--d", "2", "--N", "100", "--u1-range", "-0.3:-0.3:1",
                         "--with-exact", "--tolerance", "1e-12")
         assert status == 2
+
+    def test_caustic_tube_refuses_an_underflowing_offset(self, tmp_path, capsys):
+        for u1 in ("53:53:1", "-1,60"):
+            status, out = run(tmp_path, "density", "--regime", "caustic-tube", "--d", "2",
+                              "--u1-range", u1)
+            assert status == 1
+            err = capsys.readouterr().err
+            assert f"--u1-range {u1!r}" in err and "smallest normal float" in err
+            assert not out.exists()
+        status, out = run(tmp_path, "density", "--regime", "caustic-tube", "--d", "2",
+                          "--u1-range", "50:50:1")
+        assert status == 0
+        header, rows = read_table(out)
+        assert math.isfinite(rows[0][header.index("predicted_density_log")])
 
     def test_caustic_tube_d4_is_fast(self, tmp_path):
         # the d >= 4 sphere average is one fixed 333-node rule per point
@@ -508,6 +536,23 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("airy", "--k", "-1", "--s", "1e308"),
+    ("airy", "--k", "-1", "--s", "-1e308"),
+    ("density", "--regime", "caustic-tube", "--u1-range", "60:60:1"),
+    ("pi0", "--d", "2", "--u1-range", "200:200:1", "--v1-range", "0:0:1"),
+])
+def test_extreme_inputs_end_without_a_traceback(tmp_path, argv):
+    # through the real entry point: exit 0 or a usage error, never a traceback
+    src = os.path.dirname(os.path.dirname(oscnodal.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "oscnodal.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode in (0, 1), done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -15,6 +15,7 @@ from oscnodal import (
     caustic_crossing_constant,
     caustic_intersection_density,
     density_regime,
+    density_regime_batch,
     kac_rice_density,
     level_new,
     omega_caustic_scaled,
@@ -255,6 +256,25 @@ class TestOmegaCausticScaled:
         off = omega - np.diag(np.diag(omega))
         assert np.max(np.abs(off)) < 1e-14
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_table_of_offsets_equals_one_offset_at_a_time(self, d):
+        frame = CausticFrame.from_point(np.eye(d)[0])
+        offsets = np.outer(np.arange(-6.0, 3.0001, 0.3), frame.x0)
+        table = omega_caustic_scaled(frame, offsets)
+        assert len(table) == len(offsets)
+        for u, omega in zip(offsets, table):
+            assert np.array_equal(omega.omega, omega_caustic_scaled(frame, u[None, :])[0].omega)
+            assert np.array_equal(omega.omega, omega_caustic_scaled(frame, u).omega)
+
+    def test_underflowing_base_weight_is_refused(self):
+        # Ai_{-1}(2 u1) leaves the normal floats near u1 = 52
+        assert np.all(np.isfinite(omega_caustic_scaled(FRAME2, 50.0 * FRAME2.x0).omega))
+        for u1 in (53.0, 60.0):
+            with pytest.raises(ValueError, match="smallest normal float"):
+                omega_caustic_scaled(FRAME2, u1 * FRAME2.x0)
+            with pytest.raises(ValueError, match=f"= {u1!r}:"):
+                omega_caustic_scaled(FRAME2, np.outer([0.0, u1], FRAME2.x0))
+
     def test_consistency_with_exact_kernel(self):
         # hbar^(4/3) omega_exact(x0 + hbar^(2/3) u) approaches the scaled
         # matrix as N grows, with error shrinking like hbar^(1/3)
@@ -345,6 +365,18 @@ class TestDensityRegime:
             query = RegimeQuery(frame=FRAME2, u=np.array([u1, 0.0]),
                                 alpha=2.0 / 3.0, region=Region.CAUSTIC_TUBE)
             assert density_regime(query, level_new(2, 100)).to_float() > 0.0
+
+    def test_batch_equals_one_query_at_a_time(self):
+        # the tube queries share one Airy table; the others go one by one
+        level = level_new(2, 100)
+        queries = [RegimeQuery(frame=FRAME2, u=np.array([u1, 0.0]), alpha=2.0 / 3.0,
+                               region=Region.CAUSTIC_TUBE) for u1 in np.arange(-4.0, 2.0, 0.7)]
+        queries.insert(3, RegimeQuery(frame=FRAME2, u=np.array([-0.4, 0.0]), alpha=0.0,
+                                      region=Region.ALLOWED_BULK))
+        batch = density_regime_batch(queries, level)
+        assert len(batch) == len(queries)
+        for query, value in zip(queries, batch):
+            assert value == density_regime(query, level)
 
     def test_regime_consistency_validation(self):
         with pytest.raises(ValueError):
