@@ -21,19 +21,21 @@ Evaluation routes:
   * gamma_integral - adaptive quadrature of the antiderivative form (k < 0).
   * asymptotic   - large-|s| expansions (see ai_k_asymptotic).
 
-The classical Ai itself is delegated to scipy.special.airy; ai_series below
-is an independent Maclaurin evaluation used as a cross-check oracle.
+The classical Ai itself is a Taylor series from the nearest anchor of a
+lattice of step 1/4 on [-200, 108], whose (Ai, Ai') values are mpmath's
+(_airy_anchors); ai_series below is an independent Maclaurin evaluation used
+as a cross-check oracle.  Only the gamma_integral route needs scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
-from scipy import special as _sp
 
-from . import quadrature
+from . import _airy_anchors, quadrature
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -55,25 +57,111 @@ _ANCHOR_STEP = 0.5
 #: an anchor's exponential block is built at most this many entries at a time
 _BLOCK_ENTRIES = 1 << 18
 
-#: a ray leaves its base along e^{i pi/3} in at most this many unit panels
+#: a ray leaves its base along e^{i pi/3} in at most this many unit panels,
+#: built this many at a time
 _RAY_PANELS = 120
+_RAY_BLOCK = 8
 
 
 @functools.cache
 def _ray_panels():
     """24-point Gauss-Legendre rules on the unit panels [r, r + 1] of a ray
-    (built on first use, which keeps numpy.polynomial out of the import)."""
+    (built on first use)."""
     nodes, weights = quadrature.panels(np.arange(_RAY_PANELS + 1.0), 24)
     return nodes.reshape(_RAY_PANELS, 24), weights.reshape(_RAY_PANELS, 24)
 
 
+#: largest Taylor term count; every anchor needs fewer (_taylor_table checks it)
+_TAYLOR_TERMS = 30
+#: index of the anchor a = 0 in _airy_anchors.VALUES
+_ANCHOR_ZERO = round(-_airy_anchors.START / _airy_anchors.STEP)
+#: last anchor; Ai underflows to 0 beyond it
+_AI_TABLE_END = _airy_anchors.START + _airy_anchors.STEP * (_airy_anchors.COUNT - 1)
+
+
+@functools.cache
+def _taylor_table():
+    """Taylor coefficients of Ai about every anchor a, shape (terms, anchors),
+    and each anchor's term count.
+
+    c_0 = Ai(a), c_1 = Ai'(a) and, from Ai'' = s Ai,
+    (n+2)(n+1) c_(n+2) = a c_n + c_(n-1).  An anchor keeps the terms up to the
+    last whose size at |h| = STEP / 2 exceeds 2^-64 of the sum of all sizes,
+    and the rest are set to 0 (built on first use).
+    """
+    anchors = _airy_anchors.START + _airy_anchors.STEP * np.arange(_airy_anchors.COUNT)
+    c = np.empty((_TAYLOR_TERMS, anchors.size))
+    c[:2] = np.fromiter(itertools.chain.from_iterable(_airy_anchors.VALUES), float,
+                        2 * anchors.size).reshape(-1, 2).T
+    c[2] = anchors * c[0] / 2.0
+    for n in range(1, _TAYLOR_TERMS - 2):
+        c[n + 2] = (anchors * c[n] + c[n - 1]) / ((n + 2) * (n + 1))
+    size = np.abs(c) * (_airy_anchors.STEP / 2.0) ** np.arange(_TAYLOR_TERMS)[:, None]
+    order = np.arange(1, _TAYLOR_TERMS + 1)[:, None]
+    counts = np.max(np.where(size > 2.0 ** -64 * size.sum(axis=0), order, 1), axis=0)
+    if counts.max() >= _TAYLOR_TERMS:
+        raise RuntimeError("an Airy anchor needs more Taylor terms than the table holds")
+    c[order > counts] = 0.0
+    c.flags.writeable = False
+    counts.flags.writeable = False
+    return c, counts
+
+
 def ai(s):
-    """Standard Airy function Ai(s) (vectorized, double precision)."""
-    with np.errstate(over="ignore"):
-        out = _sp.airy(s)[0]
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return float(out)
-    return out
+    """Standard Airy function Ai(s), elementwise; a float for a scalar s.
+
+    On [-ASYMPTOTIC_SWITCH, 108] it is the Taylor series about the nearest
+    anchor a of the lattice STEP Z (STEP = 1/4, so |s - a| <= 1/8) in
+    h = s - a, summed by Horner's rule from the anchor's own last term.
+    Beyond 108 it underflows to 0, below -ASYMPTOTIC_SWITCH it is
+    ai_k_asymptotic(0, s), the switch ai_k makes, and Ai(+-inf) = 0.  A
+    batch runs Horner's rule over its largest term count, and an anchor's
+    coefficients past its own count are 0, so every value is the scalar
+    branch's (== in any array).
+    """
+    if np.ndim(s) == 0:
+        return _ai_scalar(float(s))
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    out = np.zeros(flat.size)
+    table = (flat >= -ASYMPTOTIC_SWITCH) & (flat <= _AI_TABLE_END)
+    if table.any():
+        out[table] = _ai_taylor(flat[table])
+    far = (flat < -ASYMPTOTIC_SWITCH) & (flat > -np.inf)
+    if far.any():
+        out[far] = ai_k_asymptotic(0.0, flat[far])
+    out[np.isnan(flat)] = np.nan
+    return out.reshape(s.shape)
+
+
+def _ai_taylor(s):
+    """The Taylor branch of ai on a 1-d array inside the table."""
+    c, counts = _taylor_table()
+    j = np.rint(s / _airy_anchors.STEP)
+    h = s - j * _airy_anchors.STEP
+    idx = j.astype(np.intp) + _ANCHOR_ZERO
+    terms = int(counts[idx].max())
+    p = c[terms - 1, idx]
+    for n in range(terms - 2, -1, -1):
+        p *= h
+        p += c[n, idx]
+    return p
+
+
+def _ai_scalar(s):
+    """ai at one float: the same operations as the array branch."""
+    if -ASYMPTOTIC_SWITCH <= s <= _AI_TABLE_END:
+        j = round(s / _airy_anchors.STEP)
+        h = s - j * _airy_anchors.STEP
+        c, counts = _taylor_table()
+        row = c[:counts[j + _ANCHOR_ZERO], j + _ANCHOR_ZERO].tolist()
+        p = row[-1]
+        for coeff in reversed(row[:-1]):
+            p = p * h + coeff
+        return p
+    if -math.inf < s < -ASYMPTOTIC_SWITCH:
+        return ai_k_asymptotic(0.0, s)
+    return math.nan if math.isnan(s) else 0.0
 
 
 def ai_series(s, max_terms=260):
@@ -114,9 +202,11 @@ def _upper_path(s_ref):
     stays within ~exp(sqrt(|s|)) of the result.
 
     The ray stops at the first unit panel whose end lies 46 below the running
-    peak of Re(T^3/3 - T s_ref).  Paths are cached by s_ref (the last 16), so
-    the weights evaluated at one argument share one path; the arrays are
-    read-only.
+    peak of Re(T^3/3 - T s_ref).  The panels are built _RAY_BLOCK at a time
+    as one array, and the stop is read off a running maximum of the panel
+    peaks (the first block holds it for every s_ref in [-200, 200]).  Paths
+    are cached by s_ref (the last 16), so the weights evaluated at one
+    argument share one path; the arrays are read-only.
     """
     direc = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
     if s_ref >= _SADDLE_SWITCH:
@@ -131,15 +221,21 @@ def _upper_path(s_ref):
         nodes, weights = [a + 1j * y], [1j * w]
         base = complex(a, y_top)
     ray_nodes, ray_weights = _ray_panels()
-    peak = (base ** 3 / 3.0 - base * s_ref).real
-    for r in range(_RAY_PANELS):
-        t = base + ray_nodes[r] * direc
-        nodes.append(t)
-        weights.append(ray_weights[r] * direc)
-        t_end = base + (r + 1.0) * direc
-        if (t_end ** 3 / 3.0 - t_end * s_ref).real < peak - 46.0:
+    reached = (base ** 3 / 3.0 - base * s_ref).real
+    for lo in range(0, _RAY_PANELS, _RAY_BLOCK):
+        t = base + ray_nodes[lo:lo + _RAY_BLOCK] * direc
+        ends = base + np.arange(lo + 1.0, lo + len(t) + 1.0) * direc
+        ends = (ends ** 3 / 3.0 - ends * s_ref).real
+        peaks = (t ** 3 / 3.0 - t * s_ref).real.max(axis=1)
+        # before[r]: the running peak over the base and the panels ahead of r
+        before = np.maximum.accumulate(np.concatenate(([reached], peaks[:-1])))
+        stop = np.flatnonzero(ends < before - 46.0)
+        n_panels = int(stop[0]) + 1 if stop.size else len(t)
+        nodes.append(t[:n_panels].ravel())
+        weights.append((ray_weights[lo:lo + n_panels] * direc).ravel())
+        if stop.size:
             break
-        peak = max(peak, np.max((t ** 3 / 3.0 - t * s_ref).real))
+        reached = max(before[-1], peaks[-1])
     nodes, weights = np.concatenate(nodes), np.concatenate(weights)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -220,10 +316,13 @@ def _ai_k_gamma(k, s):
     """
     if k >= 0:
         raise ValueError("gamma_integral route requires k < 0")
-    # imported on first use: only this route needs it, and scipy.integrate
-    # pulls in scipy.optimize (and, from scipy 1.17 on, the scipy.sparse and
-    # scipy.linalg that scipy.special no longer loads)
-    from scipy.integrate import quad as _quad
+    # imported on first use: this is the runtime's only use of scipy, which is
+    # not a dependency of the package
+    try:
+        from scipy.integrate import quad as _quad
+    except ImportError:
+        raise ImportError("the gamma_integral route of ai_k needs scipy, which is not "
+                          "installed (pip install scipy)") from None
 
     kappa = -float(k)
     s = float(s)

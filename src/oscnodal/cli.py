@@ -7,6 +7,13 @@ plus a JSON manifest recording the parameters, library version, wall-clock
 time, the Python, numpy and scipy versions and the CPU count.  Identical
 configuration and seed give byte-identical CSV output.
 
+Schema note: the manifest's "scipy" key is the version of the scipy module
+loaded in this process when the manifest is written, and null when none is.
+scipy is no longer a dependency, and the runtime imports it only for the
+gamma_integral Airy route; before, every run imported it and the key always
+held a version.  The version comes from the loaded module, not from the
+package metadata, whose lookup costs ~20 ms a run.
+
 Configuration can come from flags or a plain key=value file (--config);
 explicit flags win.  Ranges use start:stop:step, discrete sets use commas.
 
@@ -24,7 +31,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__, airy, densities, montecarlo, projector, scaled_kernel
 from .semiclassical import TrackedReal, level_new
@@ -127,7 +133,7 @@ def _write_manifest(path, command, params, elapsed):
         "library_version": __version__,
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "cpu_count": os.cpu_count(),
         "wall_clock_seconds": elapsed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -540,7 +546,7 @@ def main(argv=None):
     start = time.time()
     try:
         status = _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"oscnodal: error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(os.path.splitext(args.output)[0] + "_manifest.json",

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe
 
 from . import airy, projector, quadrature
 from .scaled_kernel import CausticFrame
@@ -134,9 +133,77 @@ def _circle_average_norm(lo, hi):
     """
     if not isinstance(hi, np.ndarray):
         ratio = lo / hi if hi > 0.0 else 0.0
-        return 2.0 / math.pi * math.sqrt(hi) * ellipe(1.0 - ratio)
+        return 2.0 / math.pi * math.sqrt(hi) * _ellipe_complement(ratio)
     ratio = np.divide(lo, hi, out=np.zeros_like(hi), where=hi > 0.0)
-    return 2.0 / math.pi * np.sqrt(hi) * ellipe(1.0 - ratio)
+    return 2.0 / math.pi * np.sqrt(hi) * _ellipe_complement(ratio)
+
+
+#: an AGM stops once c_n <= this times a_n; c_(n+1) ~ c_n^2 / (4 a) is then
+#: below 2^-66 of a_n
+_AGM_TOL = 1e-10
+
+
+def _ellipe_complement(p):
+    """E(1 - p), the complete elliptic integral of the second kind at the
+    parameter m = 1 - p, for 0 <= p <= 1 (a float or an array).
+
+    With a = AGM(1, sqrt(p)) and S = sum_n 2^(n-1) c_n^2 over its c-sequence
+    (c_0^2 = 1 - p), E = pi (1 - S) / (2 a) (Abramowitz-Stegun 17.6.4), used
+    for p >= 1/2.  Below 1/2, 1 - S cancels, so Legendre's relation gives
+    E = a' + pi S' / (2 a) instead, with a' and S' from AGM(1, sqrt(1 - p))
+    (c_0^2 = p): every term is positive.  c_(n+1) = c_n^2 / (4 a_(n+1))
+    avoids the difference a_n - b_n.  E(1) = 1 exactly at p = 0.  Each AGM
+    runs every element to its own convergence, so a value depends on its p
+    alone, and the float branch makes the same operations.
+    """
+    if not isinstance(p, np.ndarray):
+        if p == 0.0:
+            return 1.0
+        a, s = _agm(math.sqrt(p), 1.0 - p)
+        if p >= 0.5:
+            return math.pi * (1.0 - s) / (2.0 * a)
+        a_c, s_c = _agm(math.sqrt(1.0 - p), p)
+        return a_c + math.pi * s_c / (2.0 * a)
+    q = np.where(p == 0.0, 1.0, p)  # AGM(1, 0) never converges
+    a, s = _agm_array(np.sqrt(q), 1.0 - q)
+    out = math.pi * (1.0 - s) / (2.0 * a)
+    low = p < 0.5
+    if low.any():
+        a_c, s_c = _agm_array(np.sqrt(1.0 - p[low]), p[low])
+        out[low] = a_c + math.pi * s_c / (2.0 * a[low])
+    out[p == 0.0] = 1.0
+    return out
+
+
+def _agm(b, c_sq):
+    """AGM(1, b) and sum_n 2^(n-1) c_n^2 with c_0^2 = c_sq = 1 - b^2 (floats)."""
+    a, c, s, scale = 1.0, math.sqrt(c_sq), c_sq / 2.0, 0.5
+    while c > _AGM_TOL * a:
+        a_next = (a + b) / 2.0
+        b = math.sqrt(a * b)
+        c = c * c / (4.0 * a_next)
+        a = a_next
+        scale *= 2.0
+        s = s + scale * (c * c)
+    return a, s
+
+
+def _agm_array(b, c_sq):
+    """_agm elementwise: an element stops at its own convergence."""
+    a = np.ones_like(b)
+    c = np.sqrt(c_sq)
+    s = c_sq / 2.0
+    scale = 0.5
+    live = c > _AGM_TOL * a
+    while live.any():
+        a_next = (a + b) / 2.0
+        b = np.where(live, np.sqrt(a * b), b)
+        c = np.where(live, c * c / (4.0 * a_next), c)
+        a = np.where(live, a_next, a)
+        scale *= 2.0
+        s = np.where(live, s + scale * (c * c), s)
+        live &= c > _AGM_TOL * a
+    return a, s
 
 
 #: nodes e^v and weights h e^(-v/2) of the trapezoid rule in v, step h = 1/2 on

@@ -10,6 +10,9 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+# imported with the module: numpy loads numpy.polynomial lazily, which would
+# otherwise cost ~4 ms inside the first quadrature of every run
+import numpy.polynomial.legendre  # noqa: F401
 
 
 @functools.cache

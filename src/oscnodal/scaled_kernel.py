@@ -36,11 +36,11 @@ On the diagonal both reduce to 2^(1-d) pi^(-d/2) Ai_{-d/2}(2 u1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from . import airy, quadrature
 
@@ -97,19 +97,84 @@ class CausticFrame:
 
 def _sphere_average(nu, x):
     """Lambda_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x), with Lambda_nu(0) = 1:
-    the mean of e^{i<delta, p>} over the sphere |p| = rho at x = |delta| rho."""
-    if nu == -0.5:
+    the mean of e^{i<delta, p>} over the sphere |p| = rho at x = |delta| rho,
+    for nu = m/2 - 1, m = 1, 2, ...  Each value depends on its own x alone.
+
+    Half-integer nu = k - 1/2 takes the closed forms: cos x at k = 0, and
+    (2k-1)!! j_(k-1)(x) / x^(k-1) (spherical Bessel j by upward recurrence
+    from j_(-1) = cos x / x, j_0 = sin x / x) for x >= k, with the Maclaurin
+    series below k.  Integer nu takes the trapezoid rule of Poisson's integral
+    (DLMF 10.9.4) over one full period,
+
+        Lambda_nu(x) = sum_j w_j cos(x cos t_j) / sum_j w_j,
+        t_j = 2 pi j / M,  w_j = sin(t_j)^(2 nu),
+
+    which converges geometrically once M exceeds x + 2 nu (Trefethen and
+    Weideman, SIAM Rev. 56 (2014) 385).  M is set by the element's own x
+    (_trapezoid_quarters) and the sum runs over the quarter period its
+    symmetries fold onto; at x = 0 the ratio is exactly 1.
+    """
+    x = np.asarray(x, dtype=float)
+    if nu == int(nu):
+        return _trapezoid_average(int(nu), x)
+    k = int(nu + 0.5)
+    if k == 0:
         return np.cos(x)
-    if nu == 0.0:
-        return _sp.j0(x)
-    # below x = 1e-3 the series through x^4 is exact to ~1e-21, where
-    # (2/x)^nu may overflow and J_nu underflow
-    small = x < 1e-3
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        direct = math.gamma(nu + 1.0) * (2.0 / x) ** nu * _sp.jv(nu, x)
-    x_sq = x * x
-    series = 1.0 - x_sq / (4.0 * (nu + 1.0)) + x_sq * x_sq / (32.0 * (nu + 1.0) * (nu + 2.0))
-    return np.where(small, series, direct)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j_prev, j = np.cos(x) / x, np.sin(x) / x
+        for ell in range(k - 1):
+            j_prev, j = j, (2 * ell + 1) / x * j - j_prev
+        closed = math.prod(range(1, 2 * k, 2)) * j / x ** (k - 1)
+    return np.where(x < k, _maclaurin_average(nu, x), closed)
+
+
+#: Maclaurin terms of Lambda_nu, enough below x = k for every half-integer nu
+_MACLAURIN_TERMS = 40
+
+
+def _maclaurin_average(nu, x):
+    """sum_n (-x^2/4)^n / (n! (nu+1)_n), a fixed number of terms."""
+    q = -x * x / 4.0
+    term = np.ones_like(x)
+    out = np.ones_like(x)
+    for n in range(1, _MACLAURIN_TERMS):
+        term = term * q / (n * (nu + n))
+        out = out + term
+    return out
+
+
+def _trapezoid_quarters(nu, x):
+    """Quarter-period node counts K (M = 4K nodes): the aliasing error of the
+    trapezoid rule is ~J_(M - 2 nu)(x), below 1e-17 once M - 2 nu >=
+    x + 12 x^(1/3) + 24; K is rounded up to a multiple of 4 so that a table
+    falls into few groups."""
+    return 4 * np.ceil((x + 2.0 * nu + 12.0 * np.cbrt(x) + 24.0) / 16.0).astype(int)
+
+
+@functools.cache
+def _quarter_rule(nu, quarters):
+    """cos(t_j) and weights sin(t_j)^(2 nu) on t_j = (pi/2) j / quarters,
+    j = 0 .. quarters, halved at both ends, and the sum of the weights."""
+    t = (math.pi / 2.0) * np.arange(quarters + 1) / quarters
+    w = np.sin(t) ** (2 * nu)
+    w[0] /= 2.0
+    w[-1] /= 2.0
+    cos_t = np.cos(t)
+    cos_t.flags.writeable = False
+    w.flags.writeable = False
+    return cos_t, w, np.sum(w[None, :], axis=1)[0]
+
+
+def _trapezoid_average(nu, x):
+    """Lambda_nu(x) at integer nu, one quarter rule per distinct node count."""
+    quarters = _trapezoid_quarters(nu, x)
+    out = np.empty(x.shape)
+    # a set, not np.unique, which would import numpy.ma on its first call
+    for q in sorted(set(quarters.ravel().tolist())):
+        mask = quarters == q
+        cos_t, w, total = _quarter_rule(nu, q)
+        out[mask] = np.sum(np.cos(x[mask][:, None] * cos_t) * w, axis=1) / total
+    return out
 
 
 def pi0_airy_batch(frame, us, vs):

@@ -2,12 +2,14 @@
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
-from oscnodal import CausticFrame, ai, ai_k, ai_k_asymptotic, airy, quadrature
+from oscnodal import CausticFrame, _airy_anchors, ai, ai_k, ai_k_asymptotic, airy, quadrature
 from oscnodal.airy import (
     AI_PRIME_ZERO,
     AI_ZERO,
@@ -55,6 +57,84 @@ class TestAi:
         mp.mp.dps = 40
         for s in np.arange(-20.0, 20.0001, 0.5):
             assert abs(ai(s) - float(mp.airyai(mp.mpf(s)))) < 1e-12
+
+
+def _envelope(s):
+    """max(|Ai|, envelope) scale of the ai tests: |s|^(-1/4)/sqrt(pi), kept
+    finite at s = 0 as (1 + |s|)^(-1/4)/sqrt(pi)."""
+    return (1.0 + np.abs(s)) ** -0.25 / math.sqrt(math.pi)
+
+
+class TestAiTaylorTable:
+    """ai: a Taylor series about the nearest anchor of the mpmath table."""
+
+    def test_matches_mpmath_on_the_table(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(16)
+        # random points, the table's ends, and anchor midpoints (the largest |h|)
+        mid = _airy_anchors.START + 0.125 + 0.25 * rng.integers(0, _airy_anchors.COUNT - 5, 150)
+        s = np.concatenate([rng.uniform(-200.0, 107.0, 350), mid,
+                            [-200.0, -199.875, -0.125, 0.0, 0.125, 107.0]])
+        vals = ai(s)
+        worst = worst_right = 0.0
+        with mp.workdps(30):
+            for x, v in zip(s.tolist(), vals.tolist()):
+                ref = float(mp.airyai(x))
+                worst = max(worst, abs(v - ref) / max(abs(ref), _envelope(x)))
+                if 0.0 <= x <= 100.0:  # relative to Ai itself where it decays
+                    worst_right = max(worst_right, abs(v - ref) / ref)
+        assert worst <= 1e-14
+        assert worst_right <= 4e-15
+
+    def test_scipy_is_a_second_oracle(self):
+        s = np.linspace(-200.0, 107.0, 30001)
+        ref = special.airy(s)[0]
+        assert np.max(np.abs(ai(s) - ref) / np.maximum(np.abs(ref), _envelope(s))) <= 1e-12
+
+    def test_past_the_table(self):
+        # below -200 the switch ai_k makes to the asymptotic expansion; beyond
+        # the last anchor, 108, Ai underflows
+        far = [np.nextafter(-200.0, -201.0), -250.5, -1e4]
+        assert [ai(x) for x in far] == [ai_k_asymptotic(0.0, x) for x in far]
+        assert ai(np.array(far)).tolist() == [ai(x) for x in far]
+        assert ai(-250.5) == ai_k(0.0, -250.5)
+        beyond = np.array([np.nextafter(108.0, 109.0), 500.0, np.inf, -np.inf])
+        assert ai(beyond).tolist() == [0.0] * 4
+        assert ai(np.inf) == ai(-np.inf) == 0.0
+        assert math.isnan(ai(math.nan)) and np.isnan(ai(np.array([np.nan]))).all()
+
+    def test_value_is_the_same_alone_and_in_any_array(self):
+        rng = np.random.default_rng(5)
+        s = np.concatenate([rng.uniform(-210.0, 115.0, 401),
+                            [-200.0, -0.125, -0.0, 0.0, 0.125, 107.875, 108.0]])
+        alone = [ai(x) for x in s.tolist()]
+        assert ai(s).tolist() == alone
+        perm = rng.permutation(s.size)
+        assert ai(s[perm]).tolist() == [alone[i] for i in perm]
+        assert ai(s.reshape(3, -1)).ravel().tolist() == alone
+        for lo in range(0, s.size, 37):
+            assert ai(s[lo:lo + 37]).tolist() == alone[lo:lo + 37]
+
+    def test_anchor_table_regenerates(self):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1233)
+        sample = sorted(set(rng.choice(_airy_anchors.COUNT, 24, replace=False).tolist())
+                        | {0, airy._ANCHOR_ZERO, _airy_anchors.COUNT - 1})
+        assert _airy_anchors.anchor_values(sample) == [_airy_anchors.VALUES[j] for j in sample]
+
+    def test_table_spans_the_switch_and_the_underflow(self):
+        assert len(_airy_anchors.VALUES) == _airy_anchors.COUNT
+        assert _airy_anchors.START == -airy.ASYMPTOTIC_SWITCH
+        assert airy._AI_TABLE_END == 108.0 and _airy_anchors.VALUES[-1][0] == 0.0
+        c, counts = airy._taylor_table()
+        assert counts.max() < airy._TAYLOR_TERMS
+        assert np.all(c[np.arange(airy._TAYLOR_TERMS)[:, None] >= counts] == 0.0)
+
+    def test_gamma_integral_names_the_missing_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+        with pytest.raises(ImportError, match="needs scipy"):
+            ai_k(-1.0, 0.0, method="gamma_integral")
 
 
 class TestAiK:
@@ -258,7 +338,43 @@ def _upper_path_reference(s_ref):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _upper_path_panel_loop(s_ref):
+    """airy._upper_path as it built the ray before, one unit panel at a time:
+    the == oracle of the blocked ray construction."""
+    direc = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
+    if s_ref >= -2.0:
+        nodes, weights = [], []
+        base = complex(max(1.0, math.sqrt(max(s_ref, 0.0))), 0.0)
+    else:
+        mag = abs(s_ref)
+        a = min(1.0, 1.0 / math.sqrt(mag))
+        y_top = math.sqrt(mag)
+        n_panels = max(4, int(math.ceil((2.0 / 3.0) * mag ** 1.5 / 2.5)))
+        y, w = quadrature.panels(np.linspace(0.0, y_top, n_panels + 1), 16)
+        nodes, weights = [a + 1j * y], [1j * w]
+        base = complex(a, y_top)
+    ray_nodes, ray_weights = airy._ray_panels()
+    peak = (base ** 3 / 3.0 - base * s_ref).real
+    for r in range(airy._RAY_PANELS):
+        t = base + ray_nodes[r] * direc
+        nodes.append(t)
+        weights.append(ray_weights[r] * direc)
+        t_end = base + (r + 1.0) * direc
+        if (t_end ** 3 / 3.0 - t_end * s_ref).real < peak - 46.0:
+            break
+        peak = max(peak, np.max((t ** 3 / 3.0 - t * s_ref).real))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 class TestContourPath:
+    def test_blocked_ray_equals_the_panel_loop_on_every_anchor(self):
+        # every anchor the contour route uses, |s| <= 200
+        for s_ref in np.arange(-200.0, 200.25, 0.5).tolist():
+            nodes, weights = airy._upper_path.__wrapped__(s_ref)
+            ref_nodes, ref_weights = _upper_path_panel_loop(s_ref)
+            assert nodes.shape == ref_nodes.shape
+            assert np.all(nodes == ref_nodes) and np.all(weights == ref_weights)
+
     def test_panels_equal_a_loop_over_panels(self):
         edges = np.concatenate([[-3.7], np.sort(np.random.default_rng(3).uniform(-3, 5, 9))])
         nodes, weights = quadrature.panels(edges, 12)

@@ -11,7 +11,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy
 
 import oscnodal
 from oscnodal import ai_k, cli, level_new, pi_exact
@@ -74,7 +73,9 @@ class TestAiryCommand:
         assert manifest["wall_clock_seconds"] >= 0.0
         assert manifest["python"] == ".".join(map(str, sys.version_info[:3]))
         assert manifest["numpy"] == np.__version__
-        assert manifest["scipy"] == scipy.__version__
+        # the version of the scipy loaded in this process, null when none is
+        loaded = sys.modules.get("scipy")
+        assert manifest["scipy"] == (loaded.__version__ if loaded else None)
         assert manifest["cpu_count"] == os.cpu_count()
 
 
@@ -538,6 +539,15 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         assert main(argv) == 0, argv
 
 
+def _run_python(cwd, *args, check=True):
+    """`python *args` in a fresh interpreter on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(oscnodal.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=check)
+
+
 @pytest.mark.parametrize("argv", [
     ("airy", "--k", "-1", "--s", "1e308"),
     ("airy", "--k", "-1", "--s", "-1e308"),
@@ -546,42 +556,64 @@ def test_readme_commands_run(tmp_path, monkeypatch):
 ])
 def test_extreme_inputs_end_without_a_traceback(tmp_path, argv):
     # through the real entry point: exit 0 or a usage error, never a traceback
-    src = os.path.dirname(os.path.dirname(oscnodal.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-m", "oscnodal.cli", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
+    done = _run_python(tmp_path, "-m", "oscnodal.cli", *argv, check=False)
     assert done.returncode in (0, 1), done.stderr
     assert "Traceback" not in done.stderr
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    """Importing the CLI loads no scipy.integrate (nor what it pulls in beyond
-    what scipy.special already loads); the gamma_integral route loads it on
-    first use, with unchanged values."""
+def test_runtime_imports_no_scipy(tmp_path):
+    """No scipy module is loaded by importing the CLI, nor by pi0, caustic-tube
+    density and montecarlo runs; the gamma_integral route loads scipy.integrate
+    on first use, with unchanged values."""
     script = (
-        "import sys\n"
-        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
-        # before scipy 1.17, scipy.special itself loads scipy.linalg and scipy.sparse
-        "import scipy.special\n"
-        "before = {m for m in heavy if m in sys.modules}\n"
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import oscnodal.cli\n"
-        "print(sorted(m for m in heavy if m in sys.modules and m not in before))\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "print(scipy_modules())\n"
+        "runs = [['pi0', '--d', '2', '--u1-range', '-1:1:0.5', '--v1-range', '0:0:1'],\n"
+        "        ['pi0', '--d', '3', '--u1-range', '-1:1:0.5', '--v1-range', '0:0:1'],\n"
+        "        ['density', '--regime', 'caustic-tube', '--d', '2', '--u1-range', '-3:3:0.5'],\n"
+        "        ['density', '--regime', 'forbidden-bulk', '--d', '2', '--N', '40'],\n"
+        "        ['montecarlo', '--statistic', 'nodal-length', '--d', '2', '--N', '20',\n"
+        "         '--seeds', '2']]\n"
+        "print([oscnodal.cli.main(argv + ['-o', 'out.csv']) for argv in runs])\n"
+        "print(scipy_modules())\n"
+        "print(json.load(open('out_manifest.json'))['scipy'])\n"
         "from oscnodal import ai_k\n"
         "print(repr(ai_k(-1.5, -3.2, method='gamma_integral')))\n"
         "print(repr(ai_k(-0.5, 1.0, method='gamma_integral')))\n"
         "print('scipy.integrate' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(oscnodal.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    loaded, integrate_at_import, first, second, integrate_loaded = done.stdout.splitlines()
-    assert loaded == "[]"
-    assert integrate_at_import == "False"
+    done = _run_python(tmp_path, "-c", script)
+    at_import, statuses, after_runs, manifest_key, first, second, integrate_loaded = \
+        done.stdout.splitlines()
+    assert at_import == "[]"
+    assert statuses == "[0, 0, 0, 0, 0]"
+    assert after_runs == "[]"
+    assert manifest_key == "None"
     assert float(first) == ai_k(-1.5, -3.2, method="gamma_integral")
     assert float(second) == ai_k(-0.5, 1.0, method="gamma_integral")
     assert integrate_loaded == "True"
+
+
+def test_readme_commands_run_without_scipy(tmp_path):
+    """With scipy unimportable, every command of the README block exits 0 and
+    writes a manifest whose scipy key is null; the gamma_integral route exits
+    1 and names the missing package."""
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from oscnodal.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+        "print(json.load(open('pi_manifest.json'))['scipy'])\n"
+    )
+    commands = _readme_commands()
+    assert ["-o", "pi.csv"] == commands[0][-2:]
+    gamma = ["airy", "--k", "-1", "--s", "0,1", "--method", "gamma_integral", "-o", "g.csv"]
+    done = _run_python(tmp_path, "-c", script, json.dumps(commands + [gamma]))
+    statuses, manifest_key = done.stdout.splitlines()[-2:]  # after the commands' own output
+    assert json.loads(statuses) == [0] * len(commands) + [1]
+    assert manifest_key == "None"
+    assert "gamma_integral route of ai_k needs scipy" in done.stderr
+    assert not (tmp_path / "g.csv").exists()

@@ -29,6 +29,8 @@ from oscnodal.projector import _conv_last
 from oscnodal.semiclassical import _phi_deriv_mantexp
 from oscnodal.densities import (
     C_d,
+    _circle_average_norm,
+    _ellipe_complement,
     c_d,
     chi_mean,
     density_grid,
@@ -124,6 +126,40 @@ class TestKacRiceDensity:
         assert kac_rice_density(KacRiceMatrix(nearly), 2).to_float() > 0
         with pytest.raises(ValueError):
             kac_rice_density(KacRiceMatrix(np.diag([1.0, -1e-3])), 2)
+
+
+class TestEllipticE:
+    """_ellipe_complement(p) = E(1 - p), the AGM behind the d = 2 reduction."""
+
+    RATIOS = (1e-300, 1e-12, 0.5, 1.0)
+
+    def test_exactly_one_at_m_one(self):
+        # the d = 2 forbidden bulk has lo = 0
+        assert _ellipe_complement(0.0) == 1.0
+        assert _ellipe_complement(np.array([0.0, 0.0])).tolist() == [1.0, 1.0]
+        assert _circle_average_norm(0.0, 4.0) == 4.0 / math.pi
+        assert _circle_average_norm(np.array([0.0]), np.array([4.0])).tolist() == [4.0 / math.pi]
+
+    def test_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        ratios = list(self.RATIOS) + (10.0 ** rng.uniform(-300.0, 0.0, 20)).tolist()
+        for ratio in ratios:
+            # enough digits to hold 1 - ratio
+            with mp.workdps(30 + int(-math.log10(ratio))):
+                ref = float(mp.ellipe(1 - mp.mpf(ratio)))
+            assert abs(_ellipe_complement(ratio) - ref) <= 5e-16 * ref, ratio
+            # scipy as a second oracle
+            assert abs(_ellipe_complement(ratio) - ellipe(1.0 - ratio)) <= 1e-15 * ref, ratio
+
+    def test_float_branch_equals_array_branch(self):
+        rng = np.random.default_rng(4)
+        p = np.concatenate([[0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), 5e-324, 1e-300],
+                            10.0 ** rng.uniform(-300.0, 0.0, 200), rng.uniform(0.0, 1.0, 200)])
+        table = _ellipe_complement(p)
+        assert [_ellipe_complement(v) for v in p.tolist()] == table.tolist()
+        assert _ellipe_complement(p[::-1]).tolist() == table[::-1].tolist()
+        assert _ellipe_complement(p.reshape(2, -1)).ravel().tolist() == table.tolist()
 
 
 class TestOmegaExact:

@@ -238,6 +238,29 @@ class TestPi0AiryBatch:
         for nu in (-0.5, 0.0, 0.5, 1.0, 4.0):
             assert np.array_equal(_sphere_average(nu, np.array([0.0, 1e-300])), [1.0, 1.0])
 
+    def test_sphere_average_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        x = np.array([0.0, 1e-300, 1e-5, 1e-3, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 37.3,
+                      50.0, 100.0, 150.0, 200.0])
+        # integer nu: the trapezoid rule; half-integer nu: the closed forms
+        for nu in (0.0, 1.0, 2.0, 0.5, 1.5, 2.5):
+            with mp.workdps(40):
+                ref = [1.0 if v == 0.0 else float(
+                    mp.gamma(nu + 1) * (2 / mp.mpf(v)) ** nu * mp.besselj(nu, mp.mpf(v)))
+                    for v in x.tolist()]
+            got = _sphere_average(nu, x)
+            assert np.max(np.abs(got - ref)) < 1e-14, nu
+            assert got[:2].tolist() == [1.0, 1.0]
+
+    def test_sphere_average_depends_on_its_own_x(self):
+        # the trapezoid node count follows each element's x, never the table's
+        # largest, so a value is the same alone and in any table
+        x = np.concatenate([np.linspace(0.0, 60.0, 241), [199.0, 0.0]])
+        for nu in (0.0, 1.0, 0.5):
+            table = _sphere_average(nu, x)
+            assert [_sphere_average(nu, np.array([v]))[0] for v in x.tolist()] == table.tolist()
+            assert _sphere_average(nu, x[:100]).tolist() == table[:100].tolist()
+
     def test_empty_and_mismatched_lists(self):
         assert pi0_airy_batch(FRAME2, [], []).shape == (0,)
         with pytest.raises(ValueError, match="equal length"):
