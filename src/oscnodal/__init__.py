@@ -40,6 +40,7 @@ from .densities import (  # noqa: F401
     density_regime,
     density_regime_batch,
     kac_rice_density,
+    kac_rice_density_batch,
     omega_caustic_scaled,
     omega_exact,
     omega_exact_batch,

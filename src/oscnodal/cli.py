@@ -240,6 +240,14 @@ _REGIMES = {
 }
 
 
+def _refuse_one_dimensional(levels):
+    """Refuse, before any basis is built, d = 1 or N = 0: one eigenfunction, Omega = 0."""
+    for level in levels:
+        if level.d == 1 or level.N == 0:
+            raise ValueError(f"d = {level.d}, N = {level.N} has a one-dimensional eigenspace: "
+                             "Omega = 0, so the exact density is 0 and has no log")
+
+
 def _cmd_density(args):
     level = level_new(args.d, args.N)
     region, default_range, default_alpha = _REGIMES[args.regime]
@@ -260,19 +268,6 @@ def _cmd_density(args):
     rows = [[args.regime, args.d, args.N, level.hbar, alpha, 2.0 * u1,
              predicted.log_abs() if predicted.mantissa else -math.inf]
             for u1, predicted in zip(u1s, predictions)]
-    points = [frame.x0 + level.hbar ** alpha * query.u for query in queries]
-    worst = 0.0
-    if args.with_exact:
-        # one basis recurrence for the whole table
-        omegas = densities.omega_exact_batch(level, points)
-        for row, predicted, omega in zip(rows, predictions, omegas):
-            exact = densities.kac_rice_density(omega, args.d)
-            # compare in the physical (unscaled) normalization
-            log_scale = alpha * math.log(level.hbar)
-            log_pred_unscaled = predicted.log_abs() - log_scale
-            rel = abs(math.exp(log_pred_unscaled - exact.log_abs()) - 1.0)
-            row += [exact.log_abs(), rel]
-            worst = max(worst, rel)
     header = ["regime", "d", "N", "hbar", "alpha", "s", "predicted_density_log"]
     comments = [
         "Kac-Rice nodal density by regime; densities reported as natural logs",
@@ -280,10 +275,22 @@ def _cmd_density(args):
         "predicted_density_log: leading-order closed form (rescaled units for",
         "annuli/tube, physical units for bulk regimes)",
     ]
+    worst = 0.0
     if args.with_exact:
+        _refuse_one_dimensional([level])
         header += ["exact_density_log", "relative_error"]
         comments.append("exact_density_log: physical-units density from the exact kernel jet")
         comments.append("relative_error compares prediction and exact in physical units")
+        # one basis recurrence and one Kac-Rice reduction for the whole table
+        points = [frame.x0 + level.hbar ** alpha * query.u for query in queries]
+        omegas = [kr.omega for kr in densities.omega_exact_batch(level, points)]
+        # compare in the physical (unscaled) normalization
+        log_scale = alpha * math.log(level.hbar)
+        exact = densities.kac_rice_density_batch(omegas).tolist()
+        for row, predicted, f in zip(rows, predictions, exact):
+            rel = abs(math.exp(predicted.log_abs() - log_scale - math.log(f)) - 1.0)
+            row += [math.log(f), rel]
+            worst = max(worst, rel)
     _write_table(args.output, comments, header, rows)
     if args.with_exact and args.tolerance is not None and worst > args.tolerance:
         print(f"validation failure: worst relative error {worst:.3g} > {args.tolerance}",
@@ -323,17 +330,16 @@ def _cmd_scaling_sweep(args):
     if len(set(ns)) < 2:
         raise ValueError(f"scaling-sweep needs at least two distinct N values, got --N {args.N!r}")
     levels = [level_new(args.d, n) for n in ns]
+    _refuse_one_dimensional(levels)
     # the sweep points r e1, in d dimensions
     points = [_sweep_radius(args.point, level, args.alpha, args.s) * np.eye(args.d)[0]
               for level in levels]
-    rows = []
-    log_h, log_f = [], []
-    for level, x in zip(levels, points):
-        dens = densities.kac_rice_density(densities.omega_exact(level, x), args.d)
-        rows.append([args.point, args.d, level.N, level.hbar, float(np.linalg.norm(x)),
-                     dens.log_abs()])
-        log_h.append(math.log(level.hbar))
-        log_f.append(dens.log_abs())
+    # one Kac-Rice reduction over the table (each N has its own basis)
+    omegas = [densities.omega_exact(level, x).omega for level, x in zip(levels, points)]
+    log_f = [math.log(f) for f in densities.kac_rice_density_batch(omegas).tolist()]
+    log_h = [math.log(level.hbar) for level in levels]
+    rows = [[args.point, args.d, level.N, level.hbar, float(np.linalg.norm(x)), log]
+            for level, x, log in zip(levels, points, log_f)]
     slope = float(np.polyfit(log_h, log_f, 1)[0])
     expected = _SWEEP_SLOPES[args.point]
     comments = [

@@ -8,7 +8,9 @@ hypersurface density at x is
 
 with Omega = d_x d_y log Pi on the diagonal.  The expectation factorizes into
 the chi-distribution mean E[chi_d] = sqrt(2) Gamma((d+1)/2)/Gamma(d/2) times a
-sphere average of ||Omega^(1/2) omega||, exact to rounding in every d.
+sphere average of ||Omega^(1/2) omega||, exact to rounding in every d.  One
+array reduction, kac_rice_density_batch, does this for a stack of Omegas;
+points, regime tables and d = 2 grids all go through it.
 
 Regimes (E = 1/2, caustic = unit sphere, s measured by |x|^2 = 1 -+ hbar^a s),
 each an Omega through that one reduction:
@@ -40,8 +42,8 @@ from . import airy, projector, quadrature
 from .scaled_kernel import CausticFrame
 from .semiclassical import TrackedReal
 
-#: eigenvalues in [-tol * lambda_max, 0) are clipped to zero (roundoff from
-#: the tracked-float boundary); anything more negative is an error
+#: eigenvalues in [-tol * lambda_max, 0) are roundoff and clip to zero, at points
+#: and on grids alike; anything more negative is an error
 PSD_CLIP_TOL = 1e-8
 
 
@@ -60,12 +62,18 @@ class KacRiceMatrix:
     omega: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.omega, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("omega must be a square matrix")
-        scale = np.max(np.abs(w))
-        if scale > 0 and np.max(np.abs(w - w.T)) > 1e-10 * scale:
-            raise ValueError("omega must be symmetric")
+        _check_omegas(np.asarray(self.omega, dtype=float)[np.newaxis])
+
+
+def _check_omegas(w):
+    """The KacRiceMatrix rule on an (m, d, d) stack: square, finite, symmetric to 1e-10."""
+    if w.ndim != 3 or w.shape[1] != w.shape[2]:
+        raise ValueError("omega must be a square matrix")
+    if not np.isfinite(w).all():
+        raise ValueError("omega must be finite")
+    scale = np.abs(w).max(axis=(1, 2), initial=0.0)
+    if np.any(np.abs(w - w.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) > 1e-10 * scale):
+        raise ValueError("omega must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -110,30 +118,24 @@ def chi_mean(d):
     return math.sqrt(2.0) * math.gamma((d + 1) / 2.0) / math.gamma(d / 2.0)
 
 
-def _clipped_eigenvalues(kr):
-    lam = np.linalg.eigvalsh(np.asarray(kr.omega, dtype=float))
-    lam_max = float(lam[-1])
-    if lam_max < 0:
-        raise ValueError("omega is negative definite")
-    floor = -PSD_CLIP_TOL * max(lam_max, 0.0)
-    if np.any(lam < floor):
+def _psd_clip(lam, lam_max):
+    """The one PSD_CLIP_TOL rule on eigenvalues lam, lam_max their matrix's largest
+    (broadcast against lam; a negative one fails the rule itself)."""
+    ok = lam >= -PSD_CLIP_TOL * lam_max
+    if not ok.all():
         raise ValueError(
-            f"omega has eigenvalue {lam.min():.3e} below the PSD clip tolerance")
-    return np.clip(lam, 0.0, None), lam_max
+            f"omega has eigenvalue {lam[~ok].min():.3e} below the PSD clip tolerance")
+    return np.where(lam > 0.0, lam, 0.0)
 
 
 def _circle_average_norm(lo, hi):
-    """Mean of sqrt(lo cos^2 t + hi sin^2 t) over t, elementwise for 0 <= lo <= hi.
+    """Mean of sqrt(lo cos^2 t + hi sin^2 t) over t, elementwise for arrays 0 <= lo <= hi.
 
     The closed form (2/pi) sqrt(hi) E(1 - lo/hi), E the complete elliptic
-    integral of the second kind (0 where hi = 0): the d = 2 reduction of both
-    kac_rice_density and density_grid.  An angle rule loses up to ~1e-4 at
-    the near rank-one matrices of the forbidden regimes.  Scalars take a
-    plain-float branch of the same formula (0-d array ufuncs cost ~10x more).
+    integral of the second kind (0 where hi = 0): the d = 2 sphere average of
+    kac_rice_density_batch.  An angle rule loses up to ~1e-4 at the near
+    rank-one matrices of the forbidden regimes.
     """
-    if not isinstance(hi, np.ndarray):
-        ratio = lo / hi if hi > 0.0 else 0.0
-        return 2.0 / math.pi * math.sqrt(hi) * _ellipe_complement(ratio)
     ratio = np.divide(lo, hi, out=np.zeros_like(hi), where=hi > 0.0)
     return 2.0 / math.pi * np.sqrt(hi) * _ellipe_complement(ratio)
 
@@ -145,7 +147,7 @@ _AGM_TOL = 1e-10
 
 def _ellipe_complement(p):
     """E(1 - p), the complete elliptic integral of the second kind at the
-    parameter m = 1 - p, for 0 <= p <= 1 (a float or an array).
+    parameter m = 1 - p, elementwise for an array 0 <= p <= 1.
 
     With a = AGM(1, sqrt(p)) and S = sum_n 2^(n-1) c_n^2 over its c-sequence
     (c_0^2 = 1 - p), E = pi (1 - S) / (2 a) (Abramowitz-Stegun 17.6.4), used
@@ -154,16 +156,8 @@ def _ellipe_complement(p):
     (c_0^2 = p): every term is positive.  c_(n+1) = c_n^2 / (4 a_(n+1))
     avoids the difference a_n - b_n.  E(1) = 1 exactly at p = 0.  Each AGM
     runs every element to its own convergence, so a value depends on its p
-    alone, and the float branch makes the same operations.
+    alone, whatever array holds it.
     """
-    if not isinstance(p, np.ndarray):
-        if p == 0.0:
-            return 1.0
-        a, s = _agm(math.sqrt(p), 1.0 - p)
-        if p >= 0.5:
-            return math.pi * (1.0 - s) / (2.0 * a)
-        a_c, s_c = _agm(math.sqrt(1.0 - p), p)
-        return a_c + math.pi * s_c / (2.0 * a)
     q = np.where(p == 0.0, 1.0, p)  # AGM(1, 0) never converges
     a, s = _agm_array(np.sqrt(q), 1.0 - q)
     out = math.pi * (1.0 - s) / (2.0 * a)
@@ -175,21 +169,8 @@ def _ellipe_complement(p):
     return out
 
 
-def _agm(b, c_sq):
-    """AGM(1, b) and sum_n 2^(n-1) c_n^2 with c_0^2 = c_sq = 1 - b^2 (floats)."""
-    a, c, s, scale = 1.0, math.sqrt(c_sq), c_sq / 2.0, 0.5
-    while c > _AGM_TOL * a:
-        a_next = (a + b) / 2.0
-        b = math.sqrt(a * b)
-        c = c * c / (4.0 * a_next)
-        a = a_next
-        scale *= 2.0
-        s = s + scale * (c * c)
-    return a, s
-
-
 def _agm_array(b, c_sq):
-    """_agm elementwise: an element stops at its own convergence."""
+    """AGM(1, b) and sum_n 2^(n-1) c_n^2, c_0^2 = c_sq = 1 - b^2, each element to its own end."""
     a = np.ones_like(b)
     c = np.sqrt(c_sq)
     s = c_sq / 2.0
@@ -212,35 +193,56 @@ _EXP_V = np.exp(np.arange(333) * 0.5 - 84.0)
 _WEIGHTS = 0.5 / np.sqrt(_EXP_V)
 
 
-def _sphere_average_norm(lam, d):
-    """Mean of sqrt(sum lam_i w_i^2) over the unit sphere, for sorted lam >= 0, not all 0.
+def _sphere_average_norm(lam):
+    """Mean of sqrt(sum lam_i w_i^2) over the unit sphere, per row of an (m, d)
+    array of ascending eigenvalues lam >= 0 (0 for a zero row); d = 2 has the
+    closed form _circle_average_norm.
 
-    d = 2 is _circle_average_norm.  Otherwise E sqrt(Q), Q = sum lam_i xi_i^2, is
-    (2 sqrt(pi))^-1 int_0^inf (1 - prod_i (1 + 2 t lam_i)^(-1/2)) t^(-3/2) dt (Mathai-Provost
-    1992), over E[chi_d]; with t = e^v / lam_max the integrand is analytic in a strip of
-    half-width pi, so the trapezoid rule is exact to rounding for every spectrum.
+    E sqrt(Q), Q = sum lam_i xi_i^2, is (2 sqrt(pi))^-1 int_0^inf (1 - prod_i
+    (1 + 2 t lam_i)^(-1/2)) t^(-3/2) dt (Mathai-Provost 1992), over E[chi_d];
+    with t = e^v / lam_max the integrand is analytic in a strip of half-width
+    pi, so the trapezoid rule is exact to rounding for every spectrum.
     """
+    lam_max = lam[:, -1]
+    ratio = lam / np.where(lam_max > 0.0, lam_max, 1.0)[:, np.newaxis]
+    log_prod = sum(np.log1p(2.0 * np.multiply.outer(r, _EXP_V)) for r in ratio.T)
+    integral = (-np.expm1(-0.5 * log_prod) * _WEIGHTS).sum(axis=1)
+    return np.sqrt(lam_max / math.pi) * 0.5 * integral / chi_mean(lam.shape[1])
+
+
+def kac_rice_density_batch(omegas):
+    """Expected nodal density (2 pi)^(-1/2) E||Omega^(1/2) xi|| of every matrix
+    of an (m, d, d) stack, as m floats; each depends on its own matrix alone.
+
+    The KacRiceMatrix rule checks the stack; d = 2 takes the closed-form
+    eigenvalues of _density_2x2, any other d one stacked eigvalsh call.  Then
+    the PSD_CLIP_TOL rule, and E||.|| = E[chi_d] times a sphere average.
+    """
+    w = np.asarray(omegas, dtype=float)
+    _check_omegas(w)
+    d = w.shape[2]
     if d == 2:
-        return float(_circle_average_norm(lam[0], lam[1]))
-    lam_max = float(lam[-1])
-    log_prod = np.log1p(2.0 * np.multiply.outer(_EXP_V, lam / lam_max)).sum(axis=1)
-    integral = float(np.dot(-np.expm1(-0.5 * log_prod), _WEIGHTS))
-    return math.sqrt(lam_max / math.pi) * 0.5 * integral / chi_mean(d)
+        return _density_2x2(w[:, 0, 0], w[:, 1, 1], w[:, 1, 0])
+    lam = np.linalg.eigvalsh(w)
+    lam = _psd_clip(lam, lam[:, -1:])
+    return _sphere_average_norm(lam) * chi_mean(d) / math.sqrt(2.0 * math.pi)
+
+
+def _density_2x2(o11, o22, o12):
+    """kac_rice_density_batch of the 2x2 matrices with entry arrays o11, o22
+    and o12 = o21 (any one shape), from the eigenvalues half_tr +- gap."""
+    half_tr = 0.5 * (o11 + o22)
+    gap = np.sqrt(0.25 * (o11 - o22) ** 2 + o12 ** 2)
+    hi = half_tr + gap
+    lo = _psd_clip(half_tr - gap, hi)  # lo <= hi, so a negative hi fails here too
+    return _circle_average_norm(lo, hi) * chi_mean(2) / math.sqrt(2.0 * math.pi)
 
 
 def kac_rice_density(kr, d):
-    """Expected nodal density (2 pi)^(-1/2) E||Omega^(1/2) xi|| as a TrackedReal.
-
-    Omega is eigendecomposed, tiny negative eigenvalues are clipped (see
-    PSD_CLIP_TOL), and E||.|| factorizes into E[chi_d] times a sphere average.
-    """
+    """kac_rice_density_batch of the one matrix kr.omega, as a TrackedReal."""
     if kr.omega.shape != (d, d):
         raise ValueError(f"omega must be {d}x{d}")
-    lam, lam_max = _clipped_eigenvalues(kr)
-    if lam_max == 0.0:
-        return TrackedReal(0.0, 0)
-    return TrackedReal.from_float(
-        _sphere_average_norm(lam, d) * chi_mean(d) / math.sqrt(2.0 * math.pi))
+    return TrackedReal.from_float(kac_rice_density_batch(kr.omega[np.newaxis])[0])
 
 
 def omega_exact(level, x):
@@ -263,17 +265,11 @@ def omega_exact_batch(level, points):
     points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in points]
     if any(np.linalg.norm(x) == 0.0 for x in points):
         raise ValueError("omega_exact requires x != 0")
-    d = level.d
     out = []
     for jet in projector.covariance_jet_batch(level, points):
-        ratio_grad = np.array([(g / jet.pi).to_float() for g in jet.grad])
-        omega = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                omega[i, j] = (jet.hess[i][j] / jet.pi).to_float() \
-                    - ratio_grad[i] * ratio_grad[j]
-        omega = 0.5 * (omega + omega.T)
-        out.append(KacRiceMatrix(omega=omega))
+        grad = np.array([(g / jet.pi).to_float() for g in jet.grad])
+        hess = np.array([[(h / jet.pi).to_float() for h in row] for row in jet.hess])
+        out.append(KacRiceMatrix(omega=hess - np.outer(grad, grad)))  # exactly symmetric
     return out
 
 
@@ -291,35 +287,33 @@ def omega_caustic_scaled(frame, u):
     An (m, d) array of offsets gives a list of m matrices from one
     four-weight ai_k_family table.
     """
+    u = np.asarray(u, dtype=float)
+    stack = [KacRiceMatrix(omega=w) for w in _caustic_omegas(frame, np.atleast_2d(u))]
+    return stack[0] if u.ndim == 1 else stack
+
+
+def _caustic_omegas(frame, offsets):
+    """omega_caustic_scaled of an (m, d) array of offsets as an (m, d, d) stack."""
     d = frame.d
     if d < 2:
         raise ValueError("the caustic matrix needs d >= 2")
-    u = np.asarray(u, dtype=float)
-    s = 2.0 * (u @ frame.x0)
-    if u.ndim == 1:
-        s = float(s)
+    s = 2.0 * (offsets @ frame.x0)
     base, second, first, lower = airy.ai_k_family(
         (-d / 2.0, 2.0 - d / 2.0, 1.0 - d / 2.0, -1.0 - d / 2.0), s)
-    small = np.flatnonzero(np.atleast_1d(base) < np.finfo(float).tiny)
+    small = np.flatnonzero(base < np.finfo(float).tiny)
     if small.size:
-        i = small[0]
-        s_i, base_i = float(np.atleast_1d(s)[i]), float(np.atleast_1d(base)[i])
+        s_i, base_i = float(s[small[0]]), float(base[small[0]])
         raise ValueError(f"caustic-tube offset <u, x0> = {s_i / 2.0!r}: Ai_{{-d/2}}({s_i!r}) = "
-                         f"{base_i!r} is below the smallest normal float, so Omega0 is not "
-                         f"computable there")
+                         f"{base_i!r} is below the smallest normal float: Omega0 is not computable")
     radial = second / base - (first / base) ** 2
     tangential = 0.5 * lower / base
-    outer = np.outer(frame.x0, frame.x0)
-    if u.ndim == 1:
-        return KacRiceMatrix(omega=radial * outer + tangential * np.eye(d))
-    return [KacRiceMatrix(omega=r * outer + t * np.eye(d))
-            for r, t in zip(radial.tolist(), tangential.tolist())]
+    return radial[:, np.newaxis, np.newaxis] * np.outer(frame.x0, frame.x0) \
+        + tangential[:, np.newaxis, np.newaxis] * np.eye(d)
 
 
 def density_regime(query, level):
     """Leading-order density for the query's regime, as a TrackedReal.
 
-    Every region builds (KacRiceMatrix, log sigma^2) and ends in kac_rice_density.
     Bulk regions return the unscaled density F(x) at x = x0 + u; annuli and the
     tube return the rescaled density of the zoomed field at offset u (annulus
     Omegas carry the hbar^(2 alpha) dilation factor; the tube value is
@@ -329,32 +323,29 @@ def density_regime(query, level):
 
 
 def density_regime_batch(queries, level):
-    """density_regime at every query of a list.
+    """density_regime at every query of a list, each equal (==) to a one-query call.
 
-    The caustic-tube queries that share a frame take their Omegas from one
-    omega_caustic_scaled call, that is one Airy table; every density equals
-    (==) a one-query density_regime.
+    Every region gives (unit Omega, log sigma^2); the Omegas form one stack for
+    kac_rice_density_batch, and tube rows that share a frame one Airy table.
     """
     d = level.d
     if any(q.frame.d != d for q in queries):
         raise ValueError("level and frame dimensions differ")
+    omegas = np.empty((len(queries), d, d))
+    log_sigma_sq = np.zeros(len(queries))
     tube = {}
     for i, q in enumerate(queries):
         if q.region is Region.CAUSTIC_TUBE:
             tube.setdefault(id(q.frame), []).append(i)
-    omegas = {}
-    for group in tube.values():
-        offsets = np.array([np.asarray(queries[i].u, float) for i in group])
-        omegas.update(zip(group, omega_caustic_scaled(queries[group[0]].frame, offsets)))
-    out = []
-    for i, query in enumerate(queries):
-        if i in omegas:
-            omega, log_sigma_sq = omegas[i], 0.0
         else:
-            omega, log_sigma_sq = _regime_omega(query, level)
-        # the density is 1-homogeneous under Omega -> c^2 Omega
-        out.append(kac_rice_density(omega, d) * TrackedReal.from_log(0.5 * log_sigma_sq))
-    return out
+            omega, log_sigma_sq[i] = _regime_omega(q, level)
+            omegas[i] = omega.omega
+    for rows in tube.values():
+        offsets = np.array([np.asarray(queries[i].u, float) for i in rows])
+        omegas[rows] = _caustic_omegas(queries[rows[0]].frame, offsets)
+    # the density is 1-homogeneous under Omega -> c^2 Omega
+    return [TrackedReal.from_float(f) * TrackedReal.from_log(0.5 * log_s)
+            for f, log_s in zip(kac_rice_density_batch(omegas).tolist(), log_sigma_sq.tolist())]
 
 
 def _regime_omega(query, level):
@@ -414,21 +405,17 @@ def omega_forbidden_annulus(level, frame, alpha, s):
 def density_grid(level, xs, ys):
     """Exact Kac-Rice density on a d = 2 tensor grid, shape (len(ys), len(xs)).
 
-    Analytic 2x2 eigenvalues of Omega, then the elliptic form that
-    kac_rice_density uses (_circle_average_norm); meant for hbar-resolving
-    averages (the exact bulk density carries oscillatory corrections of
-    relative size ~sqrt(hbar) on scale hbar, which coarse quadrature aliases).
+    The three entry arrays of Omega go to the d = 2 core of
+    kac_rice_density_batch as they are; meant for hbar-resolving averages
+    (the exact bulk density carries oscillatory corrections of relative size
+    ~sqrt(hbar) on scale hbar, which coarse quadrature aliases).
     """
     jets = projector.jet_grid(level, xs, ys)
     pi = jets["Pi"]
     o11 = jets["H11"] / pi - (jets["G1"] / pi) ** 2
     o22 = jets["H22"] / pi - (jets["G2"] / pi) ** 2
     o12 = jets["H12"] / pi - (jets["G1"] / pi) * (jets["G2"] / pi)
-    half_tr = 0.5 * (o11 + o22)
-    gap = np.sqrt(np.maximum(0.25 * (o11 - o22) ** 2 + o12 ** 2, 0.0))
-    lam1 = np.maximum(half_tr + gap, 0.0)
-    lam2 = np.maximum(half_tr - gap, 0.0)
-    return _circle_average_norm(lam2, lam1) * chi_mean(2) / math.sqrt(2.0 * math.pi)
+    return _density_2x2(o11, o22, o12)
 
 
 def mean_density_box(level, box, step=None):

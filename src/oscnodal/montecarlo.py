@@ -489,15 +489,19 @@ def radial_zero_profile(spec, radii, half_width=None):
     forbidden region; zeros are assigned to the nearest requested radius when
     within half_width (default: half the smallest radius gap).  Returns one
     NodalEstimate per radius: density of zeros per unit radial length, with
-    the seed-to-seed scatter as the error.
+    the seed-to-seed scatter as the error.  Radii must be positive and distinct.
     """
     level = spec.level
     if level.d != 2:
         raise ValueError("radial_zero_profile is d = 2 only")
     radii = np.asarray(sorted(radii), dtype=float)
+    gaps = np.diff(radii)
+    if radii.size == 0 or not radii[0] > 0.0 or np.any(gaps == 0.0):
+        raise ValueError(f"radii must be positive and distinct, got {radii.tolist()}")
     if half_width is None:
-        gaps = np.diff(radii)
         half_width = float(gaps.min()) / 2.0 if gaps.size else 0.05
+    elif not half_width > 0.0:
+        raise ValueError(f"half_width must be positive, got {half_width!r}")
     t_step = spec.t_step if spec.t_step is not None else level.hbar / 8.0
     t_lo = max(radii[0] - half_width, t_step)
     t_hi = radii[-1] + half_width

@@ -287,6 +287,18 @@ class TestMonteCarloCommand:
         _, rows = read_table(out)
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("radii", ["0.5,0.5", "-0.5,0.5", "0,0.5"])
+    def test_bad_radii_are_a_usage_error(self, tmp_path, capsys, radii):
+        # a repeated radius used to divide by a zero half-width (NaN rows,
+        # exit 0) and a negative one to write a 0.0 row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run(tmp_path, "montecarlo", "--statistic", "radial-profile",
+                              "--d", "2", "--N", "20", "--seeds", "2", "--radii", radii)
+        assert status == 1
+        assert "radii must be positive and distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("statistic", ["nodal-length", "caustic-crossings"])
     def test_d3_is_a_usage_error(self, tmp_path, capsys, statistic):
         status, out = run(tmp_path, "montecarlo", "--statistic", statistic,
@@ -518,6 +530,33 @@ class TestConfigAndErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("tolerance=nan\n")
         assert run(tmp_path, *command, "--config", str(cfg))[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("density", "--regime", "allowed-bulk", "--d", "1", "--u1-range", "-0.5", "--with-exact"),
+    ("density", "--regime", "caustic-tube", "--N", "0", "--u1-range", "0", "--with-exact"),
+    ("scaling-sweep", "--d", "1", "--N", "10,20", "--point", "allowed"),
+    ("scaling-sweep", "--d", "2", "--N", "10,0", "--point", "allowed"),
+])
+def test_one_dimensional_eigenspace_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # d = 1 or N = 0: one eigenfunction, Omega = 0, an exact density of 0
+    # (these used to exit 1 with a bare "log of zero"); refused before any
+    # basis is built
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was built")
+    monkeypatch.setattr(oscnodal.projector, "covariance_jet_batch", no_basis)
+    status, out = run(tmp_path, *argv)
+    assert status == 1
+    assert "one-dimensional eigenspace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_dimensional_eigenspace_closed_form_still_runs(tmp_path):
+    # without --with-exact the closed form needs no exact density
+    status, out = run(tmp_path, "density", "--regime", "allowed-bulk", "--d", "1",
+                      "--u1-range", "-0.5")
+    assert status == 0
+    assert len(read_table(out)[1]) == 1
 
 
 def _readme_commands():

@@ -17,6 +17,7 @@ from oscnodal import (
     density_regime,
     density_regime_batch,
     kac_rice_density,
+    kac_rice_density_batch,
     level_new,
     omega_caustic_scaled,
     omega_exact,
@@ -28,6 +29,7 @@ from oscnodal.airy import AI_PRIME_ZERO
 from oscnodal.projector import _conv_last
 from oscnodal.semiclassical import _phi_deriv_mantexp
 from oscnodal.densities import (
+    PSD_CLIP_TOL,
     C_d,
     _circle_average_norm,
     _ellipe_complement,
@@ -128,6 +130,76 @@ class TestKacRiceDensity:
             kac_rice_density(KacRiceMatrix(np.diag([1.0, -1e-3])), 2)
 
 
+class TestKacRiceDensityBatch:
+    """kac_rice_density_batch: the one array reduction behind every density."""
+
+    @staticmethod
+    def psd_stack(rng, d, m=40):
+        # seeded random PSD matrices with ranks 0..d spread over ten decades,
+        # plus a zero row and a row with an eigenvalue just inside the clip
+        rows = []
+        for i in range(m):
+            a = rng.standard_normal((d, i % (d + 1))) * 10.0 ** rng.uniform(-5.0, 5.0)
+            rows.append(a @ a.T)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        lam = np.linspace(1.0, 2.0, d)
+        lam[0] = -0.5 * PSD_CLIP_TOL * lam[-1]
+        rows.append(q @ np.diag(lam) @ q.T)
+        rows.append(np.zeros((d, d)))
+        stack = np.array(rows)
+        return 0.5 * (stack + stack.swapaxes(1, 2))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_equals_one_matrix_at_a_time(self, d):
+        stack = self.psd_stack(np.random.default_rng(70 + d), d)
+        batch = kac_rice_density_batch(stack)
+        assert batch.shape == (len(stack),)
+        for i, omega in enumerate(stack):
+            assert batch[i] == kac_rice_density(KacRiceMatrix(omega), d).to_float(), i
+        # each row depends on its own matrix alone
+        assert kac_rice_density_batch(stack[::-1]).tolist() == batch[::-1].tolist()
+        assert batch[-1] == 0.0 and not math.copysign(1.0, batch[-1]) < 0.0
+        assert batch[-2] > 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejects_bad_stacks(self, d):
+        good = np.tile(np.eye(d), (3, 1, 1))
+        below = good.copy()
+        below[1] = np.diag(np.r_[-1e-3, np.ones(d - 1)])
+        with pytest.raises(ValueError, match="below the PSD clip tolerance"):
+            kac_rice_density_batch(below)
+        with pytest.raises(ValueError, match="below the PSD clip tolerance"):
+            kac_rice_density_batch(-good)
+        with pytest.raises(ValueError, match="square"):
+            kac_rice_density_batch(np.ones((3, d, d + 1)))
+        with pytest.raises(ValueError, match="square"):
+            kac_rice_density_batch(np.eye(d))
+        asymmetric = good.copy()
+        asymmetric[2, 0, 1] = 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            kac_rice_density_batch(asymmetric)
+        for bad in (np.nan, np.inf):
+            broken = good.copy()
+            broken[0, 0, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                kac_rice_density_batch(broken)
+            with pytest.raises(ValueError, match="finite"):
+                KacRiceMatrix(broken[0])
+
+    def test_density_grid_equals_batch_on_its_entries(self):
+        level = level_new(2, 60)
+        xs, ys = np.linspace(0.4, 1.5, 23), np.linspace(-0.1, 0.3, 9)
+        grid = density_grid(level, xs, ys)
+        jets = projector.jet_grid(level, xs, ys)
+        pi = jets["Pi"]
+        o11 = jets["H11"] / pi - (jets["G1"] / pi) ** 2
+        o22 = jets["H22"] / pi - (jets["G2"] / pi) ** 2
+        o12 = jets["H12"] / pi - (jets["G1"] / pi) * (jets["G2"] / pi)
+        stack = np.stack([np.stack([o11, o12], -1), np.stack([o12, o22], -1)], -2)
+        batch = kac_rice_density_batch(stack.reshape(-1, 2, 2))
+        assert batch.tolist() == grid.ravel().tolist()
+
+
 class TestEllipticE:
     """_ellipe_complement(p) = E(1 - p), the AGM behind the d = 2 reduction."""
 
@@ -135,31 +207,31 @@ class TestEllipticE:
 
     def test_exactly_one_at_m_one(self):
         # the d = 2 forbidden bulk has lo = 0
-        assert _ellipe_complement(0.0) == 1.0
         assert _ellipe_complement(np.array([0.0, 0.0])).tolist() == [1.0, 1.0]
-        assert _circle_average_norm(0.0, 4.0) == 4.0 / math.pi
         assert _circle_average_norm(np.array([0.0]), np.array([4.0])).tolist() == [4.0 / math.pi]
 
     def test_matches_mpmath(self):
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(17)
         ratios = list(self.RATIOS) + (10.0 ** rng.uniform(-300.0, 0.0, 20)).tolist()
-        for ratio in ratios:
+        values = _ellipe_complement(np.array(ratios))
+        for ratio, value in zip(ratios, values.tolist()):
             # enough digits to hold 1 - ratio
             with mp.workdps(30 + int(-math.log10(ratio))):
                 ref = float(mp.ellipe(1 - mp.mpf(ratio)))
-            assert abs(_ellipe_complement(ratio) - ref) <= 5e-16 * ref, ratio
+            assert abs(value - ref) <= 5e-16 * ref, ratio
             # scipy as a second oracle
-            assert abs(_ellipe_complement(ratio) - ellipe(1.0 - ratio)) <= 1e-15 * ref, ratio
+            assert abs(value - ellipe(1.0 - ratio)) <= 1e-15 * ref, ratio
 
-    def test_float_branch_equals_array_branch(self):
+    def test_element_alone_equals_element_in_array(self):
         rng = np.random.default_rng(4)
         p = np.concatenate([[0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), 5e-324, 1e-300],
                             10.0 ** rng.uniform(-300.0, 0.0, 200), rng.uniform(0.0, 1.0, 200)])
         table = _ellipe_complement(p)
-        assert [_ellipe_complement(v) for v in p.tolist()] == table.tolist()
+        assert [_ellipe_complement(np.array([v]))[0] for v in p.tolist()] == table.tolist()
         assert _ellipe_complement(p[::-1]).tolist() == table[::-1].tolist()
         assert _ellipe_complement(p.reshape(2, -1)).ravel().tolist() == table.tolist()
+        assert _ellipe_complement(p[::3]).tolist() == table[::3].tolist()
 
 
 class TestOmegaExact:

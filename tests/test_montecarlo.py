@@ -485,6 +485,16 @@ class TestRadialProfile:
             else:
                 assert abs(a.value - b.value) <= 3.0 * se
 
+    @pytest.mark.parametrize("radii,half_width,message", [
+        ([0.5, 0.5], None, "radii must be"), ([0.5, 0.7, 0.5], 0.05, "radii must be"),
+        ([-0.5, 0.5], None, "radii must be"), ([0.0, 0.5], None, "radii must be"),
+        ([], None, "radii must be"), ([0.5, 0.7], 0.0, "half_width must be"),
+        ([0.5, 0.7], -0.1, "half_width must be")])
+    def test_rejects_bad_radii(self, radii, half_width, message):
+        spec = EnsembleSpec(level=level_new(2, 20), seeds=(1, 2), n_rays=4)
+        with pytest.raises(ValueError, match=message):
+            radial_zero_profile(spec, radii, half_width=half_width)
+
 
 class TestNoForbiddenNodalDomain:
     def test_components_in_forbidden_region_touch_allowed(self):
