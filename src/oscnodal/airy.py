@@ -23,8 +23,8 @@ Evaluation routes:
 
 The classical Ai itself is a Taylor series from the nearest anchor of a
 lattice of step 1/4 on [-200, 108], whose (Ai, Ai') values are mpmath's
-(_airy_anchors); ai_series below is an independent Maclaurin evaluation used
-as a cross-check oracle.  Only the gamma_integral route needs scipy.
+(_airy_anchors); the tests check it against an independent Maclaurin series.
+Only the gamma_integral route needs scipy.
 """
 
 from __future__ import annotations
@@ -162,28 +162,6 @@ def _ai_scalar(s):
     if -math.inf < s < -ASYMPTOTIC_SWITCH:
         return ai_k_asymptotic(0.0, s)
     return math.nan if math.isnan(s) else 0.0
-
-
-def ai_series(s, max_terms=260):
-    """Maclaurin-series Airy oracle, reliable for |s| <= ~6 in doubles.
-
-    Ai = Ai(0) f(s) + Ai'(0) g(s) with f, g the two entire solutions of the
-    Airy equation.  Independent of scipy; used by the tests as a cross-check.
-    """
-    s = float(s)
-    f_term = 1.0
-    g_term = s
-    f_sum = f_term
-    g_sum = g_term
-    s3 = s * s * s
-    for k in range(max_terms):
-        f_term *= s3 / ((3 * k + 2) * (3 * k + 3))
-        g_term *= s3 / ((3 * k + 3) * (3 * k + 4))
-        f_sum += f_term
-        g_sum += g_term
-        if abs(f_term) < 1e-20 * abs(f_sum) and abs(g_term) < 1e-20 * max(abs(g_sum), 1e-30):
-            break
-    return AI_ZERO * f_sum + AI_PRIME_ZERO * g_sum
 
 
 @functools.lru_cache(maxsize=16)
@@ -476,20 +454,3 @@ def _asymptotic(kappa, s):
     osc = math.sin(2.0 / 3.0 * x ** 1.5 - (2.0 * kappa - 1.0) * math.pi / 4.0) \
         / (_SQRT_PI * x ** ((2.0 * kappa + 1.0) / 4.0))
     return series + osc
-
-
-def airy_product_contour(x, y):
-    """Ai(x) Ai(y) through the single-contour product identity.
-
-    Substituting T -> 2^(-1/3) T in the double-saddle form gives
-
-        Ai(x) Ai(y) = 2^(-1/6) (2 pi)^(-1/2) *
-            (1/2 pi i) int_C T^(-1/2) exp(T^3/3 - sT - c/T) dT,
-
-    with s = 2^(-1/3) (x+y) and c = 2^(1/3) (x-y)^2 / 8.  At x = y this is
-    the closed form Ai(x)^2 = 2^(-1/6) (2 pi)^(-1/2) Ai_{-1/2}(2^(2/3) x).
-    """
-    s = 2.0 ** (-1.0 / 3.0) * (x + y)
-    c = 2.0 ** (1.0 / 3.0) * (x - y) ** 2 / 8.0
-    val = contour_integral(-0.5, s, extra=lambda t: np.exp(-c / t))
-    return 2.0 ** (-1.0 / 6.0) / math.sqrt(2.0 * math.pi) * val

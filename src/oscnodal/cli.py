@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from . import __version__, airy, densities, montecarlo, projector, scaled_kernel
-from .semiclassical import TrackedReal, level_new
+from .semiclassical import ResourceLimitError, TrackedReal, level_new
 
 VALIDATION_EXIT = 2
 
@@ -552,7 +552,7 @@ def main(argv=None):
     start = time.time()
     try:
         status = _COMMANDS[args.command](args)
-    except (ValueError, OSError, ImportError) as exc:
+    except (ValueError, OSError, ImportError, ResourceLimitError) as exc:
         print(f"oscnodal: error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(os.path.splitext(args.output)[0] + "_manifest.json",

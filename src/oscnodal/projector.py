@@ -24,7 +24,10 @@ the basis derivative ladder, never by differentiating the residue integrand.
 Both exact entry points take whole tables: pi_exact_batch and
 covariance_jet_batch run one basis recurrence per table (per pass of
 _PAIRS_PER_PASS entries) over its distinct coordinates, and pi_exact and
-covariance_jet are their one-entry cases.
+covariance_jet are their one-entry cases.  The recurrence is the extended-
+precision route of semiclassical._psi_mantexp: transfers across blocks of 32
+degrees, each column depending on its own coordinate alone, mantissas
+frexp-normalized (|m| < 1) with one base-2 exponent per entry.
 """
 
 from __future__ import annotations

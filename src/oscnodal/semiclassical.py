@@ -15,6 +15,13 @@ real arguments.  In the classically forbidden region the values decay like
 exp(-c/hbar), far below float underflow, so every value is carried as a
 (mantissa, exponent) pair in base 2, from the recurrence through the folds
 to TrackedReal; see TrackedReal.
+
+The recurrence has two routes, chosen by dtype alone (_psi_mantexp).  float64
+(Monte Carlo fields, jet grids: thousands of columns at N <= 400) steps one
+row at a time.  Extended precision (the exact kernels and jets: a few columns
+at N up to thousands) runs as transfers across blocks of _BLOCK = 32 rows, so
+a table of N rows costs ~8 * 32 + N / 3 array operations instead of ~3.6 N,
+at the per-step loop's accuracy; its mantissas come frexp-normalized, |m| < 1.
 """
 
 from __future__ import annotations
@@ -228,27 +235,36 @@ def rescale_to_unit(x, E_general):
     return RescaleRule(x_prime=x / math.sqrt(2.0 * E_general), energy=float(E_general))
 
 
+#: rows per block of the extended-precision block-transfer recurrence
+_BLOCK = 32
+
+
 def _psi_mantexp(nmax, xi, dtype=np.float64):
     """psi_0..psi_nmax at the points xi, exponent tracked in base 2.
 
     Returns (m, e) with value = m * 2**e elementwise, shapes (nmax+1, len(xi)).
-    The running pair is renormalized every 8 steps; the per-step growth factor
-    is at most ~sqrt(2)|xi| + 1, which keeps mantissas inside float range for
-    |xi| up to several hundred.  Each step is (a_k xi) psi_k - b_k psi_{k-1},
-    written straight into its row of m; a_k and b_k are computed once, and the
-    products a_k xi once per block of 8 steps (one renormalization block), so
-    no per-step coefficient work and no (nmax, len(xi)) temporary remain.
+    Each step is psi_{k+1} = (a_k xi) psi_k - b_k psi_{k-1} with
+    a_k = sqrt(2/(k+1)) and b_k = sqrt(k/(k+1)); the route depends on the
+    dtype alone, never on the batch, so every column depends on its own xi.
+
+    float64 (Monte Carlo fields, jet grids: thousands of columns at small N,
+    where per-step arithmetic dominates) runs the steps one row at a time,
+    written straight into m, and renormalizes the running pair every 8
+    steps; the per-step growth factor is at most ~sqrt(2)|xi| + 1, which
+    keeps mantissas inside float range for |xi| up to several hundred.  Any
+    other dtype (extended precision: a few columns at large N, where the
+    per-call overhead dominates) takes _psi_blocks, with mantissas
+    frexp-normalized, |m| < 1.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=dtype))
+    if np.dtype(dtype) != np.float64:
+        return _psi_blocks(nmax, xi, dtype)
     npts = xi.size
     m = np.empty((nmax + 1, npts), dtype=dtype)
     e = np.empty((nmax + 1, npts), dtype=np.int64)
-    t = -xi * xi * dtype(0.5) * dtype(_LOG2E)
-    ecur = np.floor(t).astype(np.int64)
-    m[0] = dtype(_PI_M14) * np.exp2(t - ecur)
-    k1 = np.arange(1, nmax + 1, dtype=dtype)
-    a = np.sqrt(dtype(2.0) / k1)[:, None]          # a_k = sqrt(2/(k+1))
-    b = np.sqrt((k1 - dtype(1.0)) / k1)[:, None]   # b_k = sqrt(k/(k+1))
+    ecur, m[0] = _psi_ground(xi, dtype)
+    a, b = _psi_coefficients(nmax, dtype)
+    a, b = a[:, None], b[:, None]
     a_xi = np.empty((8, npts), dtype=dtype)
     tmp = np.empty(npts, dtype=dtype)
     cur, prev = m[0], np.zeros(npts, dtype=dtype)
@@ -270,6 +286,117 @@ def _psi_mantexp(nmax, xi, dtype=np.float64):
             ecur = ecur + sh
     e[nmax] = ecur
     return m, e
+
+
+def _psi_ground(xi, dtype):
+    """(e, m) with psi_0(xi) = m * 2**e, e = floor(-xi^2 / (2 ln 2))."""
+    t = -xi * xi * dtype(0.5) * dtype(_LOG2E)
+    e = np.floor(t).astype(np.int64)
+    return e, dtype(_PI_M14) * np.exp2(t - e)
+
+
+def _psi_coefficients(nsteps, dtype):
+    """a_k = sqrt(2/(k+1)) and b_k = sqrt(k/(k+1)) for k < nsteps."""
+    k1 = np.arange(1, nsteps + 1, dtype=dtype)
+    return np.sqrt(dtype(2.0) / k1), np.sqrt((k1 - dtype(1.0)) / k1)
+
+
+def _psi_blocks(nmax, xi, dtype):
+    """The recurrence as transfers across blocks of _BLOCK rows, at per-step accuracy.
+
+    Row j of the block that starts at k0 = 0, B, 2B, ... is
+    psi_{k0+j} = P_j psi_{k0} - Q_j psi_{k0-1}, where P and Q obey the
+    recurrence from (P_0, P_{-1}) = (1, 0) and (Q_0, Q_{-1}) = (0, -1)
+    (Gil, Segura & Temme 2007, ch. 4).  Four passes replace the nmax
+    sequential steps, ~8 B + 10 nmax / B array operations in all:
+
+    1. P_j and Q_j of every block at once, in float64: B array steps.
+    2. The block starts s_k = (psi_{k0}, psi_{k0-1}), carried one block at a
+       time through the float64 transfers and renormalized by frexp.
+    3. The recurrence itself, in the working dtype, in every block at once
+       from those starts (block 0 from psi_0): B array steps, each writing
+       its row of every block straight into m.  Block 0 is the per-step loop.
+    4. The float64 starts' defects, d_k = (the last two rows of block k-1) -
+       s_k, carried as c_k = d_k + T_{k-1} c_{k-1} and added to every row as
+       P_j c_k0 - Q_j c_k1; then one frexp normalizes the table, |m| < 1.
+
+    The corrections are small (at most 1.2e-10 of a row at nmax = 5000), so
+    float64 carries them to far under one extended ulp, and every row keeps
+    the per-step rounding.  Filling the rows as P_j s_k0 - Q_j s_k1 instead
+    doubles the error near the turning point xi^2 ~ 2k, where the two terms
+    nearly cancel (DECISIONS.md).  Within a block |P_j|, |Q_j| <=
+    (sqrt(2)|xi| + 1)^B, finite in float64 for |xi| < 2^31.
+    """
+    npts, nb = xi.size, nmax // _BLOCK + 1
+    a, b = (c.reshape(nb, _BLOCK).T[:, :, None] for c in _psi_coefficients(nb * _BLOCK, dtype))
+    e0, m0 = _psi_ground(xi, dtype)
+    start = np.zeros((nb, 2, npts))                # s_k, in float64
+    start[0, 0] = m0
+    shift = np.zeros((nb, npts), dtype=np.intc)    # the power of 2 taken out of s_k
+    # 1. pq[j] = (P_j, Q_j) of every block
+    a_xi, b8 = a.astype(np.float64) * xi.astype(np.float64), b.astype(np.float64)
+    pq = np.empty((_BLOCK + 1, 2, nb, npts))
+    pq[0, 0], pq[0, 1] = 1.0, 0.0
+    pq[1, 0], pq[1, 1] = a_xi[0], b8[0]
+    tmp = np.empty((2, nb, npts))
+    for j in range(1, _BLOCK):
+        np.multiply(pq[j], a_xi[j], out=pq[j + 1])
+        np.multiply(pq[j - 1], b8[j], out=tmp)
+        np.subtract(pq[j + 1], tmp, out=pq[j + 1])
+    del a_xi
+    # 2. s_{k+1} = tp[k] psi_{k0} + tq[k] psi_{k0-1}, then frexp of psi_{k0+B}
+    tp = np.stack((pq[_BLOCK, 0], pq[_BLOCK - 1, 0]), axis=1)
+    tq = -np.stack((pq[_BLOCK, 1], pq[_BLOCK - 1, 1]), axis=1)
+    tmp, neg = np.empty((2, npts)), np.empty(npts, dtype=np.intc)
+    for p, q, (cur, prev), new, sh in zip(tp, tq, start, start[1:], shift[1:]):
+        np.multiply(p, cur, out=new)
+        np.multiply(q, prev, out=tmp)
+        np.add(new, tmp, out=new)
+        np.frexp(new[0], out=(new[0], sh))
+        np.negative(sh, out=neg)
+        np.ldexp(new[1], neg, out=new[1])
+    ecur = e0 + np.cumsum(shift, axis=0, dtype=np.int64)
+    # 3. rows 1..B-1 of every block, and psi_{k0+B} for the defects
+    m = np.empty((nb, _BLOCK, npts), dtype=dtype)
+    m[:, 0] = start[:, 0]
+    m[0, 0] = m0
+    before = start[:, 1].astype(dtype)
+    last = np.empty((nb, npts), dtype=dtype)
+    ax = np.empty((nb, npts), dtype=dtype)
+    tmp = np.empty((nb, npts), dtype=dtype)
+    for j in range(_BLOCK):
+        new = m[:, j + 1] if j + 1 < _BLOCK else last
+        np.multiply(a[j], xi, out=ax)
+        np.multiply(ax, m[:, j], out=new)
+        np.multiply(b[j], m[:, j - 1] if j else before, out=tmp)
+        np.subtract(new, tmp, out=new)
+    # 4. c_k in units of s_k, through the transfers rescaled to match
+    ends = np.stack((last[:-1], m[:-1, -1]), axis=1)
+    down = -shift[1:, None]
+    np.ldexp(ends, down, out=ends)
+    corr = np.zeros((nb, 2, npts))
+    corr[1:] = ends - start[1:]
+    np.ldexp(tp[:-1], down, out=tp[:-1])
+    np.ldexp(tq[:-1], down, out=tq[:-1])
+    tmp = np.empty((2, npts))
+    for p, q, (c0, c1), new in zip(tp, tq, corr, corr[1:]):
+        np.multiply(p, c0, out=tmp)
+        np.add(new, tmp, out=new)
+        np.multiply(q, c1, out=tmp)
+        np.add(new, tmp, out=new)
+    # m -= Q_j c1 - P_j c0, which + 0.0 keeps off -0 so zero rows keep their sign
+    p, q = pq[:_BLOCK, 0], pq[:_BLOCK, 1]
+    np.multiply(p, corr[:, 0], out=p)
+    np.multiply(q, corr[:, 1], out=q)
+    np.subtract(q, p, out=q)
+    np.add(q, 0.0, out=q)
+    np.subtract(m, q.transpose(1, 0, 2), out=m)
+    del pq, p, q
+    sh = np.empty(m.shape, dtype=np.intc)
+    np.frexp(m, out=(m, sh))
+    e = np.add(sh, ecur[:, None], dtype=np.int64)
+    shape, rows = (nb * _BLOCK, npts), nmax + 1
+    return m.reshape(shape)[:rows], e.reshape(shape)[:rows]
 
 
 def _psi_deriv_mantexp(nmax, xi, dtype=np.float64):

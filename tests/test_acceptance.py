@@ -15,8 +15,9 @@ import numpy as np
 
 import oscnodal as osc
 from oscnodal import densities as dens
-from oscnodal.airy import ai_series, airy_product_contour
 from oscnodal.scaled_kernel import pi0_diagonal
+
+from test_airy import ai_series, airy_product_contour
 
 FRAME = osc.CausticFrame.from_point([1.0, 0.0])
 

@@ -10,16 +10,49 @@ from scipy import special
 from scipy.integrate import quad
 
 from oscnodal import CausticFrame, _airy_anchors, ai, ai_k, ai_k_asymptotic, airy, quadrature
-from oscnodal.airy import (
-    AI_PRIME_ZERO,
-    AI_ZERO,
-    ai_series,
-    airy_product_contour,
-    contour_integral,
-)
+from oscnodal.airy import AI_PRIME_ZERO, AI_ZERO, contour_integral
 from oscnodal.densities import omega_caustic_scaled
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def ai_series(s, max_terms=260):
+    """Maclaurin-series Airy oracle, reliable for |s| <= ~6 in doubles.
+
+    Ai = Ai(0) f(s) + Ai'(0) g(s) with f, g the two entire solutions of the
+    Airy equation; independent of the anchor table behind airy.ai.
+    """
+    s = float(s)
+    f_term = 1.0
+    g_term = s
+    f_sum = f_term
+    g_sum = g_term
+    s3 = s * s * s
+    for k in range(max_terms):
+        f_term *= s3 / ((3 * k + 2) * (3 * k + 3))
+        g_term *= s3 / ((3 * k + 3) * (3 * k + 4))
+        f_sum += f_term
+        g_sum += g_term
+        if abs(f_term) < 1e-20 * abs(f_sum) and abs(g_term) < 1e-20 * max(abs(g_sum), 1e-30):
+            break
+    return AI_ZERO * f_sum + AI_PRIME_ZERO * g_sum
+
+
+def airy_product_contour(x, y):
+    """Ai(x) Ai(y) through the single-contour product identity.
+
+    Substituting T -> 2^(-1/3) T in the double-saddle form gives
+
+        Ai(x) Ai(y) = 2^(-1/6) (2 pi)^(-1/2) *
+            (1/2 pi i) int_C T^(-1/2) exp(T^3/3 - sT - c/T) dT,
+
+    with s = 2^(-1/3) (x+y) and c = 2^(1/3) (x-y)^2 / 8.  At x = y this is
+    the closed form Ai(x)^2 = 2^(-1/6) (2 pi)^(-1/2) Ai_{-1/2}(2^(2/3) x).
+    """
+    s = 2.0 ** (-1.0 / 3.0) * (x + y)
+    c = 2.0 ** (1.0 / 3.0) * (x - y) ** 2 / 8.0
+    val = contour_integral(-0.5, s, extra=lambda t: np.exp(-c / t))
+    return 2.0 ** (-1.0 / 6.0) / SQRT_2PI * val
 
 
 class TestAi:

@@ -393,6 +393,18 @@ class TestConfigAndErrors:
     def test_missing_required_flag(self, tmp_path):
         assert main(["airy", "-o", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("tube-mass", "--d", "60", "--N", "100000", "--kappa", "1"),
+        ("density", "--regime", "allowed-bulk", "--d", "60", "--N", "100000",
+         "--with-exact", "--u1-range", "-0.5"),
+    ])
+    def test_kernel_over_budget_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
+        status, out = run(tmp_path, *argv)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("oscnodal: error: d*N^(d-1) = ") and "exceeds budget" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# airy run\nk = -1\ns = 0:1:0.5\n")

@@ -48,6 +48,43 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def _mp_omega_d2(level, x, digits=50):
+    """Omega at a d = 2 diagonal point from a `digits`-digit covariance jet.
+
+    psi_k by the recurrence from psi_0 = pi^(-1/4) exp(-xi^2/2), psi_k' by
+    the ladder, phi_k(x) = hbar^(-1/4) psi_k(x / sqrt(hbar)); Omega is
+    H/Pi - G G^T / Pi^2 of the sums over beta = (k, N - k), rounded at the end.
+    """
+    import mpmath
+
+    n = level.N
+    with mpmath.workdps(digits):
+        hbar = mpmath.mpf(1) / (2 * n + 2)
+        axes = []
+        for coord in x:
+            xi = mpmath.mpf(coord) / mpmath.sqrt(hbar)
+            psi, prev = [mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-xi * xi / 2)], 0
+            for k in range(n + 1):
+                nxt = (mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * xi * psi[k]
+                       - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev)
+                prev = psi[k]
+                psi.append(nxt)
+            dpsi = [mpmath.sqrt(mpmath.mpf(k) / 2) * (psi[k - 1] if k else 0)
+                    - mpmath.sqrt(mpmath.mpf(k + 1) / 2) * psi[k + 1] for k in range(n + 1)]
+            scale = hbar ** mpmath.mpf(-0.25)
+            axes.append(([p * scale for p in psi[:n + 1]],
+                         [p * scale / mpmath.sqrt(hbar) for p in dpsi]))
+        (a, da), (b, db) = axes
+        pairs = [(k, n - k) for k in range(n + 1)]
+        pi = mpmath.fsum(a[i] ** 2 * b[j] ** 2 for i, j in pairs)
+        grad = [mpmath.fsum(da[i] * a[i] * b[j] ** 2 for i, j in pairs),
+                mpmath.fsum(a[i] ** 2 * db[j] * b[j] for i, j in pairs)]
+        hess = [[mpmath.fsum(da[i] ** 2 * b[j] ** 2 for i, j in pairs),
+                 mpmath.fsum(a[i] * da[i] * b[j] * db[j] for i, j in pairs)]]
+        hess.append([hess[0][1], mpmath.fsum(a[i] ** 2 * db[j] ** 2 for i, j in pairs)])
+        return np.array([[float(hess[r][c] / pi - grad[r] * grad[c] / pi ** 2)
+                          for c in range(2)] for r in range(2)])
+
 class TestKacRiceDensity:
     def test_isotropic_d2(self):
         # closed form sigma (2 pi)^(-1/2) E[chi_2] = 1/2 at sigma = 1;
@@ -257,6 +294,16 @@ class TestOmegaExact:
                         for i in range(2)])
         omega = omega_exact(level, x).omega
         assert np.max(np.abs(omega - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n,x", [(800, (2.0, 0.0)), (1600, (1.3, 0.0))])
+    def test_forbidden_density_matches_mpmath_jet(self, n, x):
+        # H/Pi - (G/Pi)^2 cancels heavily here: a 1e-19 change in the
+        # basis moves the log density by ~1e-11
+        pytest.importorskip("mpmath")
+        level = level_new(2, n)
+        ref = math.log(kac_rice_density_batch(_mp_omega_d2(level, x)[np.newaxis])[0])
+        got = math.log(kac_rice_density_batch(omega_exact(level, x).omega[np.newaxis])[0])
+        assert abs(got - ref) <= 3e-11
 
     def test_rotational_covariance(self):
         level = level_new(2, 30)

@@ -211,18 +211,133 @@ def psi_reference(nmax, xi, dtype):
     return m, e
 
 
+def _mpf(m, e):
+    """m * 2**e as an exact mpmath number, for a float or longdouble m."""
+    import mpmath
+
+    f, k = np.frexp(m)
+    return mpmath.ldexp(mpmath.mpf(int(np.ldexp(f, 64))), int(k) + int(e) - 64)
+
+
+def _log2_abs(v):
+    import mpmath
+
+    if not v:
+        return -math.inf
+    man, ex = mpmath.frexp(v)
+    return ex + math.log2(abs(float(man)))
+
+
+def mp_recurrence(nmax, xi, start, digits=60):
+    """Columns psi_0..psi_nmax of the recurrence at `digits` digits.
+
+    Exact coefficients and exact xi, from the given row 0 (a (m, e) pair per
+    column), so the comparison measures the recurrence's own rounding.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        a = [mpmath.sqrt(mpmath.mpf(2) / (k + 1)) for k in range(nmax)]
+        b = [mpmath.sqrt(mpmath.mpf(k) / (k + 1)) for k in range(nmax)]
+        cols = []
+        for x, (m0, e0) in zip(xi, start):
+            x, cur, prev = _mpf(x, 0), _mpf(m0, e0), mpmath.mpf(0)
+            col = [cur]
+            for k in range(nmax):
+                cur, prev = a[k] * x * cur - b[k] * prev, cur
+                col.append(cur)
+            cols.append(col)
+    return cols
+
+
+def envelope_errors(m, e, ref, width=8):
+    """|m 2**e - ref| / max_{|j-k| <= width} |ref_j|, entry by entry."""
+    import mpmath
+
+    err = np.zeros(m.shape)
+    with mpmath.workdps(60):
+        for c, col in enumerate(ref):
+            logs = np.array([_log2_abs(v) for v in col])
+            padded = np.concatenate([np.full(width, -np.inf), logs, np.full(width, -np.inf)])
+            env = np.lib.stride_tricks.sliding_window_view(padded, 2 * width + 1).max(axis=1)
+            for k, v in enumerate(col):
+                err[k, c] = 2.0 ** (_log2_abs(_mpf(m[k, c], e[k, c]) - v) - env[k])
+    return err
+
+
+def _recurrence_points(nmax):
+    # both zeros, and |xi| up to ~90, i.e. |x| = 1.6 at N = 1600
+    rng = np.random.default_rng(nmax)
+    return np.concatenate([[0.0, -0.0, 90.5, -90.5], rng.uniform(-60.0, 60.0, 5)])
+
+
 class TestPsiRecurrence:
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    @pytest.mark.parametrize("nmax", [0, 1, 7, 8, 9, 17, 400, 1601])
-    def test_equals_per_step_reference(self, dtype, nmax):
-        # both zeros, and |xi| up to ~90, i.e. |x| = 1.6 at N = 1600
-        rng = np.random.default_rng(nmax)
-        xi = np.concatenate([[0.0, -0.0, 90.5, -90.5], rng.uniform(-60.0, 60.0, 5)])
+    @pytest.mark.parametrize("nmax,dtype", [(n, np.float64) for n in (0, 1, 7, 8, 9, 17, 400, 1601)]
+                             + [(n, np.longdouble) for n in (0, 1, 7, 8, 9, 17)])
+    def test_equals_per_step_reference(self, nmax, dtype):
+        # the float64 route (Monte Carlo fields, jet grids) is the per-step
+        # loop; so is an extended table of one block (nmax < 32), up to the
+        # frexp that normalizes its mantissas
+        xi = _recurrence_points(nmax)
         m, e = _psi_mantexp(nmax, xi.astype(dtype), dtype=dtype)
         m_ref, e_ref = psi_reference(nmax, xi.astype(dtype), dtype)
         assert m.dtype == m_ref.dtype and e.dtype == e_ref.dtype
+        if dtype is np.longdouble:
+            m, e = np.ldexp(m, e - e_ref), e_ref
         assert np.array_equal(m, m_ref) and np.array_equal(e, e_ref)
         assert np.array_equal(np.signbit(m), np.signbit(m_ref))
+
+    @pytest.mark.parametrize("nmax", [0, 1, 7, 8, 9, 17, 31, 32, 33, 400, 1601])
+    def test_extended_within_per_step_error(self, nmax):
+        # the block route against a 60-digit run of the same recurrence, error
+        # over the local envelope: as accurate as the per-step loop on the same
+        # inputs (RMS over the table), and below float64 resolution everywhere
+        pytest.importorskip("mpmath")
+        ld = np.longdouble
+        xi = _recurrence_points(nmax).astype(ld)
+        m, e = _psi_mantexp(nmax, xi, dtype=ld)
+        m_step, e_step = psi_reference(nmax, xi, ld)
+        assert m.dtype == ld and e.dtype == np.int64 and m.shape == m_step.shape
+        ref = mp_recurrence(nmax, xi, zip(m_step[0], e_step[0]))
+        err = envelope_errors(m, e, ref)
+        err_step = envelope_errors(m_step, e_step, ref)
+        assert np.sqrt(np.mean(err**2)) <= 1.5 * np.sqrt(np.mean(err_step**2))
+        assert err.max() < 2.0 ** -53
+
+    def test_column_alone_equals_its_column_in_a_batch(self):
+        ld = np.longdouble
+        xi = _recurrence_points(7).astype(ld)
+        for nmax in (40, 1601):
+            m, e = _psi_mantexp(nmax, xi, dtype=ld)
+            for c in range(xi.size):
+                mc, ec = _psi_mantexp(nmax, xi[c:c + 1], dtype=ld)
+                assert np.array_equal(mc[:, 0], m[:, c]) and np.array_equal(ec[:, 0], e[:, c])
+
+    @pytest.mark.parametrize("n", [0, 31, 32, 63, 400, 1600])
+    def test_rows_do_not_depend_on_nmax(self, n):
+        # pi_exact recurs to N and covariance_jet to N + 1 over the same rows
+        ld = np.longdouble
+        xi = _recurrence_points(n).astype(ld)
+        m, e = _psi_mantexp(n, xi, dtype=ld)
+        m1, e1 = _psi_mantexp(n + 1, xi, dtype=ld)
+        assert np.array_equal(m1[: n + 1], m) and np.array_equal(e1[: n + 1], e)
+
+    def test_signed_zero_is_kept(self):
+        # psi_k(-0) = (-1)^k psi_k(+0), zeros included, as in the per-step loop
+        ld = np.longdouble
+        xi = np.array([0.0, -0.0], dtype=ld)
+        m, _ = _psi_mantexp(1601, xi, dtype=ld)
+        m_step, _ = psi_reference(1601, xi, ld)
+        assert np.array_equal(np.signbit(m), np.signbit(m_step))
+        mirrored = (-1.0) ** np.arange(1602) * m[:, 0]
+        assert np.array_equal(m[:, 1], mirrored)
+        assert np.array_equal(np.signbit(m[:, 1]), np.signbit(mirrored))
+
+    def test_extended_mantissas_are_normalized(self):
+        m, _ = _psi_mantexp(1601, _recurrence_points(3).astype(np.longdouble),
+                            dtype=np.longdouble)
+        size = np.abs(m)
+        assert np.all((size < 1.0) & ((size >= 0.5) | (size == 0.0)))
 
 
 class TestHermiteDerivAll:
