@@ -3,9 +3,9 @@
 Two independent evaluation routes cross-validate each other:
 
   * pi_exact - the Hermite-basis sum  Pi(x,y) = sum_{|beta|=N} phi_beta(x)
-    phi_beta(y), folded coordinate by coordinate as a truncated convolution
-    (cost O(N^(d-1))), exponent tracked throughout so forbidden-region values
-    of size exp(-c/hbar) survive.  This is the global oracle.
+    phi_beta(y), folded coordinate by coordinate (O(d N^2) work from d = 3
+    on), exponent tracked throughout so forbidden-region values of size
+    exp(-c/hbar) survive.  This is the global oracle.
 
   * pi_mehler - trapezoid quadrature of the propagator residue integral
 
@@ -18,16 +18,14 @@ Two independent evaluation routes cross-validate each other:
     eliminates downward aliases entirely.  Valid for |x|,|y| <= 1.3, beyond
     which cancellation swamps double precision.
 
-Derivative kernels on the diagonal (the Kac-Rice input) are assembled from
-the basis derivative ladder, never by differentiating the residue integrand.
+Diagonal jets (the Kac-Rice input) come from the basis derivative ladder in
+radial form: the kernel is O(d)-invariant, so the jet at x is the jet at
+|x| e1, four single sums against closed-form series, turned back along x/|x|.
 
-Both exact entry points take whole tables: pi_exact_batch and
-covariance_jet_batch run one basis recurrence per table (per pass of
-_PAIRS_PER_PASS entries) over its distinct coordinates, and pi_exact and
-covariance_jet are their one-entry cases.  The recurrence is the extended-
-precision route of semiclassical._psi_mantexp: transfers across blocks of 32
-degrees, each column depending on its own coordinate alone, mantissas
-frexp-normalized (|m| < 1) with one base-2 exponent per entry.
+pi_exact_batch and covariance_jet_batch run one extended-precision basis
+recurrence (semiclassical._psi_mantexp; each column depends on its own
+coordinate alone) per pass of _PAIRS_PER_PASS entries, over their distinct
+coordinates or radii; pi_exact and covariance_jet are their one-entry cases.
 """
 
 from __future__ import annotations
@@ -56,6 +54,9 @@ MEHLER_RADIUS_LIMIT = 1.3
 #: N + 1 extended-precision values
 _PAIRS_PER_PASS = 64
 
+_PI = np.longdouble("3.14159265358979323846264338327950288")
+_ZERO_EXPONENT = -2**30   # the exponent of a zero term: below any other term's
+
 
 @dataclass(frozen=True)
 class CovarianceJet:
@@ -80,113 +81,119 @@ def _conv_last(ma, ea, mb, eb, n, dtype):
 
 
 def _conv_full(ma, ea, mb, eb, n, dtype):
-    """Coefficients 0..n of the product, each renormalized to its own exponent."""
-    mout = np.empty(n + 1, dtype=dtype)
-    eout = np.empty(n + 1, dtype=np.int64)
-    for j in range(n + 1):
-        mout[j], eout[j] = _conv_last(ma, ea, mb, eb, j, dtype)
-    # renormalize mantissas (base 2, exact)
-    mm, sh = np.frexp(mout)
-    return mm, eout + sh.astype(np.int64)
+    """Coefficients 0..n of the product, each renormalized to its own exponent (exactly)."""
+    tot, e = zip(*(_conv_last(ma, ea, mb, eb, j, dtype) for j in range(n + 1)))
+    mm, sh = np.frexp(np.array(tot, dtype=dtype))
+    return mm, np.array(e, dtype=np.int64) + sh
 
 
 def _fold(arrays, n, dtype):
     """Fold per-coordinate arrays left to right; returns coefficient n."""
-    if len(arrays) == 1:
-        ma, ea = arrays[0]
-        return float(ma[n]), int(ea[n])
-    ma, ea = arrays[0]
-    for mb, eb in arrays[1:-1]:
+    (ma, ea), rest = arrays[0], arrays[1:]
+    for mb, eb in rest[:-1]:
         ma, ea = _conv_full(ma, ea, mb, eb, n, dtype)
-    mb, eb = arrays[-1]
-    tot, e = _conv_last(ma, ea, mb, eb, n, dtype)
-    return float(tot), e
+    tot, e = _conv_last(ma, ea, *rest[-1], n, dtype) if rest else (ma[n], ea[n])
+    return float(tot), int(e)
 
 
-def _check_budget(level, budget):
-    work = level.d * (level.N + 1) ** max(level.d - 1, 1)
-    if work > budget:
-        raise ResourceLimitError(
-            f"d*N^(d-1) = {work} exceeds budget {budget}; "
-            "raise the budget explicitly if this is intentional")
+def _checked_table(level, points, pairs):
+    """points as a float (len, d) array of finite d-vectors, once the table's work
+    is inside DEFAULT_DIM_BUDGET: d (N+1) for jets and for pairs at d <= 2, and
+    d (N+1)^2 for pairs at d >= 3 (the fold)."""
+    d, power = level.d, 2 if pairs and level.d >= 3 else 1
+    work = d * (level.N + 1) ** power
+    if work > DEFAULT_DIM_BUDGET:
+        raise ResourceLimitError(f"kernel work d (N+1){'^2' * (power - 1)} = {work:.3g} "
+                                 f"exceeds the budget {DEFAULT_DIM_BUDGET:.3g}")
+    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
+    if any(p.shape != (d,) for p in points):
+        raise ValueError(f"points must be {d}-vectors")
+    points = np.array(points)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    return points
 
 
-def pi_exact(level, x, y=None, budget=DEFAULT_DIM_BUDGET):
+def pi_exact(level, x, y=None):
     """Exact projection kernel Pi(x,y) as a TrackedReal (y defaults to x).
 
-    Separable accumulation: per coordinate j the array
-    A_j[k] = phi_k(x_j) phi_k(y_j), folded by truncated convolution and read
-    off at degree N.  Internally extended precision; the one-pair case of
+    The arrays A_j[k] = phi_k(x_j) phi_k(y_j), folded by truncated convolution
+    and read off at degree N, in extended precision; the one-pair case of
     pi_exact_batch.
     """
-    return pi_exact_batch(level, [x], [x if y is None else y], budget=budget)[0]
+    return pi_exact_batch(level, [x], [x if y is None else y])[0]
 
 
-def covariance_jet(level, x, budget=DEFAULT_DIM_BUDGET):
+def covariance_jet(level, x):
     """Pi, grad Pi and the mixed Hessian at the diagonal point x.
 
-    grad_i = d_{x_i} Pi(x,y)|_{y=x} and hess_ij = d_{x_i} d_{y_j} Pi(x,y)|_{y=x};
-    both come from the same separable accumulation with the derivative arrays
-    phi_k phi_k' and phi_k' phi_k' substituted in slots i (and j).  The
-    one-point case of covariance_jet_batch.
+    grad_i = d_{x_i} Pi(x,y)|_{y=x} and hess_ij = d_{x_i} d_{y_j} Pi(x,y)|_{y=x}.
+    By O(d) invariance grad = g xhat and hess = H_rr xhat xhat^T + H_tt (I -
+    xhat xhat^T), xhat = x/|x| (e1 at x = 0); the one-point covariance_jet_batch.
     """
-    return covariance_jet_batch(level, [x], budget=budget)[0]
+    return covariance_jet_batch(level, [x])[0]
 
 
-def covariance_jet_batch(level, points, budget=DEFAULT_DIM_BUDGET):
+def _zero_series(hbar, n, m):
+    """Tracked D(2j), 2j <= n, and T(2j+1), 2j+1 <= n, for m coordinates held at 0.
+
+    D = (sum phi_k(0)^2 t^k)^m = ((pi hbar)(1-t^2))^(-m/2) and T = (sum phi_k'(0)^2
+    t^k) D_(m-1) = 2t hbar^(-1) (pi hbar)^(-m/2) (1-t^2)^(-(m+2)/2), so D(2j) =
+    (pi hbar)^(-m/2) (m/2)_j / j!, T(2j+1) = 2 hbar^(-1) (pi hbar)^(-m/2)
+    ((m+2)/2)_j / j!, and both vanish at the other parity.  The zeros of D at
+    m = 0 get exponent _ZERO_EXPONENT, so they never set a sum's scale.
+    """
+    dtype = np.longdouble
+    hb, j = dtype(hbar), np.arange(1, n // 2 + 1, dtype=dtype)
+    log2_d = -(dtype(m) / 2) * np.log2(_PI * hb)
+    out = []
+    for count, a, log2_c in ((n // 2 + 1, dtype(m) / 2, log2_d),
+                             ((n + 1) // 2, dtype(m) / 2 + 1, log2_d + np.log2(2 / hb))):
+        top = np.floor(log2_c)
+        terms = np.cumprod(np.concatenate(([np.exp2(log2_c - top)], (a + j - 1) / j)))
+        mant, exp = np.frexp(terms[:count])
+        out.append((mant, np.where(mant == 0, _ZERO_EXPONENT, exp + int(top))))
+    return out
+
+
+def covariance_jet_batch(level, points):
     """covariance_jet over a list of diagonal points, positionally ordered.
 
-    As in pi_exact_batch, one extended-precision derivative recurrence runs
-    over the distinct coordinates of up to _PAIRS_PER_PASS points at once and
-    each point is then folded on its own, so every jet is bit-identical to a
-    one-point call.
+    At r e1, r = |x|, the other d - 1 coordinates are 0, so with (D, T) from
+    _zero_series and phi_a = phi_a(r): Pi = sum_a phi_a^2 D(N-a), g = sum_a
+    phi_a phi_a' D(N-a), H_rr = sum_a phi_a'^2 D(N-a), H_tt = sum_a phi_a^2 T(N-a).
+    One extended-precision derivative recurrence runs over the distinct
+    extended-precision radii of up to _PAIRS_PER_PASS points; each point is
+    then turned back along its own xhat, so a jet is == to a one-point call.
     """
     if len(points) == 0:
         return []
-    _check_budget(level, budget)
-    points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in points]
-    if any(x.shape != (level.d,) for x in points):
-        raise ValueError(f"point must be a {level.d}-vector")
-    points = np.array(points)
-    if not np.all(np.isfinite(points)):
-        raise ValueError("point must be finite")
-    dtype, n = np.longdouble, level.N
+    d, n, dtype = level.d, level.N, np.longdouble
+    points = _checked_table(level, points, pairs=False)
+    series_d, series_t = _zero_series(level.hbar, n, d - 1)
+    x_ld, eye = points.astype(dtype), np.eye(d, dtype=dtype)
+    radii = np.sqrt(np.sum(x_ld * x_ld, axis=1))
     jets = []
     for start in range(0, len(points), _PAIRS_PER_PASS):
-        chunk = points[start:start + _PAIRS_PER_PASS]
-        coords, col = _distinct_columns(chunk)
-        m, e, dm, de = _phi_deriv_mantexp(level.hbar, n, coords, dtype=dtype)
-        for x, cols in zip(chunk, col):
-            val = [(m[:, c] * m[:, c], 2 * e[:, c]) for c in cols]            # phi phi
-            mix = [(m[:, c] * dm[:, c], e[:, c] + de[:, c]) for c in cols]    # phi phi'
-            der = [(dm[:, c] * dm[:, c], 2 * de[:, c]) for c in cols]         # phi' phi'
-            jets.append(_jet(x, val, mix, der, n, dtype))
+        r, col = np.unique(radii[start:start + _PAIRS_PER_PASS], return_inverse=True)
+        m, e, dm, de = _phi_deriv_mantexp(level.hbar, n, r, dtype=dtype)
+        # D pairs with the degrees of N's parity, T with the others
+        a, b = slice(n % 2, None, 2), slice(1 - n % 2, None, 2)
+        sums = [[_conv_last(m[a, c] * m[a, c], 2 * e[a, c], *series_d, n // 2, dtype),
+                 _conv_last(m[a, c] * dm[a, c], e[a, c] + de[a, c], *series_d, n // 2, dtype),
+                 _conv_last(dm[a, c] * dm[a, c], 2 * de[a, c], *series_d, n // 2, dtype),
+                 _conv_last(m[b, c] * m[b, c], 2 * e[b, c], *series_t, (n - 1) // 2, dtype)
+                 if n else (dtype(0), _ZERO_EXPONENT)]
+                for c in range(r.size)]
+        for x, u, c in zip(points[start:], x_ld[start:], col.ravel()):
+            (pi, pe), (g, ge), (h_rr, e_rr), (h_tt, e_tt) = sums[c]
+            u = u / r[c] if r[c] else eye[0]   # xhat, e1 at x = 0
+            top, radial = max(e_rr, e_tt), np.outer(u, u)
+            hess = np.ldexp(h_rr, e_rr - top) * radial + np.ldexp(h_tt, e_tt - top) * (eye - radial)
+            jets.append(CovarianceJet(x, TrackedReal(float(pi), pe),
+                                      [TrackedReal(float(g * uj), ge) for uj in u],
+                                      [[TrackedReal(float(h), top) for h in row] for row in hess]))
     return jets
-
-
-def _jet(x, val, mix, der, n, dtype):
-    """Fold one point's coordinate arrays into its CovarianceJet."""
-    d = len(val)
-    grad = []
-    for i in range(d):
-        arrays = [mix[j] if j == i else val[j] for j in range(d)]
-        grad.append(TrackedReal(*_fold(arrays, n, dtype)))
-    hess = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            arrays = []
-            for l in range(d):
-                if l == i and l == j:
-                    arrays.append(der[l])
-                elif l in (i, j):
-                    arrays.append(mix[l])
-                else:
-                    arrays.append(val[l])
-            h = TrackedReal(*_fold(arrays, n, dtype))
-            hess[i][j] = h
-            hess[j][i] = h
-    return CovarianceJet(point=x, pi=TrackedReal(*_fold(val, n, dtype)),
-                         grad=grad, hess=hess)
 
 
 def _distinct_columns(coords):
@@ -309,33 +316,20 @@ def jet_grid(level, xs, ys):
     """
     if level.d != 2:
         raise ValueError("jet_grid is d = 2 only")
-    n = level.N
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    out = {}
     factors = []
-    for coords, reverse in ((xs, False), (ys, True)):
-        m, e, dm, de = _phi_deriv_mantexp(level.hbar, n, coords)
+    for coords, step in ((xs, 1), (ys, -1)):
+        m, e, dm, de = _phi_deriv_mantexp(level.hbar, level.N, np.asarray(coords, dtype=float))
         if e.min() < -500 or de.min() < -500:
             raise ResourceLimitError(
                 "jet_grid would underflow; use covariance_jet point by point")
-        phi = np.ldexp(m, e)
-        dphi = np.ldexp(dm, de)
-        if reverse:
-            phi = phi[::-1]
-            dphi = dphi[::-1]
+        phi, dphi = np.ldexp(m, e)[::step], np.ldexp(dm, de)[::step]
         factors.append((phi * phi, phi * dphi, dphi * dphi))
     (p1, d1, q1), (p2, d2, q2) = factors
-    out["Pi"] = p2.T @ p1
-    out["G1"] = p2.T @ d1
-    out["G2"] = d2.T @ p1
-    out["H11"] = p2.T @ q1
-    out["H22"] = q2.T @ p1
-    out["H12"] = d2.T @ d1
-    return out
+    return {"Pi": p2.T @ p1, "G1": p2.T @ d1, "G2": d2.T @ p1,
+            "H11": p2.T @ q1, "H22": q2.T @ p1, "H12": d2.T @ d1}
 
 
-def pi_exact_batch(level, points_x, points_y, budget=DEFAULT_DIM_BUDGET):
+def pi_exact_batch(level, points_x, points_y):
     """pi_exact over a list of point pairs, positionally ordered.
 
     One extended-precision basis recurrence runs over the distinct
@@ -347,13 +341,8 @@ def pi_exact_batch(level, points_x, points_y, budget=DEFAULT_DIM_BUDGET):
         raise ValueError("point lists must have equal length")
     if len(points_x) == 0:
         return []
-    _check_budget(level, budget)
-    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in (*points_x, *points_y)]
-    if any(p.shape != (level.d,) for p in points):
-        raise ValueError(f"points must be {level.d}-vectors")
-    pairs = np.array(points).reshape(2, len(points_x), level.d)
-    if not np.all(np.isfinite(pairs)):
-        raise ValueError("points must be finite")
+    pairs = _checked_table(level, [*points_x, *points_y], pairs=True)
+    pairs = pairs.reshape(2, len(points_x), level.d)
     dtype, n = np.longdouble, level.N
     values = []
     for start in range(0, pairs.shape[1], _PAIRS_PER_PASS):

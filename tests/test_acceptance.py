@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import oscnodal as osc
 from oscnodal import densities as dens
@@ -92,51 +93,52 @@ def test_criterion_03_off_diagonal_universality():
     report(3, worst <= 0.1, f"worst ratio error {worst:.4f} (tol 0.1), N=1600")
 
 
-def test_criterion_04_omega_scaling():
+@pytest.mark.parametrize("d", [2, 3])
+def test_criterion_04_omega_scaling(d):
     """hbar^(4/3) omega_exact at rescaled points matches Omega0(u) within 10%."""
-    level = osc.level_new(2, 1600)
+    frame = osc.CausticFrame.from_point(np.eye(d)[0])
+    level = osc.level_new(d, 1600)
     hbar = level.hbar
     worst = 0.0
     for u1 in (0.0, 0.5):
-        u = u1 * FRAME.x0
-        x = FRAME.x0 + hbar ** (2.0 / 3.0) * u
+        u = u1 * frame.x0
+        x = frame.x0 + hbar ** (2.0 / 3.0) * u
         got = dens.omega_exact(level, x).omega * hbar ** (4.0 / 3.0)
-        want = dens.omega_caustic_scaled(FRAME, u).omega
+        want = dens.omega_caustic_scaled(frame, u).omega
         scale = np.max(np.abs(want))
         err = np.max(np.abs(got - want) / np.maximum(np.abs(want), 0.02 * scale))
         worst = max(worst, err)
-    report(4, worst <= 0.10, f"worst entrywise error {worst:.4f} (tol 0.10)")
+    report(4, worst <= 0.10, f"d = {d}: worst entrywise error {worst:.4f} (tol 0.10)")
 
 
 SWEEP = (
-    ("allowed bulk |x|=0.5", -1.0,
-     lambda level: np.array([0.5, 0.0])),
+    ("allowed bulk |x|=0.5", -1.0, lambda level: 0.5),
     ("allowed annulus a=1/2 s=4", -0.75,
-     lambda level: np.array([math.sqrt(1.0 - 4.0 * math.sqrt(level.hbar)), 0.0])),
-    ("caustic tube u=0", -2.0 / 3.0,
-     lambda level: np.array([1.0, 0.0])),
+     lambda level: math.sqrt(1.0 - 4.0 * math.sqrt(level.hbar))),
+    ("caustic tube u=0", -2.0 / 3.0, lambda level: 1.0),
     ("forbidden annulus a=1/2 s=1", -0.625,
-     lambda level: np.array([math.sqrt(1.0 + math.sqrt(level.hbar)), 0.0])),
-    ("forbidden bulk |x|=1.3", -0.5,
-     lambda level: np.array([1.3, 0.0])),
+     lambda level: math.sqrt(1.0 + math.sqrt(level.hbar))),
+    ("forbidden bulk |x|=1.3", -0.5, lambda level: 1.3),
 )
 
 
-def test_criterion_05_regime_exponent_sweep():
+@pytest.mark.parametrize("d", [2, 3])
+def test_criterion_05_regime_exponent_sweep(d):
     """log-density vs log-hbar slopes across N in {100..1600}, each +-0.06."""
     details = []
     ok = True
-    for name, expected, point in SWEEP:
+    for name, expected, radius in SWEEP:
         log_h, log_f = [], []
         for n in (100, 200, 400, 800, 1600):
-            level = osc.level_new(2, n)
-            density = dens.kac_rice_density(dens.omega_exact(level, point(level)), 2)
+            level = osc.level_new(d, n)
+            x = radius(level) * np.eye(d)[0]
+            density = dens.kac_rice_density(dens.omega_exact(level, x), d)
             log_h.append(math.log(level.hbar))
             log_f.append(density.log_abs())
         slope = float(np.polyfit(log_h, log_f, 1)[0])
         ok &= abs(slope - expected) <= 0.06
         details.append(f"{name}: {slope:+.4f} (expect {expected:+.4f})")
-    report(5, ok, "; ".join(details))
+    report(5, ok, f"d = {d}: " + "; ".join(details))
 
 
 def test_criterion_06_airy_identity_suite():

@@ -395,15 +395,22 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("argv", [
         ("tube-mass", "--d", "60", "--N", "100000", "--kappa", "1"),
-        ("density", "--regime", "allowed-bulk", "--d", "60", "--N", "100000",
-         "--with-exact", "--u1-range", "-0.5"),
     ])
     def test_kernel_over_budget_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
+        # tube_mass folds pairs, d (N+1)^2 = 6e11 against the budget 1e8
         status, out = run(tmp_path, *argv)
         assert status == 1
         err = capsys.readouterr().err
-        assert err.startswith("oscnodal: error: d*N^(d-1) = ") and "exceeds budget" in err
-        assert "Traceback" not in err and not out.exists()
+        assert err == "oscnodal: error: kernel work d (N+1)^2 = 6e+11 exceeds the budget 1e+08\n"
+        assert not out.exists()
+
+    def test_exact_density_at_d60(self, tmp_path):
+        # a radial jet costs d (N+1) = 6e6: d = 60 at N = 100000 runs
+        status, out = run(tmp_path, "density", "--regime", "allowed-bulk", "--d", "60",
+                          "--N", "100000", "--with-exact", "--u1-range", "-0.5")
+        assert status == 0
+        header, rows = read_table(out)
+        assert len(rows) == 1 and rows[0][header.index("relative_error")] < 1e-6
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 """Kac-Rice reduction, exact and asymptotic Omega matrices, regime densities."""
 
+import functools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from oscnodal import (
     ai_k,
     caustic_crossing_constant,
     caustic_intersection_density,
+    covariance_jet_batch,
     density_regime,
     density_regime_batch,
     kac_rice_density,
@@ -48,42 +50,89 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
-def _mp_omega_d2(level, x, digits=50):
-    """Omega at a d = 2 diagonal point from a `digits`-digit covariance jet.
+def _mp_basis(n, hbar, coord):
+    """phi_k(coord) and phi_k'(coord), k <= n, in the working mpmath precision:
+    psi_k by the recurrence from psi_0 = pi^(-1/4) exp(-xi^2/2), psi_k' by the
+    ladder, phi_k(x) = hbar^(-1/4) psi_k(x / sqrt(hbar))."""
+    import mpmath
 
-    psi_k by the recurrence from psi_0 = pi^(-1/4) exp(-xi^2/2), psi_k' by
-    the ladder, phi_k(x) = hbar^(-1/4) psi_k(x / sqrt(hbar)); Omega is
-    H/Pi - G G^T / Pi^2 of the sums over beta = (k, N - k), rounded at the end.
+    xi = mpmath.mpf(coord) / mpmath.sqrt(hbar)
+    psi, prev = [mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-xi * xi / 2)], 0
+    for k in range(n + 1):
+        nxt = (mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * xi * psi[k]
+               - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev)
+        prev = psi[k]
+        psi.append(nxt)
+    dpsi = [mpmath.sqrt(mpmath.mpf(k) / 2) * (psi[k - 1] if k else 0)
+            - mpmath.sqrt(mpmath.mpf(k + 1) / 2) * psi[k + 1] for k in range(n + 1)]
+    scale = hbar ** mpmath.mpf(-0.25)
+    return [p * scale for p in psi[:n + 1]], [p * scale / mpmath.sqrt(hbar) for p in dpsi]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_axis_series(n, d, hbar, digits):
+    """The share of the d - 1 coordinates held at 0 in a radial jet, to degree n:
+    D = (phi(0)^2)^(*(d-1)) and T = phi'(0)^2 * (phi(0)^2)^(*(d-2)), by
+    convolution of the basis at 0 in 256-bit fixed point (the series at 0
+    span a few decades, so every term keeps far more than `digits` digits)."""
+    import mpmath
+
+    one = 2 ** 256
+
+    def convolve(a, b):
+        return [sum(a[i] * b[j - i] for i in range(j + 1)) // one for j in range(n + 1)]
+
+    with mpmath.workdps(digits):
+        phi, dphi = _mp_basis(n, mpmath.mpf(hbar), 0)
+        val, der = ([int(mpmath.nint(p * p * one)) for p in basis] for basis in (phi, dphi))
+        power = [one] + [0] * n
+        for _ in range(d - 2):
+            power = convolve(power, val)
+        return tuple([mpmath.mpf(c) / one for c in convolve(power, s)] for s in (val, der))
+
+
+def _mp_jet(level, x, digits=50):
+    """Pi (an mpf) and Omega (rounded to floats) at a diagonal point, from a
+    `digits`-digit covariance jet at the float hbar the program is given.
+
+    At d = 2 the jet is the sums over beta = (k, N - k) at x itself, and Omega
+    is H/Pi - G G^T / Pi^2.  At d >= 3 it is the radial jet at |x| e1 with the
+    other coordinates folded by convolution (_mp_axis_series), turned back by
+    the kernel's O(d) invariance: Omega = lambda_r xhat xhat^T + lambda_t (I -
+    xhat xhat^T).
     """
     import mpmath
 
-    n = level.N
+    n, d = level.N, level.d
     with mpmath.workdps(digits):
-        hbar = mpmath.mpf(1) / (2 * n + 2)
-        axes = []
-        for coord in x:
-            xi = mpmath.mpf(coord) / mpmath.sqrt(hbar)
-            psi, prev = [mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-xi * xi / 2)], 0
-            for k in range(n + 1):
-                nxt = (mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * xi * psi[k]
-                       - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev)
-                prev = psi[k]
-                psi.append(nxt)
-            dpsi = [mpmath.sqrt(mpmath.mpf(k) / 2) * (psi[k - 1] if k else 0)
-                    - mpmath.sqrt(mpmath.mpf(k + 1) / 2) * psi[k + 1] for k in range(n + 1)]
-            scale = hbar ** mpmath.mpf(-0.25)
-            axes.append(([p * scale for p in psi[:n + 1]],
-                         [p * scale / mpmath.sqrt(hbar) for p in dpsi]))
-        (a, da), (b, db) = axes
-        pairs = [(k, n - k) for k in range(n + 1)]
-        pi = mpmath.fsum(a[i] ** 2 * b[j] ** 2 for i, j in pairs)
-        grad = [mpmath.fsum(da[i] * a[i] * b[j] ** 2 for i, j in pairs),
-                mpmath.fsum(a[i] ** 2 * db[j] * b[j] for i, j in pairs)]
-        hess = [[mpmath.fsum(da[i] ** 2 * b[j] ** 2 for i, j in pairs),
-                 mpmath.fsum(a[i] * da[i] * b[j] * db[j] for i, j in pairs)]]
-        hess.append([hess[0][1], mpmath.fsum(a[i] ** 2 * db[j] ** 2 for i, j in pairs)])
-        return np.array([[float(hess[r][c] / pi - grad[r] * grad[c] / pi ** 2)
-                          for c in range(2)] for r in range(2)])
+        hbar = mpmath.mpf(level.hbar)
+        if d == 2:
+            (a, da), (b, db) = (_mp_basis(n, hbar, coord) for coord in x)
+            pairs = [(k, n - k) for k in range(n + 1)]
+            pi = mpmath.fsum(a[i] ** 2 * b[j] ** 2 for i, j in pairs)
+            grad = [mpmath.fsum(da[i] * a[i] * b[j] ** 2 for i, j in pairs),
+                    mpmath.fsum(a[i] ** 2 * db[j] * b[j] for i, j in pairs)]
+            hess = [[mpmath.fsum(da[i] ** 2 * b[j] ** 2 for i, j in pairs),
+                     mpmath.fsum(a[i] * da[i] * b[j] * db[j] for i, j in pairs)]]
+            hess.append([hess[0][1], mpmath.fsum(a[i] ** 2 * db[j] ** 2 for i, j in pairs)])
+            omega = [[hess[r][c] / pi - grad[r] * grad[c] / pi ** 2 for c in range(2)]
+                     for r in range(2)]
+        else:
+            r = mpmath.sqrt(mpmath.fsum(mpmath.mpf(coord) ** 2 for coord in x))
+            a, da = _mp_basis(n, hbar, r)
+            zero_d, zero_t = _mp_axis_series(n, d, level.hbar, digits)
+
+            def radial(f, g, z):
+                return mpmath.fsum(f[k] * g[k] * z[n - k] for k in range(n + 1))
+
+            pi = radial(a, a, zero_d)
+            lam_r = radial(da, da, zero_d) / pi - (radial(a, da, zero_d) / pi) ** 2
+            lam_t = radial(a, a, zero_t) / pi
+            u = [mpmath.mpf(coord) / r for coord in x]
+            omega = [[lam_r * u[i] * u[j] + lam_t * ((i == j) - u[i] * u[j]) for j in range(d)]
+                     for i in range(d)]
+        return pi, np.array([[float(v) for v in row] for row in omega])
+
 
 class TestKacRiceDensity:
     def test_isotropic_d2(self):
@@ -301,9 +350,26 @@ class TestOmegaExact:
         # basis moves the log density by ~1e-11
         pytest.importorskip("mpmath")
         level = level_new(2, n)
-        ref = math.log(kac_rice_density_batch(_mp_omega_d2(level, x)[np.newaxis])[0])
+        ref = math.log(kac_rice_density_batch(_mp_jet(level, x)[1][np.newaxis])[0])
         got = math.log(kac_rice_density_batch(omega_exact(level, x).omega[np.newaxis])[0])
         assert abs(got - ref) <= 3e-11
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [200, 800, 1600])
+    def test_jet_matches_mpmath(self, d, n):
+        # off-axis points from the allowed bulk to |x| = 1.6: Pi within 3e-13
+        # relative and Omega within 1e-11 of max|Omega| (measured: <= 1.2e-13
+        # and <= 4.4e-12)
+        mpmath = pytest.importorskip("mpmath")
+        level = level_new(d, n)
+        rng = np.random.default_rng(70 + d)
+        points = [radius * v / np.linalg.norm(v)
+                  for radius, v in zip((0.5, 1.0, 1.3, 1.6), rng.standard_normal((4, d)))]
+        jets = covariance_jet_batch(level, points)
+        for x, jet, omega in zip(points, jets, omega_exact_batch(level, points)):
+            pi, ref = _mp_jet(level, x)
+            assert abs(mpmath.ldexp(jet.pi.mantissa, jet.pi.exponent) / pi - 1) <= 3e-13
+            assert np.max(np.abs(omega.omega - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_rotational_covariance(self):
         level = level_new(2, 30)

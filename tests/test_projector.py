@@ -15,7 +15,15 @@ from oscnodal import (
 )
 from oscnodal.cli import main, read_table
 from oscnodal import projector
-from oscnodal.projector import _PAIRS_PER_PASS, _fold, _jet, read_batch_csv
+from oscnodal.projector import (
+    _PAIRS_PER_PASS,
+    _conv_full,
+    _conv_last,
+    _fold,
+    _zero_series,
+    read_batch_csv,
+)
+from oscnodal.projector import CovarianceJet
 from oscnodal.semiclassical import (
     ResourceLimitError,
     TrackedReal,
@@ -67,8 +75,11 @@ class TestPiExact:
         assert pi_exact(level, [x], [y]).to_float() == pytest.approx(expect, rel=1e-12)
 
     def test_budget_guard(self):
-        with pytest.raises(ResourceLimitError):
-            pi_exact(level_new(4, 2000), np.zeros(4), budget=10**6)
+        # pairs at d >= 3 cost d (N+1)^2, jets d (N+1), against DEFAULT_DIM_BUDGET = 1e8
+        with pytest.raises(ResourceLimitError, match=r"d \(N\+1\)\^2 = 1\.44e\+08 exceeds"):
+            pi_exact(level_new(4, 6000), np.zeros(4))
+        with pytest.raises(ResourceLimitError, match=r"d \(N\+1\) = 1e\+08 exceeds"):
+            covariance_jet(level_new(100, 10**6), np.zeros(100))
 
     def test_forbidden_region_tracked_exponent(self):
         # deep forbidden value is ~e^(-1189): far below float underflow
@@ -373,14 +384,44 @@ class TestBatch:
             pi_exact_batch(level, [good, good], [good])
 
 
+def fold_jet(x, val, mix, der, n, dtype):
+    """One point's CovarianceJet by the per-coordinate fold: each entry folds the
+    d coordinate arrays with phi phi' (mix) or phi' phi' (der) in its slots."""
+    d = len(val)
+    grad = [TrackedReal(*_fold([mix[j] if j == i else val[j] for j in range(d)], n, dtype))
+            for i in range(d)]
+    hess = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            arrays = [der[k] if k == i == j else mix[k] if k in (i, j) else val[k]
+                      for k in range(d)]
+            hess[i][j] = hess[j][i] = TrackedReal(*_fold(arrays, n, dtype))
+    return CovarianceJet(point=x, pi=TrackedReal(*_fold(val, n, dtype)), grad=grad, hess=hess)
+
+
 def jet_per_point(level, x):
-    """covariance_jet with its own basis recurrence over x's d coordinates."""
+    """The per-coordinate fold's jet at x, with its own basis recurrence over x's
+    d coordinates: the oracle of the radial covariance_jet."""
     ld = np.longdouble
     m, e, dm, de = _phi_deriv_mantexp(level.hbar, level.N, x, dtype=ld)
     val = [(m[:, j] * m[:, j], 2 * e[:, j]) for j in range(level.d)]
     mix = [(m[:, j] * dm[:, j], e[:, j] + de[:, j]) for j in range(level.d)]
     der = [(dm[:, j] * dm[:, j], 2 * de[:, j]) for j in range(level.d)]
-    return _jet(np.asarray(x, dtype=float), val, mix, der, level.N, ld)
+    return fold_jet(np.asarray(x, dtype=float), val, mix, der, level.N, ld)
+
+
+def jet_entries(jet):
+    """(pi, grad, hess) of a jet as longdouble values."""
+    def values(tracked):
+        return tracked_values(([t.mantissa for t in tracked], [t.exponent for t in tracked]))
+    return (values([jet.pi])[0], values(jet.grad),
+            np.array([values(row) for row in jet.hess]))
+
+
+def assert_jets_close(a, b, rel):
+    """pi, grad and hess of a within rel of b, each relative to b's largest entry."""
+    for got, want in zip(jet_entries(a), jet_entries(b)):
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 def same_jet(a, b):
@@ -403,9 +444,8 @@ def jet_table(d, count, seed):
 
 
 class TestJetBatch:
-    # d = 2 runs more than one pass of the real _PAIRS_PER_PASS; at d = 3,
-    # where the folds cost ~0.4 s a point at N = 800, a pass of two points
-    # puts a pass boundary inside a three-point table
+    # d = 2 runs more than one pass of the real _PAIRS_PER_PASS; at d = 3 a
+    # pass of two points puts a pass boundary inside a three-point table
     @pytest.mark.parametrize("d,count,per_pass", [(2, _PAIRS_PER_PASS + 6, None), (3, 3, 2)])
     def test_batch_equals_one_point_calls(self, d, count, per_pass, monkeypatch):
         if per_pass is not None:
@@ -415,11 +455,35 @@ class TestJetBatch:
         jets = covariance_jet_batch(level, points)
         assert len(jets) == count
         for x, jet in zip(points, jets):
-            assert same_jet(jet, jet_per_point(level, x))
-        assert same_jet(jets[0], covariance_jet(level, points[0]))
-        if d == 2:
-            for x, jet in zip(points, jets):
-                assert same_jet(jet, covariance_jet(level, x))
+            assert same_jet(jet, covariance_jet(level, x))
+
+    @pytest.mark.parametrize("d,n", [(1, 30), (2, 40), (2, 1600), (3, 25), (3, 200), (4, 40)])
+    def test_radial_jet_matches_per_coordinate_fold(self, d, n):
+        # off-axis points out to |x| = 1.6, shared coordinates and both zeros
+        # (measured: <= 1.2e-15 of the largest entry, d = 2 at N = 1600)
+        level = level_new(d, n)
+        for x in jet_table(d, 6, 50 + d):
+            assert_jets_close(covariance_jet(level, x), jet_per_point(level, x), 1e-14)
+
+    def test_one_dimension_is_the_fold(self):
+        # d = 1: D = (1, 0, 0, ...), so the jet is phi_N^2, phi_N phi_N', phi_N'^2
+        level = level_new(1, 41)
+        for x in (0.3, -0.3, 0.0, -1.4, 1.6):
+            got, want = covariance_jet(level, [x]), jet_per_point(level, [x])
+            for a, b in zip(jet_entries(got), jet_entries(want)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d,n", [(2, 30), (2, 31), (3, 30), (3, 31), (5, 12)])
+    def test_origin(self, d, n):
+        # x = 0 takes xhat = e1: grad is exactly 0, the Hessian is isotropic
+        # with zero off-diagonal entries, and the fold agrees
+        level = level_new(d, n)
+        jet = covariance_jet(level, np.zeros(d))
+        _, grad, hess = jet_entries(jet)
+        assert np.all(grad == 0.0)
+        assert np.all(hess[~np.eye(d, dtype=bool)] == 0.0)
+        assert np.max(np.abs(np.diag(hess) - hess[0, 0])) <= 1e-15 * np.max(np.abs(hess))
+        assert_jets_close(jet, jet_per_point(level, np.zeros(d)), 1e-14)
 
     def test_empty_batch_and_validation(self):
         level = level_new(2, 10)
@@ -428,3 +492,63 @@ class TestJetBatch:
             covariance_jet_batch(level, [[0.1, 0.2], [0.1, 0.2, 0.3]])
         with pytest.raises(ValueError, match="finite"):
             covariance_jet_batch(level, [[0.1, 0.2], [0.1, math.inf]])
+
+
+def tracked_values(pairs):
+    """A tracked (mantissas, exponents) array as longdouble values."""
+    m, e = pairs
+    return np.ldexp(np.asarray(m, dtype=np.longdouble), np.asarray(e).astype(np.intc))
+
+
+class TestZeroSeries:
+    # the closed forms of D and T against the fold of the basis at x = 0
+    N = 120
+
+    def axis_series(self, hbar):
+        """(phi_k(0)^2, phi_k'(0)^2) for k <= N, tracked, from the recurrence."""
+        m, e, dm, de = _phi_deriv_mantexp(hbar, self.N, [0.0], dtype=np.longdouble)
+        return (m[:, 0] ** 2, 2 * e[:, 0]), (dm[:, 0] ** 2, 2 * de[:, 0])
+
+    def full(self, compact, parity):
+        """A compact D or T as coefficients 0..N, zero at the other parity."""
+        out = np.zeros(self.N + 1, dtype=np.longdouble)
+        out[parity::2] = tracked_values(compact)
+        return out
+
+    def fold_power(self, val, m):
+        """Coefficients 0..N of val^m (m >= 1) by repeated convolution."""
+        power = val
+        for _ in range(m - 1):
+            power = _conv_full(*power, *val, self.N, np.longdouble)
+        return power
+
+    def test_one_coordinate_is_phi_at_zero(self):
+        level = level_new(2, self.N)
+        val, der = self.axis_series(level.hbar)
+        d, t = _zero_series(level.hbar, self.N, 1)
+        for got, want in ((self.full(d, 0), tracked_values(val)),
+                          (self.full(t, 1), tracked_values(der))):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_m_coordinates_are_the_fold(self, m):
+        level = level_new(m + 1, self.N)
+        val, der = self.axis_series(level.hbar)
+        d, t = _zero_series(level.hbar, self.N, m)
+        want_d = tracked_values(self.fold_power(val, m))
+        want_t = tracked_values(
+            _conv_full(*der, *self.fold_power(val, m - 1), self.N, np.longdouble))
+        for got, want in ((self.full(d, 0), want_d), (self.full(t, 1), want_t)):
+            assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-15
+
+    def test_no_coordinates_is_the_unit(self):
+        # D_0 = (1, 0, 0, ...), and its zeros never set a sum's scale: the
+        # one real term 2^-9000 survives partners of size 2^9000
+        d, _ = _zero_series(0.01, self.N, 0)
+        assert tracked_values(d).tolist() == [1.0] + [0.0] * (self.N // 2)
+        n = self.N // 2
+        exponents = np.full(n + 1, 9000, dtype=np.int64)
+        exponents[n] = -9000
+        total, e = _conv_last(np.ones(n + 1, dtype=np.longdouble), exponents, *d, n, np.longdouble)
+        assert np.ldexp(total, e) == np.ldexp(np.longdouble(1), -9000)
+
