@@ -24,6 +24,7 @@ check landed outside its tolerance).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -492,6 +493,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built by the first main call and kept for the
+    process (in-process callers run many commands); not built at import."""
+    return build_parser()
+
+
 _COMMANDS = {
     "projector": _cmd_projector,
     "airy": _cmd_airy,
@@ -533,7 +541,7 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     argv = _normalize_argv(list(argv))
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config:

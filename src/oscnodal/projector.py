@@ -3,9 +3,13 @@
 Two independent evaluation routes cross-validate each other:
 
   * pi_exact - the Hermite-basis sum  Pi(x,y) = sum_{|beta|=N} phi_beta(x)
-    phi_beta(y), folded coordinate by coordinate (O(d N^2) work from d = 3
-    on), exponent tracked throughout so forbidden-region values of size
-    exp(-c/hbar) survive.  This is the global oracle.
+    phi_beta(y), exponent tracked throughout so forbidden-region values of
+    size exp(-c/hbar) survive; O(N) a pair at every d.  This is the global
+    oracle.  At d <= 2 the per-coordinate arrays are folded by truncated
+    convolution.  From d = 3 on the pair is turned into the plane of x and y,
+    where the other d - 1 coordinates sum to one Laguerre series
+    (_planar_sums); a pair whose planar sum cancels beyond
+    _PLANAR_CONDITION_MAX takes the per-coordinate fold, O(d N^2), instead.
 
   * pi_mehler - trapezoid quadrature of the propagator residue integral
 
@@ -24,8 +28,9 @@ radial form: the kernel is O(d)-invariant, so the jet at x is the jet at
 
 pi_exact_batch and covariance_jet_batch run one extended-precision basis
 recurrence (semiclassical._psi_mantexp; each column depends on its own
-coordinate alone) per pass of _PAIRS_PER_PASS entries, over their distinct
-coordinates or radii; pi_exact and covariance_jet are their one-entry cases.
+coordinate alone) per pass of at most _PASS_ENTRIES basis entries, over their
+distinct coordinates, radii or planar coordinates; pi_exact and
+covariance_jet are their one-entry cases.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from .semiclassical import (
     DEFAULT_DIM_BUDGET,
     ResourceLimitError,
     TrackedReal,
+    _PI_LD,
+    _laguerre_mantexp,
     _phi_deriv_mantexp,
     _phi_mantexp,
 )
@@ -49,12 +56,16 @@ from .semiclassical import (
 #: reaches exp(c(|x|^2-1)/hbar) above the result and the rule is uncertified
 MEHLER_RADIUS_LIMIT = 1.3
 
-#: point pairs (pi_exact_batch) or diagonal points (covariance_jet_batch) per
-#: basis recurrence; a pass holds at most 2 * d * _PAIRS_PER_PASS columns of
-#: N + 1 extended-precision values
-_PAIRS_PER_PASS = 64
+#: extended-precision basis entries per pass: a pass of pi_exact_batch or
+#: covariance_jet_batch takes max(1, _PASS_ENTRIES // (N + 1)) basis columns,
+#: so its memory is bounded at every N (a jet point counts its phi and phi'
+#: columns, a pair the 2d columns of the fold it may fall back to)
+_PASS_ENTRIES = 2 * 10**6
 
-_PI = np.longdouble("3.14159265358979323846264338327950288")
+#: the largest sum|terms| / |Pi| a planar sum is taken at; a pair beyond it
+#: is re-summed by the per-coordinate fold (DECISIONS.md)
+_PLANAR_CONDITION_MAX = 1e4
+
 _ZERO_EXPONENT = -2**30   # the exponent of a zero term: below any other term's
 
 
@@ -70,6 +81,11 @@ class CovarianceJet:
     pi: TrackedReal
     grad: list
     hess: list
+
+
+def _per_pass(n, columns):
+    """Entries (pairs or points) per pass when each takes `columns` basis columns."""
+    return max(1, max(1, _PASS_ENTRIES // (n + 1)) // columns)
 
 
 def _conv_last(ma, ea, mb, eb, n, dtype):
@@ -99,7 +115,7 @@ def _fold(arrays, n, dtype):
 def _checked_table(level, points, pairs):
     """points as a float (len, d) array of finite d-vectors, once the table's work
     is inside DEFAULT_DIM_BUDGET: d (N+1) for jets and for pairs at d <= 2, and
-    d (N+1)^2 for pairs at d >= 3 (the fold)."""
+    d (N+1)^2 for pairs at d >= 3 (the fold a pair may fall back to)."""
     d, power = level.d, 2 if pairs and level.d >= 3 else 1
     work = d * (level.N + 1) ** power
     if work > DEFAULT_DIM_BUDGET:
@@ -117,9 +133,9 @@ def _checked_table(level, points, pairs):
 def pi_exact(level, x, y=None):
     """Exact projection kernel Pi(x,y) as a TrackedReal (y defaults to x).
 
-    The arrays A_j[k] = phi_k(x_j) phi_k(y_j), folded by truncated convolution
-    and read off at degree N, in extended precision; the one-pair case of
-    pi_exact_batch.
+    In extended precision: the per-coordinate fold at d <= 2, the planar sum
+    (or the fold, for a pair it cannot certify) from d = 3 on; the one-pair
+    case of pi_exact_batch.
     """
     return pi_exact_batch(level, [x], [x if y is None else y])[0]
 
@@ -145,7 +161,7 @@ def _zero_series(hbar, n, m):
     """
     dtype = np.longdouble
     hb, j = dtype(hbar), np.arange(1, n // 2 + 1, dtype=dtype)
-    log2_d = -(dtype(m) / 2) * np.log2(_PI * hb)
+    log2_d = -(dtype(m) / 2) * np.log2(_PI_LD * hb)
     out = []
     for count, a, log2_c in ((n // 2 + 1, dtype(m) / 2, log2_d),
                              ((n + 1) // 2, dtype(m) / 2 + 1, log2_d + np.log2(2 / hb))):
@@ -163,7 +179,7 @@ def covariance_jet_batch(level, points):
     _zero_series and phi_a = phi_a(r): Pi = sum_a phi_a^2 D(N-a), g = sum_a
     phi_a phi_a' D(N-a), H_rr = sum_a phi_a'^2 D(N-a), H_tt = sum_a phi_a^2 T(N-a).
     One extended-precision derivative recurrence runs over the distinct
-    extended-precision radii of up to _PAIRS_PER_PASS points; each point is
+    extended-precision radii of each pass (see _PASS_ENTRIES); each point is
     then turned back along its own xhat, so a jet is == to a one-point call.
     """
     if len(points) == 0:
@@ -173,9 +189,9 @@ def covariance_jet_batch(level, points):
     series_d, series_t = _zero_series(level.hbar, n, d - 1)
     x_ld, eye = points.astype(dtype), np.eye(d, dtype=dtype)
     radii = np.sqrt(np.sum(x_ld * x_ld, axis=1))
-    jets = []
-    for start in range(0, len(points), _PAIRS_PER_PASS):
-        r, col = np.unique(radii[start:start + _PAIRS_PER_PASS], return_inverse=True)
+    jets, per_pass = [], _per_pass(n, 2)
+    for start in range(0, len(points), per_pass):
+        r, col = np.unique(radii[start:start + per_pass], return_inverse=True)
         m, e, dm, de = _phi_deriv_mantexp(level.hbar, n, r, dtype=dtype)
         # D pairs with the degrees of N's parity, T with the others
         a, b = slice(n % 2, None, 2), slice(1 - n % 2, None, 2)
@@ -329,13 +345,69 @@ def jet_grid(level, xs, ys):
             "H11": p2.T @ q1, "H22": q2.T @ p1, "H12": d2.T @ d1}
 
 
+def _folded(level, chunk):
+    """Pi by the per-coordinate fold for each pair of a (2, pairs, d) chunk.
+
+    One extended-precision basis recurrence over the chunk's distinct
+    coordinates; then the arrays A_j[k] = phi_k(x_j) phi_k(y_j) of each pair
+    are folded by truncated convolution and read off at degree N.
+    """
+    dtype, n = np.longdouble, level.N
+    # col[side, pair, j] is the basis column of that coordinate
+    coords, col = _distinct_columns(chunk)
+    m, e = _phi_mantexp(level.hbar, n, coords, dtype=dtype)
+    return [TrackedReal(*_fold([(m[:, cx] * m[:, cy], e[:, cx] + e[:, cy])
+                                for cx, cy in zip(col[0, p], col[1, p])], n, dtype))
+            for p in range(chunk.shape[1])]
+
+
+def _planar_sums(level, chunk):
+    """Pi and sum|terms| for each pair of a (2, pairs, d) chunk, d >= 3.
+
+    With r = |x|, xhat = x/r (e1 at x = 0), p = xhat.y and q = |y - p xhat|
+    (the rejection vector, all in extended precision), O(d) invariance puts
+    the pair at (r e1, p e1 + q e2), and the sum over |beta| = N factors as
+    Pi = sum_{a = N mod 2} phi_a(r) phi_a(p) G(N-a).  G(n) = sum_{|beta|=n}
+    phi_beta(0) phi_beta(q e1) over the other d - 1 coordinates is, by
+    Mehler's formula and the Laguerre generating function, G(2j) = (pi
+    hbar)^(-(d-1)/2) e^(-q^2/(2 hbar)) L_j^((d-3)/2)(q^2/hbar), G(odd) = 0.
+    One Hermite recurrence runs over the distinct r and p, one Laguerre
+    recurrence over the distinct q^2; each pair's sum is its own row, so a
+    value is == to a one-pair call.  Returns arrays (total, top, size) with
+    Pi = total 2**top and sum|terms| = size 2**top.
+    """
+    d, n, dtype = level.d, level.N, np.longdouble
+    x, y = chunk.astype(dtype)
+    r = np.sqrt(np.sum(x * x, axis=1))
+    xhat = np.where(r[:, None] > 0, x / np.where(r > 0, r, 1)[:, None], np.eye(d, dtype=dtype)[0])
+    p = np.sum(xhat * y, axis=1) + dtype(0)   # + 0 turns -0 into 0: one column for p = 0
+    v = y - p[:, None] * xhat
+    z = np.sum(v * v, axis=1) / dtype(level.hbar)
+    herm, col = np.unique(np.concatenate([r, p]), return_inverse=True)
+    m, e = _phi_mantexp(level.hbar, n, herm, dtype=dtype)
+    qs, qcol = np.unique(z, return_inverse=True)
+    log2_scale = -(dtype(d - 1) / 2) * np.log2(_PI_LD * dtype(level.hbar))
+    lm, le = _laguerre_mantexp(n // 2, dtype(d - 3) / 2, qs, log2_scale)
+    # rows are pairs: phi_a(r), phi_a(p) at a = N mod 2, N mod 2 + 2, ..., N
+    # against G(N - a), i.e. the Laguerre rows read backwards
+    mt, et = m[n % 2::2].T, e[n % 2::2].T
+    lmt, let = lm[::-1].T, le[::-1].T
+    cr, cp, cq = col[:len(r)], col[len(r):], qcol.ravel()
+    s = et[cr] + et[cp] + let[cq]
+    top = s.max(axis=1)
+    terms = mt[cr] * mt[cp] * lmt[cq] * np.exp2((s - top[:, None]).astype(dtype))
+    total = terms.sum(axis=1)
+    return total, top, np.abs(terms).sum(axis=1)
+
+
 def pi_exact_batch(level, points_x, points_y):
     """pi_exact over a list of point pairs, positionally ordered.
 
-    One extended-precision basis recurrence runs over the distinct
-    coordinates of up to _PAIRS_PER_PASS pairs at once (which bounds the basis
-    memory for long pair lists); each pair is then folded on its own, so every
-    value is bit-identical to a one-pair call.
+    Pairs run in passes (see _PASS_ENTRIES).  At d >= 3 a pass takes the
+    planar sums (_planar_sums), and re-sums by the fold (_folded) each pair
+    whose planar condition exceeds _PLANAR_CONDITION_MAX; at d <= 2 it
+    folds.  Every step of both is per pair, so every value is bit-identical
+    to a one-pair call.
     """
     if len(points_x) != len(points_y):
         raise ValueError("point lists must have equal length")
@@ -343,17 +415,17 @@ def pi_exact_batch(level, points_x, points_y):
         return []
     pairs = _checked_table(level, [*points_x, *points_y], pairs=True)
     pairs = pairs.reshape(2, len(points_x), level.d)
-    dtype, n = np.longdouble, level.N
-    values = []
-    for start in range(0, pairs.shape[1], _PAIRS_PER_PASS):
-        chunk = pairs[:, start:start + _PAIRS_PER_PASS]
-        # col[side, pair, j] is the basis column of that coordinate
-        coords, col = _distinct_columns(chunk)
-        m, e = _phi_mantexp(level.hbar, n, coords, dtype=dtype)
-        for p in range(chunk.shape[1]):
-            arrays = [(m[:, cx] * m[:, cy], e[:, cx] + e[:, cy])
-                      for cx, cy in zip(col[0, p], col[1, p])]
-            values.append(TrackedReal(*_fold(arrays, n, dtype)))
+    values, per_pass = [], _per_pass(level.N, 2 * level.d)
+    for start in range(0, pairs.shape[1], per_pass):
+        chunk = pairs[:, start:start + per_pass]
+        if level.d <= 2:
+            values += _folded(level, chunk)
+            continue
+        total, top, size = _planar_sums(level, chunk)
+        planar = size <= _PLANAR_CONDITION_MAX * np.abs(total)
+        refold = iter(_folded(level, chunk[:, ~planar]) if not planar.all() else ())
+        values += [TrackedReal(float(t), int(e)) if ok else next(refold)
+                   for t, e, ok in zip(total, top, planar)]
     return values
 
 

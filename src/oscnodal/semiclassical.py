@@ -22,6 +22,8 @@ row at a time.  Extended precision (the exact kernels and jets: a few columns
 at N up to thousands) runs as transfers across blocks of _BLOCK = 32 rows, so
 a table of N rows costs ~8 * 32 + N / 3 array operations instead of ~3.6 N,
 at the per-step loop's accuracy; its mantissas come frexp-normalized, |m| < 1.
+_laguerre_mantexp tracks the Laguerre functions that the exact pair kernels
+at d >= 3 sum against (projector._planar_sums).
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ import numpy as np
 _LOG2 = math.log(2.0)
 _LOG2E = 1.0 / _LOG2
 _PI_M14 = math.pi ** -0.25
+#: pi, log2(e) and pi^(-1/4) in extended precision, for the longdouble route
+_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+_LOG2E_LD = 1 / np.log(np.longdouble(2))
+_PI_M14_LD = _PI_LD ** np.longdouble(-0.25)
 
 DEFAULT_DIM_BUDGET = 10**8
 
@@ -289,10 +295,15 @@ def _psi_mantexp(nmax, xi, dtype=np.float64):
 
 
 def _psi_ground(xi, dtype):
-    """(e, m) with psi_0(xi) = m * 2**e, e = floor(-xi^2 / (2 ln 2))."""
-    t = -xi * xi * dtype(0.5) * dtype(_LOG2E)
+    """(e, m) with psi_0(xi) = m * 2**e, e = floor(-xi^2 / (2 ln 2)).
+
+    The constants are float64 on the float64 route and extended on the other:
+    a float64 log2(e) alone puts Pi at |x| = 1.6, N = 1600 ~1e-13 off.
+    """
+    log2e, norm = (_LOG2E, _PI_M14) if np.dtype(dtype) == np.float64 else (_LOG2E_LD, _PI_M14_LD)
+    t = -xi * xi * dtype(0.5) * dtype(log2e)
     e = np.floor(t).astype(np.int64)
-    return e, dtype(_PI_M14) * np.exp2(t - e)
+    return e, dtype(norm) * np.exp2(t - e)
 
 
 def _psi_coefficients(nsteps, dtype):
@@ -440,6 +451,48 @@ def _phi_deriv_mantexp(hbar, nmax, xs, dtype=np.float64):
     xi = np.asarray(xs, dtype=dtype) / np.sqrt(hb)
     m, e, dm, de = _psi_deriv_mantexp(nmax, xi, dtype=dtype)
     return m * hb ** dtype(-0.25), e, dm * hb ** dtype(-0.75), de
+
+
+def _laguerre_mantexp(jmax, alpha, z, log2_scale):
+    """2**log2_scale e^(-z/2) L_j^(alpha)(z) for j <= jmax, z >= 0, tracked in base 2.
+
+    Extended precision throughout.  The forward recurrence (j+1) L_{j+1} =
+    (2j+1+alpha-z) L_j - (j+alpha) L_{j-1}, L_0 = 1, follows the polynomials,
+    the recurrence's dominant solution for z > 0 (Gil, Segura & Temme 2007,
+    ch. 4).  As on _psi_mantexp's float64 route the running pair is
+    renormalized every 8 steps, and one frexp normalizes the table at the
+    end, |m| < 1; every column depends on its own z alone.  Returns (m, e),
+    shapes (jmax+1, len(z)).
+    """
+    dtype = np.longdouble
+    z = np.atleast_1d(np.asarray(z, dtype=dtype))
+    t = dtype(log2_scale) - z * (dtype(0.5) * _LOG2E_LD)
+    ecur = np.floor(t).astype(np.int64)
+    m = np.empty((jmax + 1, z.size), dtype=dtype)
+    e = np.empty((jmax + 1, z.size), dtype=np.int64)
+    m[0] = np.exp2(t - ecur)
+    j = np.arange(jmax, dtype=dtype)[:, None]
+    slope = (2 * j + (1 + dtype(alpha)) - z) / (j + 1)
+    back = (j + dtype(alpha)) / (j + 1)
+    tmp = np.empty(z.size, dtype=dtype)
+    cur, prev = m[0], np.zeros(z.size, dtype=dtype)
+    for k0 in range(0, jmax, 8):
+        k_end = min(k0 + 8, jmax)
+        for k in range(k0, k_end):
+            new = m[k + 1]
+            np.multiply(slope[k], cur, out=new)
+            np.multiply(back[k], prev, out=tmp)
+            np.subtract(new, tmp, out=new)
+            prev, cur = cur, new
+        e[k0:k_end] = ecur
+        if k_end % 8 == 0:
+            _, sh = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+            np.ldexp(cur, -sh, out=cur)
+            prev = np.ldexp(prev, -sh)   # a copy: row k_end - 1 keeps its own scale
+            ecur = ecur + sh
+    e[jmax] = ecur
+    m, sh = np.frexp(m)
+    return m, e + sh
 
 
 def hermite_all(level, x):

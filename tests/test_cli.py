@@ -675,3 +675,46 @@ def test_readme_commands_run_without_scipy(tmp_path):
     assert manifest_key == "None"
     assert "gamma_integral route of ai_k needs scipy" in done.stderr
     assert not (tmp_path / "g.csv").exists()
+
+
+#: commands run one after another in one interpreter; the second projector
+#: call leaves --y and --x at their defaults after a call that set them
+_SUCCESSIVE = [
+    ("projector", "--d", "3", "--N", "40", "--x", "0.5,0.1,0.2", "--y", "0.45,0.12,0.2"),
+    ("airy", "--k", "-1", "--s", "-2:2:0.5"),
+    ("projector", "--d", "2", "--N", "20"),
+    ("tube-mass", "--d", "3", "--N", "40", "--kappa", "1"),
+    ("density", "--regime", "caustic-tube", "--u1-range", "-1:1:1"),
+]
+
+
+def test_successive_calls_write_the_csvs_of_separate_runs(tmp_path):
+    # main keeps one parser for the process: every command run twice in
+    # this interpreter writes the bytes a fresh interpreter writes
+    for i, argv in enumerate(_SUCCESSIVE):
+        for rep in range(2):
+            assert main([*argv, "-o", str(tmp_path / f"same_{i}_{rep}.csv")]) == 0
+        _run_python(tmp_path, "-m", "oscnodal.cli", *argv, "-o", f"fresh_{i}.csv")
+        fresh = (tmp_path / f"fresh_{i}.csv").read_bytes()
+        for rep in range(2):
+            assert (tmp_path / f"same_{i}_{rep}.csv").read_bytes() == fresh, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("airy", "--bogus-flag", "1"),
+    ("frobnicate",),
+    ("projector", "--method", "bogus"),
+    ("airy", "--s", "0:1:0.5"),
+])
+def test_usage_errors_after_a_run_match_a_fresh_process(tmp_path, capsys, argv):
+    # exit 1 and the same message as in a fresh interpreter, after a run
+    assert main(["airy", "--k", "-1", "--s", "0", "-o", str(tmp_path / "a.csv")]) == 0
+    capsys.readouterr()
+    try:
+        status = main([*argv, "-o", str(tmp_path / "b.csv")])
+    except SystemExit as exc:
+        status = exc.code
+    err = capsys.readouterr().err
+    fresh = _run_python(tmp_path, "-m", "oscnodal.cli", *argv, "-o", "b.csv", check=False)
+    assert status == fresh.returncode == 1
+    assert err == fresh.stderr

@@ -15,6 +15,7 @@ from oscnodal import (
     ai_k,
     caustic_crossing_constant,
     caustic_intersection_density,
+    covariance_jet,
     covariance_jet_batch,
     density_regime,
     density_regime_batch,
@@ -24,6 +25,7 @@ from oscnodal import (
     omega_caustic_scaled,
     omega_exact,
     omega_exact_batch,
+    pi_exact,
     tube_mass,
 )
 from oscnodal import projector
@@ -371,6 +373,16 @@ class TestOmegaExact:
             assert abs(mpmath.ldexp(jet.pi.mantissa, jet.pi.exponent) / pi - 1) <= 3e-13
             assert np.max(np.abs(omega.omega - ref)) <= 1e-11 * np.max(np.abs(ref))
 
+    def test_extended_ground_state_constants(self):
+        # deep in the forbidden region psi_0 carries the relative error of
+        # log2(e) times xi^2 / 2 ~ 2000 here: 1.2e-13 with a float64 log2(e),
+        # 9e-16 with the extended one
+        mpmath = pytest.importorskip("mpmath")
+        level, x = level_new(2, 1600), [1.6, 0.0]
+        pi, _ = _mp_jet(level, x)
+        for got in (covariance_jet(level, x).pi, pi_exact(level, x)):
+            assert abs(mpmath.ldexp(got.mantissa, got.exponent) / pi - 1) <= 1e-14
+
     def test_rotational_covariance(self):
         level = level_new(2, 30)
         rng = np.random.default_rng(2)
@@ -424,12 +436,12 @@ class TestOmegaExact:
             omega_exact_batch(level_new(2, 10), [[0.5, 0.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("d,n,count,per_pass", [
-        (2, 800, projector._PAIRS_PER_PASS + 6, None), (3, 200, 3, 2)])
+        (2, 800, 70, None), (2, 800, 70, 32), (3, 200, 3, 2)])
     def test_batch_equals_one_point_calls(self, d, n, count, per_pass, monkeypatch):
-        # off-axis points out to |x| = 1.6, across a pass boundary (at d = 3
-        # with a pass of two points, to keep the d = 3 folds cheap)
+        # off-axis points out to |x| = 1.6, in one pass or across a pass
+        # boundary (passes of per_pass points, two basis columns each)
         if per_pass is not None:
-            monkeypatch.setattr(projector, "_PAIRS_PER_PASS", per_pass)
+            monkeypatch.setattr(projector, "_PASS_ENTRIES", 2 * per_pass * (n + 1))
         level = level_new(d, n)
         rng = np.random.default_rng(40 + d)
         far = rng.standard_normal(d)

@@ -1,6 +1,9 @@
 """Exact kernel vs residue integral, diagonal jets, and operator identities."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,10 +19,11 @@ from oscnodal import (
 from oscnodal.cli import main, read_table
 from oscnodal import projector
 from oscnodal.projector import (
-    _PAIRS_PER_PASS,
+    _PLANAR_CONDITION_MAX,
     _conv_full,
     _conv_last,
     _fold,
+    _planar_sums,
     _zero_series,
     read_batch_csv,
 )
@@ -27,6 +31,8 @@ from oscnodal.projector import CovarianceJet
 from oscnodal.semiclassical import (
     ResourceLimitError,
     TrackedReal,
+    _PI_LD,
+    _laguerre_mantexp,
     _phi_deriv_mantexp,
     _phi_mantexp,
 )
@@ -263,6 +269,25 @@ def per_coordinate(level, x, y):
     return TrackedReal(*fold_per_coordinate(level, x, y))
 
 
+def tracked_value(t):
+    """A TrackedReal as a longdouble value."""
+    return np.ldexp(np.longdouble(t.mantissa), t.exponent)
+
+
+#: the planar sums against the fold at d >= 3, relative to the fold's value
+#: (measured: <= 4.2e-14 on the pairs of these tests, most of it the fold's)
+PLANAR_RTOL = 1e-13
+
+
+def matches_fold(level, x, y, v):
+    """v is the fold's value: bit for bit at d <= 2, where the batch folds,
+    and within PLANAR_RTOL at d >= 3, where it sums in the plane of x and y."""
+    want = per_coordinate(level, x, y)
+    if level.d <= 2:
+        return same(v, want)
+    return abs(tracked_value(v) - tracked_value(want)) <= PLANAR_RTOL * abs(tracked_value(want))
+
+
 def base_e_oracle(m, e2):
     """A fold's base-2 pair as the base-e pair mantissa * e**exponent, by the
     conversion the projector CSV was written with before TrackedReal was base 2."""
@@ -283,7 +308,7 @@ class TestBatch:
         values = pi_exact_batch(level, xs, ys)
         for x, y, v in zip(xs, ys, values):
             assert same(v, pi_exact(level, x, y))
-            assert same(v, per_coordinate(level, x, y))
+            assert matches_fold(level, x, y, v)
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("x1,x2,y1,y2\n" + "".join(
             ",".join(repr(float(c)) for c in np.concatenate([x, y])) + "\n"
@@ -304,14 +329,16 @@ class TestBatch:
 
     @pytest.mark.parametrize("d,n,count", [(2, 40, 12), (2, 1600, 12), (3, 40, 12), (3, 1600, 4)])
     def test_base_e_edge_matches_the_old_conversion(self, d, n, count):
-        # the CSV's base-e columns are bit for bit those of the old conversion
+        # the CSV's base-e columns are bit for bit those of the old conversion,
+        # of the fold's base-2 pair at d <= 2 and of the batch's own from d = 3
         level = level_new(d, n)
         rng = np.random.default_rng(60 + d)
         points = rng.standard_normal((2 * count, d))
         points *= (rng.uniform(0.0, 1.7, 2 * count) / np.linalg.norm(points, axis=1))[:, None]
         xs, ys = points[:count], points[count:]
         for x, y, v in zip(xs, ys, pi_exact_batch(level, xs, ys)):
-            assert v.to_base_e() == base_e_oracle(*fold_per_coordinate(level, x, y))
+            base_2 = fold_per_coordinate(level, x, y) if d <= 2 else (v.mantissa, v.exponent)
+            assert v.to_base_e() == base_e_oracle(*base_2)
 
     def test_empty_pairs_csv_is_an_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -333,7 +360,7 @@ class TestBatch:
         values = pi_exact_batch(level, xs, ys)
         for x, y, v in zip(xs, ys, values):
             assert same(v, pi_exact(level, x, y))
-            assert same(v, per_coordinate(level, x, y))
+            assert matches_fold(level, x, y, v)
         assert same(pi_exact(level, xs[0]), values[5])
 
     @pytest.mark.parametrize("d,n", [(2, 40), (3, 12), (2, 1600)])
@@ -356,12 +383,15 @@ class TestBatch:
             ys.append(point)
         values = pi_exact_batch(level, xs, ys)
         for x, y, v in zip(xs, ys, values):
-            assert same(v, per_coordinate(level, x, y))
+            assert same(v, pi_exact(level, x, y))
+            assert matches_fold(level, x, y, v)
 
-    def test_batch_longer_than_one_pass(self):
+    def test_batch_longer_than_one_pass(self, monkeypatch):
+        # a pass of 8 pairs: 8 * 2d basis columns of N + 1 entries
         level = level_new(2, 10)
+        monkeypatch.setattr(projector, "_PASS_ENTRIES", 8 * 4 * 11)
         rng = np.random.default_rng(5)
-        count = 2 * _PAIRS_PER_PASS + 3
+        count = 2 * 8 + 3
         xs = rng.uniform(-1.2, 1.2, (count, 2))
         ys = rng.uniform(-1.2, 1.2, (count, 2))
         values = pi_exact_batch(level, xs, ys)
@@ -444,12 +474,13 @@ def jet_table(d, count, seed):
 
 
 class TestJetBatch:
-    # d = 2 runs more than one pass of the real _PAIRS_PER_PASS; at d = 3 a
-    # pass of two points puts a pass boundary inside a three-point table
-    @pytest.mark.parametrize("d,count,per_pass", [(2, _PAIRS_PER_PASS + 6, None), (3, 3, 2)])
+    # passes of per_pass points, two basis columns each (None: the real
+    # _PASS_ENTRIES, one pass); at d = 3 a pass of two points puts a pass
+    # boundary inside a three-point table
+    @pytest.mark.parametrize("d,count,per_pass", [(2, 70, None), (2, 70, 32), (3, 3, 2)])
     def test_batch_equals_one_point_calls(self, d, count, per_pass, monkeypatch):
         if per_pass is not None:
-            monkeypatch.setattr(projector, "_PAIRS_PER_PASS", per_pass)
+            monkeypatch.setattr(projector, "_PASS_ENTRIES", 2 * per_pass * 801)
         level = level_new(d, 800)
         points = jet_table(d, count, 30 + d)
         jets = covariance_jet_batch(level, points)
@@ -552,3 +583,202 @@ class TestZeroSeries:
         total, e = _conv_last(np.ones(n + 1, dtype=np.longdouble), exponents, *d, n, np.longdouble)
         assert np.ldexp(total, e) == np.ldexp(np.longdouble(1), -9000)
 
+
+def mp_value(m, e):
+    """A tracked (mantissa, exponent) pair as an exact mpf."""
+    import mpmath
+
+    m, shift = np.frexp(np.longdouble(m))
+    return mpmath.mpf(int(np.ldexp(m, 64))) * mpmath.mpf(2) ** (int(e) + int(shift) - 64)
+
+
+def mp_phis(n, hbar, coord):
+    """phi_0..phi_n at coord (an mpf) by the recurrence, in the working precision."""
+    import mpmath
+
+    xi = coord / mpmath.sqrt(hbar)
+    cur, prev = (hbar * mpmath.pi) ** mpmath.mpf(-0.25) * mpmath.exp(-xi * xi / 2), 0
+    out = [cur]
+    for k in range(n):
+        cur, prev = (mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * xi * cur
+                     - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev), cur
+        out.append(cur)
+    return out
+
+
+def mp_kernel_planar(level, x, y, digits=60):
+    """Pi(x, y) at `digits` digits (at the float hbar the program is given),
+    summed in the plane of x and y: sum_a phi_a(r) phi_a(p) G(N - a) with the
+    Laguerre series G, every step in mpmath from the exact float inputs."""
+    import mpmath
+
+    d, n = level.d, level.N
+    with mpmath.workdps(digits):
+        hbar = mpmath.mpf(level.hbar)
+        x, y = [mpmath.mpf(float(c)) for c in x], [mpmath.mpf(float(c)) for c in y]
+        r = mpmath.sqrt(mpmath.fsum(c * c for c in x))
+        xhat = [c / r for c in x]
+        p = mpmath.fsum(a * b for a, b in zip(xhat, y))
+        z = mpmath.fsum((b - p * a) ** 2 for a, b in zip(xhat, y)) / hbar
+        alpha = mpmath.mpf(d - 3) / 2
+        lag = [mpmath.mpf(1), 1 + alpha - z]
+        for j in range(1, n // 2):
+            lag.append(((2 * j + 1 + alpha - z) * lag[j] - (j + alpha) * lag[j - 1]) / (j + 1))
+        scale = (mpmath.pi * hbar) ** (-(mpmath.mpf(d) - 1) / 2) * mpmath.exp(-z / 2)
+        phi_r, phi_p = mp_phis(n, hbar, r), mp_phis(n, hbar, p)
+        return +mpmath.fsum(phi_r[a] * phi_p[a] * scale * lag[(n - a) // 2]
+                            for a in range(n % 2, n + 1, 2))
+
+
+def mp_kernel_fold(level, x, y, digits=50):
+    """Pi(x, y) at `digits` digits by the per-coordinate fold (O(d N^2))."""
+    import mpmath
+
+    n = level.N
+    with mpmath.workdps(digits):
+        hbar = mpmath.mpf(level.hbar)
+        arrays = [[u * v for u, v in zip(mp_phis(n, hbar, mpmath.mpf(float(a))),
+                                         mp_phis(n, hbar, mpmath.mpf(float(b))))]
+                  for a, b in zip(x, y)]
+        acc = arrays[0]
+        for other in arrays[1:]:
+            acc = [mpmath.fsum(acc[i] * other[k - i] for i in range(k + 1)) for k in range(n + 1)]
+        return +acc[n]
+
+
+#: a pair whose planar sum cancels by ~1e14 at N = 1600 (the 5th pair of the
+#: benchmark's d = 3 pair generator, perfbench/workloads.write_pairs, on the
+#: generator np.random.default_rng([7, 3]))
+FALLBACK_X = (-0.5657184435792018, -0.7895074756889385, 0.25503832496826245)
+FALLBACK_Y = (-0.5916567693535149, -0.7932706316019036, 0.36264024426358865)
+
+
+def planar(level, xs, ys):
+    """(values as longdouble, conditions) of _planar_sums over the pairs."""
+    total, top, size = _planar_sums(level, np.array([xs, ys], dtype=float))
+    return np.ldexp(total, top.astype(np.intc)), size / np.abs(total)
+
+
+class TestPlanar:
+    # Pi at d >= 3 as one sum in the plane of x and y, against the Laguerre
+    # series' closed form and the per-coordinate fold
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
+    def test_laguerre_series_matches_mpmath(self, alpha):
+        # rows j <= 400, from z = 0 (the zero series D) far into the
+        # monotone region; error over the largest of rows j-1..j+1, so the
+        # zeros of L_j in the oscillatory region do not blow it up (measured:
+        # <= 4.9e-16)
+        mpmath = pytest.importorskip("mpmath")
+        zs = np.array([0.0, 1e-3, 0.7, 30.0, 450.0, 3000.0], dtype=np.longdouble)
+        m, e = _laguerre_mantexp(400, alpha, zs, -3.25)
+        rows = (1, 2, 7, 8, 9, 100, 399)
+        with mpmath.workdps(50):
+            for col, z in enumerate(zs):
+                z = mp_value(z, 0)
+                scale = mpmath.mpf(2) ** mpmath.mpf(-3.25) * mpmath.exp(-z / 2)
+                for j in rows:
+                    ref = [scale * mpmath.laguerre(k, alpha, z) for k in (j - 1, j, j + 1)]
+                    got = mp_value(m[j, col], e[j, col])
+                    assert abs(got - ref[1]) <= 2e-15 * max(abs(v) for v in ref)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_laguerre_series_is_the_fold(self, d):
+        # G(n) = sum_{|beta|=n} phi_beta(0) phi_beta(q e1) over d - 1
+        # coordinates: phi_b(0) phi_b(q) convolved with the zero series of the
+        # other d - 2, against the closed form; zero at odd n
+        n, ld = 60, np.longdouble
+        level = level_new(d, n)
+        for q in (0.0, 0.3, 1.1, 1.9):
+            m, e = _phi_mantexp(level.hbar, n, [0.0, q], dtype=ld)
+            axis = (m[:, 0] * m[:, 1], e[:, 0] + e[:, 1])
+            want = axis
+            for _ in range(d - 2):
+                want = _conv_full(*want, m[:, 0] * m[:, 0], 2 * e[:, 0], n, ld)
+            want = tracked_values(want)
+            hbar = ld(level.hbar)
+            log2_scale = -(ld(d - 1) / 2) * np.log2(_PI_LD * hbar)
+            got = tracked_values(_laguerre_mantexp(n // 2, (d - 3) / 2, [ld(q) * ld(q) / hbar],
+                                                   log2_scale))[:, 0]
+            assert np.all(want[1::2] == 0.0)
+            assert np.max(np.abs(got - want[::2]) / np.abs(want[::2])) <= 1e-15
+
+    def test_mpmath_oracle_is_the_fold(self):
+        # the planar mpmath kernel the tests below use, against the fold
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(90)
+        for d, n in ((3, 30), (3, 31), (4, 20)):
+            level = level_new(d, n)
+            x, y = rng.uniform(-1.2, 1.2, d), rng.uniform(-1.2, 1.2, d)
+            with mpmath.workdps(60):
+                assert abs(mp_kernel_planar(level, x, y) / mp_kernel_fold(level, x, y) - 1) \
+                    <= mpmath.mpf(10) ** -40
+
+    @pytest.mark.parametrize("d,n", [(3, 60), (3, 61), (4, 40), (5, 24)])
+    def test_planar_matches_fold(self, d, n):
+        # random pairs out to |x| = 1.6, y = x + 0.3 noise: every one inside
+        # the condition bound is within PLANAR_RTOL of the fold, and most are
+        level = level_new(d, n)
+        rng = np.random.default_rng(80 + d)
+        xs = rng.standard_normal((12, d))
+        xs *= (rng.uniform(0.1, 1.6, 12) / np.linalg.norm(xs, axis=1))[:, None]
+        ys = xs + 0.3 * rng.standard_normal((12, d))
+        values, conditions = planar(level, xs, ys)
+        inside = conditions <= _PLANAR_CONDITION_MAX
+        assert inside.sum() >= 10
+        for x, y, v in zip(xs[inside], ys[inside], values[inside]):
+            want = tracked_value(per_coordinate(level, x, y))
+            assert abs(v - want) <= PLANAR_RTOL * abs(want)
+
+    @pytest.mark.parametrize("d,n", [(3, 40), (3, 41), (4, 30), (6, 20)])
+    def test_batch_equals_one_pair_calls(self, d, n, monkeypatch):
+        # x = 0, y = +-x, signed zeros, tube_mass's diagonal pairs (r e1, r e1)
+        # and random pairs, across passes of three pairs
+        monkeypatch.setattr(projector, "_PASS_ENTRIES", 3 * 2 * d * (n + 1))
+        level = level_new(d, n)
+        rng = np.random.default_rng(100 + d)
+        zero, signed = np.zeros(d), np.where(np.arange(d) % 2, -0.0, 0.0)
+        x = rng.uniform(-1.0, 1.0, d)
+        axis = [np.eye(d)[0] * r for r in (0.7, 1.0, 1.2)]
+        xs = [zero, zero, signed, signed, x, x, x, -zero, *axis, rng.uniform(-1.5, 1.5, d)]
+        ys = [x, zero, zero, x, x, -x, signed, signed, *axis, rng.uniform(-1.5, 1.5, d)]
+        values = pi_exact_batch(level, xs, ys)
+        for x, y, v in zip(xs, ys, values):
+            assert same(v, pi_exact(level, x, y))
+        for v in values[8:11]:
+            assert v.mantissa > 0.0
+
+    def test_ill_conditioned_pair_takes_the_fold(self):
+        # the planar sum cancels by ~6e13 here and misses the 60-digit kernel
+        # by ~1e-7; the batch takes the fold instead, within 1e-10 of it
+        mpmath = pytest.importorskip("mpmath")
+        level = level_new(3, 1600)
+        value, condition = planar(level, [FALLBACK_X], [FALLBACK_Y])
+        assert condition[0] > _PLANAR_CONDITION_MAX
+        got = pi_exact(level, FALLBACK_X, FALLBACK_Y)
+        assert same(got, per_coordinate(level, FALLBACK_X, FALLBACK_Y))
+        with mpmath.workdps(60):
+            ref = mp_kernel_planar(level, FALLBACK_X, FALLBACK_Y)
+            assert abs(mp_value(got.mantissa, got.exponent) / ref - 1) <= 1e-10
+            assert abs(mp_value(value[0], 0) / ref - 1) > 1e-8
+
+
+def test_pass_memory_is_bounded_at_large_n(tmp_path):
+    # 48 distinct radii at d = 3, N = 50000: in one pass (the old cap of 64
+    # points) the jet basis took 225 MB; passes of _PASS_ENTRIES entries
+    # hold it to 150 MB (peak RSS over the call, in a fresh interpreter)
+    script = (
+        "import resource, numpy as np, oscnodal\n"
+        "rng = np.random.default_rng(1)\n"
+        "pts = rng.standard_normal((48, 3))\n"
+        "pts *= (rng.uniform(0.2, 1.2, 48) / np.linalg.norm(pts, axis=1))[:, None]\n"
+        "oscnodal.covariance_jet_batch(oscnodal.level_new(3, 50), pts[:2])\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "oscnodal.covariance_jet_batch(oscnodal.level_new(3, 50000), pts)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)\n")
+    src = os.path.dirname(os.path.dirname(projector.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) <= 200.0

@@ -186,13 +186,19 @@ class TestHermiteAll:
 
 
 def psi_reference(nmax, xi, dtype):
-    """The recurrence step by step, with two scalar sqrt calls per step."""
+    """The recurrence step by step, with two scalar sqrt calls per step; the
+    ground state's log2(e) and pi^(-1/4) are taken in the working dtype."""
     xi = np.atleast_1d(np.asarray(xi, dtype=dtype))
     m = np.empty((nmax + 1, xi.size), dtype=dtype)
     e = np.empty((nmax + 1, xi.size), dtype=np.int64)
-    t = -xi * xi * dtype(0.5) * dtype(1.0 / math.log(2.0))
+    if dtype is np.float64:
+        log2e, norm = 1.0 / math.log(2.0), math.pi ** -0.25
+    else:
+        log2e = 1 / np.log(dtype(2))
+        norm = dtype("3.14159265358979323846264338327950288") ** dtype(-0.25)
+    t = -xi * xi * dtype(0.5) * dtype(log2e)
     ecur = np.floor(t).astype(np.int64)
-    cur = dtype(math.pi ** -0.25) * np.exp2(t - ecur)
+    cur = dtype(norm) * np.exp2(t - ecur)
     prev = np.zeros(xi.size, dtype=dtype)
     m[0] = cur
     e[0] = ecur
