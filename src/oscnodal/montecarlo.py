@@ -3,8 +3,9 @@
 A random eigenfunction is Phi(x) = sum_{|beta|=N} a_beta phi_beta(x) with
 i.i.d. standard normal coefficients, so its covariance is exactly the
 eigenspace projection kernel.  This module samples fields reproducibly
-(counter-based Philox keyed by the seed), evaluates them on grids, circles
-and rays through shared-basis matrix products, and measures:
+(counter-based Philox keyed by the seed; an ensemble re-keys one generator
+per seed), evaluates them on grids, circles and rays through shared-basis
+matrix products, and measures:
 
   * nodal length in boxes (marching squares on the bilinear interpolant,
     with a halved-resolution Richardson consistency estimate),
@@ -16,7 +17,12 @@ The circle and ray grids are symmetric under x -> -x and y -> -y, and a
 degree-N field obeys Phi(sx x, sy y) = sy^N (S_e + sx sy S_o), where S_e and
 S_o are its even-k and odd-k halves (phi_k has parity (-1)^k).  So the basis
 is built on the first-quadrant angles only, and every other angle is read
-from its base angle by index arithmetic (the reflection fold).
+from its base angle by index arithmetic (the reflection fold).  A circle is
+a fan of unit rays, and circles and rays share one routine.  When 4 divides
+the number of angles, sin theta_j is defined as cos theta_(n/4 - j): the y
+table is then the x table read backwards, and one Hermite recurrence serves
+both axes (the quarter turn).  The reflected signs are read by comparing
+S_e with +-S_o, which forms no sum.
 
 Resolution rules: the allowed-region wavelength is ~hbar, so box grids use
 steps <= hbar/8; caustic-tube structure lives at scale hbar^(2/3), so angular
@@ -96,13 +102,35 @@ class RandomEigenfunction:
 
 def sample_field(level, seed, budget=_DEFAULT_FIELD_BUDGET):
     """Draw a random eigenfunction; deterministic and bitwise stable in seed."""
+    coeffs = _draw_coeffs(level, [seed], budget)[0]
+    return RandomEigenfunction(level=level, coeffs=coeffs, seed=int(seed))
+
+
+def _draw_coeffs(level, seeds, budget=_DEFAULT_FIELD_BUDGET):
+    """Coefficient vectors, one row per seed: Generator(Philox(key=seed)).standard_normal(dim).
+
+    One Philox is re-keyed for every seed.  Its state is set to the state a
+    fresh Philox(key=seed) starts in: key [seed mod 2^64, seed >> 64], zero
+    counter and an empty buffer.  That skips the entropy draw and seed
+    sequence that building a bit generator costs.
+    """
     dim = eigenspace_dim(level)
     if dim > budget:
         raise ResourceLimitError(
             f"eigenspace dimension {dim} exceeds the sampling budget {budget}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    coeffs = rng.standard_normal(dim)
-    return RandomEigenfunction(level=level, coeffs=coeffs, seed=int(seed))
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    out = np.empty((len(seeds), dim))
+    for row, seed in zip(out, seeds):
+        seed = int(seed)
+        if not 0 <= seed < 1 << 128:
+            np.random.Philox(key=seed)   # raises Philox's own ValueError for the key
+        high, low = divmod(seed, 1 << 64)
+        state["state"]["key"] = np.array([low, high], dtype=np.uint64)
+        bitgen.state = state
+        rng.standard_normal(out=row)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -149,6 +177,30 @@ def _point_basis(level, points):
     return out, scale.astype(np.int64)
 
 
+def _pair_basis(mx, ex, my, ey):
+    """The d = 2 basis from an x table and a y table (mantissas, exponents).
+
+    Row k is phi_k(x) phi_{N-k}(y): B = exp2(ex + ey[::-1] - scale) *
+    (mx * my[::-1]), with scale the per-point maximum of the exponent sums.
+    Any trailing point axes are kept; the tables may be strided views.  The
+    products are formed a block of rows at a time, so that the only full-size
+    array is B itself.
+    """
+    my, ey = my[::-1], ey[::-1]
+    out = np.add(ex, ey, dtype=float)
+    scale = out.max(axis=0)
+    step = max(1, _BLOCK_ENTRIES * len(out) // out.size)
+    m = np.empty((step,) + out.shape[1:])
+    for lo in range(0, len(out), step):
+        b = out[lo:lo + step]
+        mb = m[:len(b)]
+        np.multiply(mx[lo:lo + step], my[lo:lo + step], out=mb)
+        b -= scale
+        np.exp2(b, out=b)
+        b *= mb
+    return out, scale.astype(np.int64)
+
+
 def _tensor_basis(level, xs, ys):
     """Plain-float factor matrices Cx[k, ix] = phi_k(x), Cy[k, iy] = phi_{N-k}(y).
 
@@ -168,9 +220,13 @@ def _tensor_basis(level, xs, ys):
     return cx, cy
 
 
-def _grid_values(coeffs, cx, cy):
-    """Phi on the tensor grid: (Cy^T diag(a) Cx), shape (ny, nx)."""
-    return cy.T @ (coeffs[:, None] * cx)
+def _grid_values(coeffs, cx, cy, out=None, scaled=None):
+    """Phi on the tensor grid: (Cy^T diag(a) Cx), shape (ny, nx).
+
+    out (ny, nx) and scaled (the shape of cx) are optional buffers to reuse.
+    """
+    scaled = np.multiply(coeffs[:, None], cx, out=scaled)
+    return np.matmul(cy.T, scaled, out=out)
 
 
 # marching squares: corners bit0 = bottom-left, bit1 = bottom-right,
@@ -323,7 +379,7 @@ def _check_ensemble_size(n):
 def _ensemble_coeffs(level, seeds):
     """Coefficient vectors of the ensemble's fields, one row per seed."""
     _check_ensemble_size(len(seeds))
-    return np.stack([sample_field(level, s).coeffs for s in seeds])
+    return _draw_coeffs(level, seeds)
 
 
 def _mean_estimate(samples, resolution):
@@ -339,7 +395,7 @@ def nodal_length_ensemble(level, seeds, box, grid_step):
 
     Returns (lengths, NodalEstimate-of-the-mean); lengths are the fine-grid
     Richardson values per seed.  Each seed's field is drawn once and used at
-    both resolutions.
+    both resolutions; each resolution reuses one grid buffer across seeds.
     """
     if level.d != 2:
         raise ValueError("nodal_length_ensemble is d = 2 only")
@@ -351,9 +407,11 @@ def nodal_length_ensemble(level, seeds, box, grid_step):
         xs = _grid_axis(x0, x1, step)
         ys = _grid_axis(y0, y1, step)
         cx, cy = _tensor_basis(level, xs, ys)
+        scaled = np.empty_like(cx)
+        f = np.empty((len(ys), len(xs)))
         out = np.empty(len(seeds))
         for i, a in enumerate(coeffs):
-            f = _grid_values(a, cx, cy)
+            _grid_values(a, cx, cy, out=f, scaled=scaled)
             out[i] = _marching_squares_length(f, xs[1] - xs[0], ys[1] - ys[0])
         values[step_name] = out
     refined = 2.0 * values["fine"] - values["coarse"]
@@ -365,7 +423,7 @@ def _reflection_fold(n, degree):
 
     Returns (base, code): angle j is base angle base[j] under the reflection
     (x, y) -> (sx x, sy y), and code[j] picks its row of the sign table of
-    _reflected_sign_table: code = (sx sy == -1) + 2 (sy^degree == -1).
+    _reflected_signs: code = (sx sy == -1) + 2 (sy^degree == -1).
     Pure index arithmetic: j <-> n - j sets sy = -1 and, for even n,
     j <-> n/2 - j sets sx = -1; the base angles are 0 <= j <= n/4.  Odd n
     folds through j <-> n - j only, onto 0 <= j <= n/2.
@@ -380,53 +438,137 @@ def _reflection_fold(n, degree):
     return base, (flip_x != flip_y) + 2 * (flip_y & bool(degree % 2))
 
 
-def _reflected_sign_table(level, coeffs_matrix, points):
-    """Signs of the d = 2 fields at the points and at their reflections.
+def _fan_passes(n, n_base, n_rows, n_ts):
+    """Passes over a fan of n_base base angles with n_ts points per ray.
 
-    Row k of the basis is phi_k(x) phi_{N-k}(y), and phi_k(-x) = (-1)^k
-    phi_k(x) bit for bit, so Phi(sx x, sy y) = sy^N (S_e + sx sy S_o) with
-    S_e, S_o the even-k and odd-k halves of coeffs @ basis.  Returns the int8
-    table[seed, code, p] = where(Phi >= 0, 1, -1) for the four values
-    S_e + S_o, S_e - S_o and their negatives, in that order of code.
+    Returns (blocks, t_slices): a pass is one base-angle block with one slice
+    of the t axis, and holds at most _PASS_ENTRIES basis entries (n_rows per
+    point).  When 4 | n a block comes with its quarter-turn mirrors
+    j -> n/4 - j, so each block is sorted and symmetric under that map and may
+    hold two angles; the t axis is cut so that they fit.
     """
+    per_block = 1 if n % 4 else 2
+    t_step = max(1, min(n_ts, _PASS_ENTRIES // (per_block * n_rows)))
+    t_slices = [slice(lo, lo + t_step) for lo in range(0, n_ts, t_step)]
+    per_pass = max(1, _PASS_ENTRIES // (n_rows * t_step))
+    if n % 4:
+        return ([np.arange(lo, min(lo + per_pass, n_base)) for lo in range(0, n_base, per_pass)],
+                t_slices)
+    quarter = n // 4
+    step = max(1, per_pass // 2)
+    half = quarter // 2 + 1
+    blocks = []
+    for lo in range(0, half, step):
+        hi = min(lo + step, half)
+        blocks.append(np.concatenate([np.arange(lo, hi),
+                                      np.arange(max(hi, quarter - hi + 1), quarter - lo + 1)]))
+    return blocks, t_slices
+
+
+def _fan_axes(level, n, angles, ts):
+    """x and y tables of the fan points ts (cos theta_j, sin theta_j), theta_j = 2 pi j / n.
+
+    Each table is (mantissas, exponents) of shape (N + 1, len(angles), len(ts)).
+    When 4 | n, sin theta_j is defined as cos theta_(n/4 - j): the angles are a
+    symmetric block of _fan_passes, so the y table is the x table with its
+    angle axis reversed, and one recurrence serves both axes.  Otherwise one
+    recurrence runs over the x and y coordinates together.
+    """
+    theta = 2.0 * math.pi * angles / n
+    x = np.cos(theta)[:, None] * ts
+    shape = (level.N + 1, len(angles), len(ts))
+    if n % 4 == 0:
+        m, e = _phi_mantexp(level.hbar, level.N, x.ravel())
+        m, e = m.reshape(shape), e.reshape(shape)
+        return m, e, m[:, ::-1], e[:, ::-1]
+    y = np.sin(theta)[:, None] * ts
+    m, e = _phi_mantexp(level.hbar, level.N, np.concatenate([x.ravel(), y.ravel()]))
+    half = x.size
+    return (m[:, :half].reshape(shape), e[:, :half].reshape(shape),
+            m[:, half:].reshape(shape), e[:, half:].reshape(shape))
+
+
+def _reflected_signs(s_e, s_o, out, used):
+    """Write the reflected signs Phi >= 0 into out[:, c] for every used code c.
+
+    Code c = (sx sy == -1) + 2 (sy^N == -1) of _reflection_fold stands for
+    Phi = sy^N (S_e + sx sy S_o).  The signs are read by comparison, with no
+    sum formed: S_e + S_o >= 0 iff s_e >= -s_o and S_e - S_o >= 0 iff
+    s_e >= s_o; the negated codes 2 and 3 take <=.  For finite doubles a
+    rounded sum has the sign of the exact one, so these are also the signs of
+    the rounded sums.  s_o is negated in place.
+    """
+    for c, compare in ((1, np.greater_equal), (3, np.less_equal)):   # S_e - S_o
+        if used[c]:
+            compare(s_e, s_o, out=out[:, c])
+    np.negative(s_o, out=s_o)
+    for c, compare in ((0, np.greater_equal), (2, np.less_equal)):   # S_e + S_o
+        if used[c]:
+            compare(s_e, s_o, out=out[:, c])
+
+
+def _fan_signs(level, coeffs_matrix, n, ts):
+    """Signs Phi >= 0 of the d = 2 fields on a fan; bool, shape (n_seeds, n, len(ts)).
+
+    Ray j of the fan carries the points t (cos theta_j, sin theta_j), t in
+    ts, theta_j = 2 pi j / n; a circle is the fan with ts = [1.0].  The basis
+    is built on the base angles of _reflection_fold only.  Row k of the basis
+    is phi_k(x) phi_{N-k}(y), and phi_k(-x) = (-1)^k phi_k(x) bit for bit, so
+    Phi(sx x, sy y) = sy^N (S_e + sx sy S_o) with S_e, S_o the even-k and
+    odd-k halves of coeffs @ basis (_reflected_signs).
+    """
+    base, code = _reflection_fold(n, level.N)
+    n_base = int(base.max()) + 1
+    ts = np.asarray(ts, dtype=float)
     even = np.ascontiguousarray(coeffs_matrix[:, 0::2])
     odd = np.ascontiguousarray(coeffs_matrix[:, 1::2])
-    table = np.empty((coeffs_matrix.shape[0], 4, len(points)), dtype=np.int8)
-    one, minus = np.int8(1), np.int8(-1)
-    for sl in _passes(level, len(points)):
-        basis, _ = _point_basis(level, points[sl])
-        s_e = even @ basis[0::2]
-        s_o = odd @ basis[1::2]
-        for c, v in enumerate((s_e + s_o, s_e - s_o)):
-            table[:, c, sl] = np.where(v >= 0, one, minus)
-            table[:, c + 2, sl] = np.where(v <= 0, one, minus)   # -v >= 0
-    return table
+    n_seeds = coeffs_matrix.shape[0]
+    used = np.bincount(code, minlength=4) > 0
+    # table columns follow the pass order; position maps a base angle to its column
+    table = np.empty((n_seeds, 4, n_base, len(ts)), dtype=bool)
+    blocks, t_slices = _fan_passes(n, n_base, level.N + 1, len(ts))
+    col = 0
+    for angles in blocks:
+        cols = slice(col, col + len(angles))
+        for part in t_slices:
+            basis, _ = _pair_basis(*_fan_axes(level, n, angles, ts[part]))
+            basis = basis.reshape(level.N + 1, -1)
+            shape = (n_seeds, len(angles), len(ts[part]))
+            s_e = (even @ basis[0::2]).reshape(shape)
+            s_o = (odd @ basis[1::2]).reshape(shape)
+            _reflected_signs(s_e, s_o, table[:, :, cols, part], used)
+        col += len(angles)
+    position = np.empty(n_base, dtype=np.intp)
+    position[np.concatenate(blocks)] = np.arange(n_base)
+    return table[:, code, position[base]]
 
 
 def _circle_signs(level, coeffs_matrix, n_points):
-    """Signs of the fields on the uniform circle grid; shape (n_seeds, n_points).
+    """Signs Phi >= 0 of the fields on the uniform circle grid; bool, shape (n_seeds, n_points).
 
-    The basis is built on the first-quadrant angles only; every other grid
-    angle is read from its base angle through the reflection fold.
+    The circle is the fan of n_points rays with ts = [1.0]; see _fan_signs.
     """
-    base, code = _reflection_fold(n_points, level.N)
-    theta = 2.0 * math.pi * np.arange(base.max() + 1) / n_points
-    pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    return _reflected_sign_table(level, coeffs_matrix, pts)[:, code, base]
+    return _fan_signs(level, coeffs_matrix, n_points, [1.0])[..., 0]
 
 
 def _count_changes(signs):
-    return np.sum(signs != np.roll(signs, -1, axis=-1), axis=-1)
+    """Sign changes of bool signs around a closed grid, along the last axis."""
+    changes = (signs[..., 1:] != signs[..., :-1]).sum(axis=-1, dtype=np.int32)
+    return changes + (signs[..., 0] != signs[..., -1])
 
 
 def _circle_points(level, angular_step):
-    """Fine circle grid size; angular_step defaults to, and may not exceed, hbar^(2/3)/16."""
+    """Fine circle grid size; angular_step defaults to, and may not exceed, hbar^(2/3)/16.
+
+    The size is rounded up to a multiple of 4, so that one axis table serves
+    both axes (_fan_axes).
+    """
     step_cap = level.hbar ** (2.0 / 3.0) / 16.0
     if angular_step is None:
         angular_step = step_cap
     elif angular_step > step_cap * (1 + 1e-9):
         raise ValueError("angular_step must be <= hbar^(2/3)/16")
-    return 2 * int(math.ceil(2.0 * math.pi / angular_step / 2.0))
+    return 4 * int(math.ceil(2.0 * math.pi / angular_step / 4.0))
 
 
 def caustic_crossings(field, angular_step=None):
@@ -507,14 +649,8 @@ def radial_zero_profile(spec, radii, half_width=None):
     t_hi = radii[-1] + half_width
     ts = _grid_axis(t_lo, t_hi, t_step)
     mids = 0.5 * (ts[1:] + ts[:-1])
-    base, code = _reflection_fold(spec.n_rays, level.N)
-    angles = 2.0 * math.pi * np.arange(base.max() + 1) / spec.n_rays
-    pts = np.concatenate([np.column_stack([ts * math.cos(ang), ts * math.sin(ang)])
-                          for ang in angles])
-    table = _reflected_sign_table(level, _ensemble_coeffs(level, spec.seeds), pts)
-    table = table.reshape(table.shape[0], 4, len(angles), len(ts))
-    signs = table[:, code, base]   # (seed, ray, t)
-    changes = np.sum(signs[..., 1:] != signs[..., :-1], axis=1)
+    signs = _fan_signs(level, _ensemble_coeffs(level, spec.seeds), spec.n_rays, ts)
+    changes = (signs[..., 1:] != signs[..., :-1]).sum(axis=1, dtype=np.int32)
     # bin membership of each grid interval midpoint
     bins = np.abs(mids[:, None] - radii[None, :]) <= half_width
     per_seed = changes @ bins.astype(float)

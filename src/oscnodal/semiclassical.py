@@ -442,7 +442,8 @@ def _phi_mantexp(hbar, nmax, xs, dtype=np.float64):
     hb = dtype(hbar)
     xi = np.asarray(xs, dtype=dtype) / np.sqrt(hb)
     m, e = _psi_mantexp(nmax, xi, dtype=dtype)
-    return m * hb ** dtype(-0.25), e
+    m *= hb ** dtype(-0.25)
+    return m, e
 
 
 def _phi_deriv_mantexp(hbar, nmax, xs, dtype=np.float64):

@@ -1,6 +1,9 @@
 """Random eigenfunction sampling and empirical nodal statistics."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -19,15 +22,20 @@ from oscnodal import (
     radial_zero_profile,
     sample_field,
 )
+from oscnodal import montecarlo
 from oscnodal.montecarlo import (
     _PASS_ENTRIES,
     NodalEstimate,
     _circle_signs,
+    _ensemble_coeffs,
+    _fan_axes,
+    _fan_passes,
     _grid_axis,
     _grid_values,
     _index_table,
     _marching_squares_length,
     _point_basis,
+    _reflected_signs,
     _tensor_basis,
 )
 from oscnodal.semiclassical import (
@@ -82,6 +90,23 @@ class TestSampleField:
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             sample_field(level_new(3, 3000), 0)
+
+    def test_rekeyed_draw_equals_a_fresh_philox(self):
+        level = level_new(2, 30)
+        seeds = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
+        fresh = np.stack([np.random.Generator(np.random.Philox(key=s)).standard_normal(31)
+                          for s in seeds])
+        assert np.array_equal(_ensemble_coeffs(level, seeds), fresh)
+        for s, row in zip(seeds, fresh):
+            assert np.array_equal(sample_field(level, s).coeffs, row)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seeds_outside_the_philox_key_range_are_rejected(self, seed):
+        level = level_new(2, 10)
+        with pytest.raises(ValueError, match="key"):
+            sample_field(level, seed)
+        with pytest.raises(ValueError, match="key"):
+            _ensemble_coeffs(level, [1, seed])
 
     @pytest.mark.parametrize("d", [1, 3, 4])
     def test_general_dimension_evaluation(self, d):
@@ -201,12 +226,103 @@ class TestReflectionFold:
     def test_circle_signs_equal_direct_evaluation(self, n, n_points):
         level = level_new(2, n)
         coeffs = np.stack([sample_field(level, s).coeffs for s in range(1, 9)])
-        theta = 2.0 * math.pi * np.arange(n_points) / n_points
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        direct = np.where(coeffs @ _point_basis(level, pts)[0] >= 0, 1, -1)
+        pts = _circle_grid(n_points)
+        direct = coeffs @ _point_basis(level, pts)[0] >= 0
         signs = _circle_signs(level, coeffs, n_points)
         assert signs.shape == (8, n_points)
         assert np.array_equal(signs, direct)
+
+    @pytest.mark.parametrize("n", [8678, 8680, 1001, 36, 4])
+    def test_quarter_turn_axis_tables_are_bitwise(self, n):
+        # when 4 | n, the y column of base angle j is the x column of angle
+        # n/4 - j, on the circle and on rays; otherwise it is sin theta_j
+        level = level_new(2, 60)
+        ts = np.array([0.3, 0.9, 1.0, 1.45])
+        n_base = n // 4 + 1 if n % 4 == 0 else n // 2 + 1
+        for radii in ([1.0], ts):
+            for angles in _fan_passes(n, n_base, 61, len(radii))[0]:
+                mx, ex, my, ey = _fan_axes(level, n, angles, np.asarray(radii))
+                theta = 2.0 * math.pi * angles / n
+                if n % 4 == 0:
+                    assert np.array_equal(angles, n // 4 - angles[::-1])
+                    assert np.array_equal(my, mx[:, ::-1]) and np.array_equal(ey, ex[:, ::-1])
+                    y = np.cos(2.0 * math.pi * (n // 4 - angles) / n)
+                else:
+                    y = np.sin(theta)
+                for (m, e), coord in (((mx, ex), np.cos(theta)), ((my, ey), y)):
+                    ref_m, ref_e = _phi_mantexp(level.hbar, 60, np.outer(coord, radii).ravel())
+                    assert np.array_equal(m.reshape(61, -1), ref_m)
+                    assert np.array_equal(e.reshape(61, -1), ref_e)
+
+    def test_comparisons_equal_the_signs_of_the_sums(self):
+        level = level_new(2, 41)
+        coeffs = np.stack([sample_field(level, s).coeffs for s in range(1, 7)])
+        basis, _ = _point_basis(level, _circle_grid(400)[:101])
+        gemm = (coeffs[:, 0::2] @ basis[0::2], coeffs[:, 1::2] @ basis[1::2])
+        tiny = np.nextafter(0.0, 1.0)
+        crafted = np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0],
+                            [1.5, -1.5], [-1.5, 1.5], [2.5, 2.5], [-2.5, -2.5],
+                            [tiny, -tiny], [tiny, tiny], [-tiny, 0.0], [1e308, 1e308],
+                            [-1e308, 1e308], [1e308, -1e308], [0.1, 0.2], [0.3, -0.1]]).T
+        for s_e, s_o in (gemm, (crafted[:1], crafted[1:])):
+            with np.errstate(over="ignore"):
+                sums = (s_e + s_o, s_e - s_o, -(s_e + s_o), -(s_e - s_o))
+            reference = np.stack([np.where(v >= 0, 1, -1) for v in sums], axis=1)
+            out = np.empty(reference.shape, dtype=bool)
+            _reflected_signs(s_e, s_o.copy(), out, used=(True,) * 4)
+            assert np.array_equal(out, reference == 1)
+
+    @pytest.mark.parametrize("n, n_points", [(40, 1000), (41, 1000), (40, 998), (41, 1001)])
+    def test_circle_signs_over_several_passes(self, n, n_points, monkeypatch):
+        level = level_new(2, n)
+        coeffs = np.stack([sample_field(level, s).coeffs for s in range(1, 6)])
+        one_pass = _circle_signs(level, coeffs, n_points)
+        monkeypatch.setattr(montecarlo, "_PASS_ENTRIES", (n + 1) * 37)
+        n_base = n_points // 4 + 1 if n_points % 2 == 0 else n_points // 2 + 1
+        assert len(_fan_passes(n_points, n_base, n + 1, 1)[0]) > 3
+        assert np.array_equal(_circle_signs(level, coeffs, n_points), one_pass)
+
+    @pytest.mark.parametrize("n_rays", [32, 30, 7])
+    @pytest.mark.parametrize("entries, cuts_rays", [(41 * 300, True), (41 * 2000, False)])
+    def test_radial_profile_over_several_passes(self, n_rays, entries, cuts_rays, monkeypatch):
+        # 525 points per ray: 41 * 300 entries cut every ray into slices,
+        # 41 * 2000 hold whole rays, a few base angles a pass
+        spec = EnsembleSpec(level=level_new(2, 40), seeds=tuple(range(1, 7)), n_rays=n_rays)
+        radii = [0.6, 0.8, 1.0, 1.2]
+        one_pass = radial_zero_profile(spec, radii)
+        calls = []
+        monkeypatch.setattr(montecarlo, "_PASS_ENTRIES", entries)
+        monkeypatch.setattr(montecarlo, "_fan_axes",
+                            lambda *args: calls.append(args) or _fan_axes(*args))
+        several = radial_zero_profile(spec, radii)
+        assert len(calls) > 1
+        assert all(41 * len(angles) * len(ts) <= entries for _, _, angles, ts in calls)
+        assert any(len(ts) < 525 for *_, ts in calls) == cuts_rays
+        assert [(e.value, e.std_error) for e in several] == \
+            [(e.value, e.std_error) for e in one_pass]
+
+    @pytest.mark.parametrize("n_rays", [8, 6])
+    def test_radial_pass_memory_is_bounded_at_large_n(self, n_rays, tmp_path):
+        # at N = 600 one ray holds 5.8e6 basis entries, more than _PASS_ENTRIES;
+        # passes of whole rays took 265 MB, passes that also cut the rays
+        # hold it to 130 MB (4 | n) and 175 MB (peak RSS over the call, in a
+        # fresh interpreter)
+        script = (
+            "import resource, oscnodal\n"
+            "from oscnodal.montecarlo import EnsembleSpec, radial_zero_profile\n"
+            f"def run(n):\n"
+            f"    spec = EnsembleSpec(level=oscnodal.level_new(2, n), seeds=(1, 2), n_rays={n_rays})\n"
+            "    radial_zero_profile(spec, [0.5, 0.9, 1.4])\n"
+            "run(20)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "run(600)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)\n")
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, check=True)
+        assert float(out.stdout) <= 200.0
 
     @pytest.mark.parametrize("n", [40, 41])
     @pytest.mark.parametrize("n_rays", [1, 2, 7, 30, 32])
@@ -217,6 +333,30 @@ class TestReflectionFold:
         reference = _radial_zero_profile_per_ray(spec, radii)
         assert [(e.value, e.std_error) for e in folded] == \
             [(e.value, e.std_error) for e in reference]
+
+
+def _circle_grid(n):
+    """The n circle points as the program defines them.
+
+    When 4 | n, each coordinate is the cosine of the angular distance to the
+    nearest point of its axis, with that point's sign, so that sin theta_j is
+    cos theta_(n/4 - j) and every point is an exact reflection of a
+    first-quadrant point; otherwise (cos theta_j, sin theta_j).
+    """
+    theta = 2.0 * math.pi * np.arange(n) / n
+    if n % 4:
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    q = n // 4
+    j = np.arange(n)
+    cos = np.cos(2.0 * math.pi * np.arange(q + 1) / n)
+    to_plus_x, to_minus_x = np.minimum(j, n - j), np.abs(j - 2 * q)
+    to_plus_y, to_minus_y = np.abs(j - q), np.abs(j - 3 * q)
+    def nearest(to_plus, to_minus):
+        # ties go to the plus side, as the reflection fold has them
+        return np.where(to_minus < to_plus, -cos[np.minimum(to_minus, q)],
+                        cos[np.minimum(to_plus, q)])
+
+    return np.column_stack([nearest(to_plus_x, to_minus_x), nearest(to_plus_y, to_minus_y)])
 
 
 def _radial_zero_profile_per_ray(spec, radii):
