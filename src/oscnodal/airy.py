@@ -19,7 +19,11 @@ Evaluation routes:
                    on the anchor lattice h floor(s / h); a table shares one
                    path and one exponential block per anchor.
   * gamma_integral - adaptive quadrature of the antiderivative form (k < 0).
-  * asymptotic   - large-|s| expansions (see ai_k_asymptotic).
+  * asymptotic   - large-|s| expansions (see ai_k_asymptotic); for s < 0 the
+                   branch-point series plus the multi-term saddle series, with
+                   the phase (2/3)|s|^(3/2) reduced mod 2 pi in double-double.
+Method "auto" takes that left expansion below EXPANSION_SWITCH, the contour on
+[EXPANSION_SWITCH, ASYMPTOTIC_SWITCH] and the right expansion beyond.
 
 The classical Ai itself is a Taylor series from the nearest anchor of a
 lattice of step 1/4 on [-200, 108], whose (Ai, Ai') values are mpmath's
@@ -48,8 +52,21 @@ AI_PRIME_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 _SADDLE_SWITCH = -2.0
 #: |s| >= this is required before the asymptotic expansions are trusted
 ASYMPTOTIC_CROSSOVER = 8.0
-#: method "auto" takes the asymptotic expansion for |s| beyond this
+#: method "auto" takes the asymptotic expansion for s beyond this, and the
+#: contour route refuses |s| beyond it
 ASYMPTOTIC_SWITCH = 200.0
+#: method "auto" takes the left expansion (_ai_k_left) below this s; at 40
+#: digits its sums reach only 1e-13 at s = -12 (DECISIONS.md)
+EXPANSION_SWITCH = -16.0
+#: the left expansion refuses |s| beyond this: past it the double-double phase
+#: (2/3)|s|^(3/2) mod 2 pi no longer holds ~1e-16 rad
+PHASE_LIMIT = 1e10
+#: the saddle series keeps its terms q = 0 .. _SADDLE_TERMS - 1 (an even count)
+_SADDLE_TERMS = 20
+
+#: 2 pi and pi as sums of doubles, leading part first
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16, -5.989539619436679e-33)
+_PI = (3.141592653589793, 1.2246467991473532e-16)
 
 #: contour paths are anchored on the lattice a(s) = h floor(s / h) of this
 #: spacing h, so a path serves every s in [a, a + h) (DECISIONS.md)
@@ -91,8 +108,7 @@ def _taylor_table():
     """
     anchors = _airy_anchors.START + _airy_anchors.STEP * np.arange(_airy_anchors.COUNT)
     c = np.empty((_TAYLOR_TERMS, anchors.size))
-    c[:2] = np.fromiter(itertools.chain.from_iterable(_airy_anchors.VALUES), float,
-                        2 * anchors.size).reshape(-1, 2).T
+    c[:2] = _airy_anchors.VALUES.T
     c[2] = anchors * c[0] / 2.0
     for n in range(1, _TAYLOR_TERMS - 2):
         c[n + 2] = (anchors * c[n] + c[n - 1]) / ((n + 2) * (n + 1))
@@ -113,8 +129,9 @@ def ai(s):
     On [-ASYMPTOTIC_SWITCH, 108] it is the Taylor series about the nearest
     anchor a of the lattice STEP Z (STEP = 1/4, so |s - a| <= 1/8) in
     h = s - a, summed by Horner's rule from the anchor's own last term.
-    Beyond 108 it underflows to 0, below -ASYMPTOTIC_SWITCH it is
-    ai_k_asymptotic(0, s), the switch ai_k makes, and Ai(+-inf) = 0.  A
+    Beyond 108 it underflows to 0, below -ASYMPTOTIC_SWITCH it is the left
+    expansion _ai_k_left(0, s), which ai_k(0, s) also reads there, and
+    Ai(+-inf) = 0.  A
     batch runs Horner's rule over its largest term count, and an anchor's
     coefficients past its own count are 0, so every value is the scalar
     branch's (== in any array).
@@ -129,7 +146,7 @@ def ai(s):
         out[table] = _ai_taylor(flat[table])
     far = (flat < -ASYMPTOTIC_SWITCH) & (flat > -np.inf)
     if far.any():
-        out[far] = ai_k_asymptotic(0.0, flat[far])
+        out[far] = _ai_k_left(0.0, flat[far])
     out[np.isnan(flat)] = np.nan
     return out.reshape(s.shape)
 
@@ -160,7 +177,7 @@ def _ai_scalar(s):
             p = p * h + coeff
         return p
     if -math.inf < s < -ASYMPTOTIC_SWITCH:
-        return ai_k_asymptotic(0.0, s)
+        return float(_ai_k_left(0.0, np.array([s]))[0])
     return math.nan if math.isnan(s) else 0.0
 
 
@@ -321,11 +338,12 @@ def ai_k(k, s, method="auto"):
     """Weighted Airy function Ai_k(s); k is the subscript as printed.
 
     method: one of "auto", "contour", "gamma_integral", "asymptotic".
-    auto uses the contour for |s| <= ASYMPTOTIC_SWITCH and the asymptotic
-    expansion beyond, element by element; contour refuses |s| beyond it.
-    `s` may be a scalar or an array; a scalar contour value goes through
-    _memo, keyed by (float(k), float(s)).  Every contour value is the one
-    _ai_k_contour gives for (k, s) in any table.
+    auto takes the left expansion below EXPANSION_SWITCH, the contour on
+    [EXPANSION_SWITCH, ASYMPTOTIC_SWITCH] and the right expansion beyond,
+    element by element; contour refuses |s| > ASYMPTOTIC_SWITCH.  `s` may be
+    a scalar or an array; a scalar contour value goes through _memo, keyed by
+    (float(k), float(s)).  Every auto value is the one its route gives for
+    (k, s) in any table.
     """
     if method not in ("auto", "contour", "gamma_integral", "asymptotic"):
         raise ValueError(f"unknown method {method!r}")
@@ -336,9 +354,12 @@ def ai_k(k, s, method="auto"):
         return _ai_k_gamma(k, s)
     if method == "asymptotic":
         return ai_k_asymptotic(k, s)
-    if method == "contour" and np.any(np.abs(s) > ASYMPTOTIC_SWITCH):
-        raise ValueError(f"the contour route takes |s| <= {ASYMPTOTIC_SWITCH:g} (its saddle "
-                         f"path grows like |s|^(3/2)); use auto or asymptotic for s = {s!r}")
+    if method == "contour":
+        if np.any(np.abs(s) > ASYMPTOTIC_SWITCH):
+            raise ValueError(f"the contour route takes |s| <= {ASYMPTOTIC_SWITCH:g} (its "
+                             f"saddle path grows like |s|^(3/2)); use auto or asymptotic "
+                             f"for s = {s!r}")
+        return _family((k,), s, left_switch=-ASYMPTOTIC_SWITCH)[0]
     return _family((k,), s)[0]
 
 
@@ -358,16 +379,19 @@ def _check_finite(ks, s):
         raise ValueError(f"ai_k needs a finite s, got {s!r}")
 
 
-def _family(ks, s):
-    """Contour values for |s| <= ASYMPTOTIC_SWITCH, asymptotic ones beyond.
+def _family(ks, s, left_switch=EXPANSION_SWITCH):
+    """Left-expansion values below left_switch, right-expansion ones beyond
+    ASYMPTOTIC_SWITCH and contour values between.
 
-    A scalar s reads and fills _memo, and the weights missing from it make
-    one _ai_k_contour call.
+    A scalar contour argument reads and fills _memo, and the weights missing
+    from it make one _ai_k_contour call.
     """
     if np.ndim(s) == 0:
         s = float(s)
-        if abs(s) > ASYMPTOTIC_SWITCH:
-            return [ai_k_asymptotic(k, s) for k in ks]
+        if s < left_switch:
+            return [float(_ai_k_left(k, np.array([s]))[0]) for k in ks]
+        if s > ASYMPTOTIC_SWITCH:
+            return [_right_tail(k, s) for k in ks]
         out = [_memo.get((float(k), s)) for k in ks]
         missing = [i for i, val in enumerate(out) if val is None]
         if missing:
@@ -380,11 +404,14 @@ def _family(ks, s):
     s = np.asarray(s, dtype=float)
     flat = s.ravel()
     out = np.empty((len(ks), flat.size))
-    far = np.abs(flat) > ASYMPTOTIC_SWITCH
-    if far.any():
-        for i, k in enumerate(ks):
-            out[i, far] = ai_k_asymptotic(k, flat[far])
-    out[:, ~far] = _ai_k_contour(ks, flat[~far])
+    left = flat < left_switch
+    right = flat > ASYMPTOTIC_SWITCH
+    for i, k in enumerate(ks):
+        if left.any():
+            out[i, left] = _ai_k_left(k, flat[left])
+        out[i, right] = [_right_tail(k, x) for x in flat[right].tolist()]
+    mid = ~(left | right)
+    out[:, mid] = _ai_k_contour(ks, flat[mid])
     return out.reshape((len(ks),) + s.shape)
 
 
@@ -401,37 +428,31 @@ def ai_k_asymptotic(k, s):
     weight-independent piece familiar from Ai itself (dropping it stalls the
     error at O(s^(-3/2))), and C4 is the next even order; at kappa = 0 it
     reduces to the classical 385/10368 * (3/2)^2.  Residual error O(s^(-9/2)).
+    It is expanded element by element, and it is refused with a ValueError
+    where s^3 overflows (s > 5e102).
 
-    For s << 0:
-
-        Ai_k(s) ~ sum_j |s|^(kappa-3j-1) / (3^j Gamma(kappa-3j))
-                  + sin((2/3)|s|^(3/2) - (2 kappa - 1) pi/4) / (sqrt(pi) |s|^((2 kappa+1)/4)),
-
-    terms whose Gamma argument sits at a pole are dropped.  The oscillatory
-    phase grows like |s|^(3/2); the relative error of the oscillatory part is
-    O(1/|s|).
-
-    An array s is expanded element by element.  Where a term overflows the
-    float range (s^3 at s > 5e102, |s|^(3/2) at s < -3e205) the expansion is
-    refused with a ValueError.
+    For s << 0 it is _ai_k_left, the branch-point series plus the saddle
+    series, over the whole array at once; it refuses s < -PHASE_LIMIT.
     """
-    if np.ndim(s) > 0:
-        s = np.asarray(s, dtype=float)
-        return np.array([ai_k_asymptotic(k, v) for v in s.ravel().tolist()]).reshape(s.shape)
-    s = float(s)
-    if abs(s) < ASYMPTOTIC_CROSSOVER:
+    s_arr = np.asarray(s, dtype=float)
+    flat = s_arr.ravel()
+    if np.any(np.abs(flat) < ASYMPTOTIC_CROSSOVER):
         raise ValueError(
             f"asymptotic expansion needs |s| >= {ASYMPTOTIC_CROSSOVER}, got {s}")
+    out = np.empty(flat.size)
+    left = flat < 0.0
+    if left.any():
+        out[left] = _ai_k_left(k, flat[left])
+    out[~left] = [_right_tail(k, x) for x in flat[~left].tolist()]
+    if np.ndim(s) == 0:
+        return float(out[0])
+    return out.reshape(s_arr.shape)
+
+
+def _right_tail(k, s):
+    """The s >> 0 expansion of ai_k_asymptotic at one s, in Python floats."""
+    kappa, s = -float(k), float(s)
     try:
-        return _asymptotic(-float(k), s)
-    except OverflowError:
-        raise ValueError(f"the asymptotic expansion of Ai_k overflows at s = {s!r} "
-                         f"(k = {k!r})") from None
-
-
-def _asymptotic(kappa, s):
-    """The expansions of ai_k_asymptotic at one float s, kappa = -k."""
-    if s > 0:
         c2 = (kappa * kappa + 2.0 * kappa) / 4.0 + 5.0 / 48.0
         c4 = 10395.0 / 124416.0 + 945.0 * kappa / 5184.0 \
             + 105.0 * kappa * (kappa + 1.0) / 576.0 \
@@ -440,17 +461,140 @@ def _asymptotic(kappa, s):
         corr = 1.0 - c2 / s ** 1.5 + c4 / s ** 3
         return math.exp(-2.0 / 3.0 * s ** 1.5) / (2.0 * _SQRT_PI) \
             * s ** (-(2.0 * kappa + 1.0) / 4.0) * corr
-    x = -s
-    series = 0.0
-    for j in range(0, 40):
-        power = kappa - 3 * j - 1.0
-        if power < -55:
+    except OverflowError:
+        raise ValueError(f"the asymptotic expansion of Ai_k overflows at s = {s!r} "
+                         f"(k = {k!r})") from None
+
+
+def _ai_k_left(k, s):
+    """Ai_k(s) for s << 0 on a 1-d array: with x = -s and kappa = -k,
+
+        sum_j x^(kappa-3j-1) / (3^j j! Gamma(kappa-3j))
+          + Im[e^(i(zeta + pi(2k+1)/4)) x^(k/2-1/4) sum_q a_q i^q x^(-3q/2)] / pi,
+
+    zeta = (2/3) x^(3/2).  The first sum comes from the branch point T = 0
+    and is cut at its smallest term (_branch_series); the second from the
+    saddles T = +-i sqrt(x), with a_q from _saddle_coefficients, summed over
+    _SADDLE_TERMS terms.  zeta + pi(2k+1)/4 is reduced mod 2 pi in
+    double-double (_saddle_phase), and |s| > PHASE_LIMIT is refused.  Every
+    operation is elementwise, so a value is the same (==) in any array.
+    (DECISIONS.md, "Ai_k below s = -16")
+    """
+    x = -np.asarray(s, dtype=float)
+    if np.any(x > PHASE_LIMIT):
+        raise ValueError(f"Ai_k(s) takes s >= -{PHASE_LIMIT:g} (k = {k!r}): below it the "
+                         f"double-double phase (2/3)|s|^(3/2) overflows the ~1e-16 rad it "
+                         f"must hold, at s = {-float(np.max(x))!r}")
+    hi, lo = _saddle_phase(x, (2.0 * k + 1.0) / 4.0)
+    sin_hi, cos_hi = np.sin(hi), np.cos(hi)
+    sin_t = sin_hi + lo * cos_hi
+    cos_t = cos_hi - lo * sin_hi
+    a = _saddle_coefficients(float(k))
+    y = 1.0 / (x * np.sqrt(x))
+    w = -y * y
+    # sum_q a_q (i y)^q = re + i im, the even and the odd q by Horner in w = -y^2
+    re, im = np.full_like(x, a[-2]), np.full_like(x, a[-1])
+    for even, odd in zip(a[-4::-2], a[-3::-2]):
+        re = re * w + even
+        im = im * w + odd
+    im *= y
+    amp = x ** (k / 2.0 - 0.25) / math.pi
+    return _branch_series(-float(k), x) + amp * (re * sin_t + im * cos_t)
+
+
+@functools.lru_cache(maxsize=64)
+def _saddle_coefficients(k):
+    """a_q = sum_{p=q}^{3q} (-1)^p Gamma(p+1/2) C(k, 3q-p) / (3^(p-q) (p-q)!)
+    for q < _SADDLE_TERMS, C the binomial coefficient at real k.
+
+    Expanding T^k exp(T^3/3 + x T) about the saddle i sqrt(x) as
+    T^k = sum_m C(k, m) (i sqrt x)^(k-m) u^m and exp(u^3/3) = sum_n u^(3n)/(3^n n!)
+    leaves the moments int u^(2p) exp(i sqrt(x) u^2) du with 2p = m + 3n, and
+    every (m, n) with p - n = q lands on x^(-3q/2).  At k = 0,
+    a_q (2/3)^q = (-1)^q sqrt(pi) u_q with DLMF 9.7.2's u_q.
+    """
+    binom = [1.0]
+    for m in range(1, 3 * _SADDLE_TERMS):
+        binom.append(binom[-1] * (k - m + 1.0) / m)
+    return tuple(
+        math.fsum((-1) ** p * math.gamma(p + 0.5) * binom[3 * q - p]
+                  / (3.0 ** (p - q) * math.factorial(p - q)) for p in range(q, 3 * q + 1))
+        for q in range(_SADDLE_TERMS))
+
+
+def _saddle_phase(x, c):
+    """(2/3) x^(3/2) + c pi reduced mod 2 pi, as a double-double (hi, lo).
+
+    sqrt(x) gets its correction from the exact residual x - r^2, x^(3/2) is
+    the Dekker product x (r + r_lo), and the division by 3 is corrected the
+    same way.  n = rint(zeta / 2 pi) is taken off against 2 pi in three parts,
+    with zeta - n P1 exact by Sterbenz's lemma.  The phase then holds about
+    zeta 2^-104 rad, ~1e-16 rad at x = PHASE_LIMIT.
+    """
+    r = np.sqrt(x)
+    p, e = _two_prod(r, r)
+    r_lo = ((x - p) - e) / (2.0 * r)
+    hi, lo = _two_prod(x, r)
+    hi, lo = _two_sum(hi, lo + x * r_lo)
+    hi, lo = 2.0 * hi, 2.0 * lo
+    zeta = hi / 3.0
+    p, e = _two_prod(zeta, 3.0)
+    zeta_lo = (((hi - p) - e) + lo) / 3.0
+    n = np.rint(zeta / _TWO_PI[0])
+    p1, e1 = _two_prod(n, _TWO_PI[0])
+    p2, e2 = _two_prod(n, _TWO_PI[1])
+    hi, lo = _two_sum(zeta - p1, -p2)
+    c_hi, c_lo = _two_prod(c, _PI[0])
+    hi, lo2 = _two_sum(hi, c_hi)
+    lo = lo + lo2 + (zeta_lo - e1 - e2 - n * _TWO_PI[2] + (c_lo + c * _PI[1]))
+    return _two_sum(hi, lo)
+
+
+def _two_sum(a, b):
+    """a + b as (sum, error), exact (Knuth)."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
+def _two_prod(a, b):
+    """a * b as (product, error), exact for |a|, |b| < 2^996 (Dekker, by
+    Veltkamp's split at 2^27 + 1)."""
+    prod = a * b
+    t = 134217729.0 * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = 134217729.0 * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return prod, ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _branch_series(kappa, x):
+    """sum_j x^(kappa-3j-1) / (3^j j! Gamma(kappa-3j)) on a 1-d array x,
+    element by element cut at its smallest term or at 2^-60 of its first.
+
+    Each term is the last times (kappa-3j-1)(kappa-3j-2)(kappa-3j-3) /
+    (3 (j+1) x^3); 1/Gamma is 0 at its poles, so at an integer kappa the sum
+    is finite (and empty for kappa <= 0).
+    """
+    first = 0.0 if kappa <= 0.0 and kappa == round(kappa) else 1.0 / math.gamma(kappa)
+    total = first * x ** (kappa - 1.0)
+    if first == 0.0:
+        return total
+    floor = 2.0 ** -60 * np.abs(total)
+    cube = x * x * x
+    term = total
+    live = np.ones(x.shape, dtype=bool)
+    for j in itertools.count():
+        factor = (kappa - 3 * j - 1.0) * (kappa - 3 * j - 2.0) * (kappa - 3 * j - 3.0) \
+            / (3.0 * (j + 1))
+        if factor == 0.0:
             break
-        arg = kappa - 3.0 * j
-        near = round(arg)
-        if abs(arg - near) < 1e-12 and near <= 0:
-            continue  # Gamma pole: the term vanishes
-        series += x ** power / (3.0 ** j * math.gamma(arg))
-    osc = math.sin(2.0 / 3.0 * x ** 1.5 - (2.0 * kappa - 1.0) * math.pi / 4.0) \
-        / (_SQRT_PI * x ** ((2.0 * kappa + 1.0) / 4.0))
-    return series + osc
+        ratio = factor / cube
+        term = term * ratio
+        live &= (np.abs(ratio) < 1.0) & (np.abs(term) > floor)
+        if not live.any():
+            break
+        total = total + np.where(live, term, 0.0)
+    return total

@@ -3,6 +3,7 @@
 import functools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,7 +154,8 @@ class TestAiTaylorTable:
         rng = np.random.default_rng(1233)
         sample = sorted(set(rng.choice(_airy_anchors.COUNT, 24, replace=False).tolist())
                         | {0, airy._ANCHOR_ZERO, _airy_anchors.COUNT - 1})
-        assert _airy_anchors.anchor_values(sample) == [_airy_anchors.VALUES[j] for j in sample]
+        stored = _airy_anchors.VALUES[sample].tolist()
+        assert _airy_anchors.anchor_values(sample) == list(map(tuple, stored))
 
     def test_table_spans_the_switch_and_the_underflow(self):
         assert len(_airy_anchors.VALUES) == _airy_anchors.COUNT
@@ -285,7 +287,9 @@ class TestAsymptotics:
         assert abs(approx / exact - 1.0) < 1e-4
 
     def test_left_tail_weight_minus_one(self):
-        exact = ai_k(-1.0, -25.0)
+        # ai_k(-1, -25) is the expansion itself, so the reference is mpmath's
+        pytest.importorskip("mpmath")
+        exact = float(_mp_ai_k(-1.0, -25.0))
         approx = ai_k_asymptotic(-1.0, -25.0)
         oscillation_amplitude = 25.0 ** (-3.0 / 4.0) / math.sqrt(math.pi)
         assert abs(approx - exact) < 0.1 * oscillation_amplitude
@@ -298,9 +302,10 @@ class TestAsymptotics:
             ai_k_asymptotic(-1.0, 3.0)
 
     def test_oscillatory_phase_exponent_is_three_halves(self):
-        # the 3/2-power phase matches quadrature; a 2/3-power phase does not
+        # the 3/2-power phase matches mpmath; a 2/3-power phase does not
+        pytest.importorskip("mpmath")
         s = -25.0
-        exact = ai_k(-1.0, s)
+        exact = float(_mp_ai_k(-1.0, s))
         kappa = 1.0
         x = abs(s)
         series = 1.0  # j = 0 term; higher j hit Gamma poles for kappa = 1
@@ -499,25 +504,37 @@ def _mp_ai_k(k, s):
     the sum is as far below 1, so the series carries 30 + 0.3 |s|^(3/2)
     digits (0.6 s^(3/2) for s > 0) and keeps ~30 significant ones.  Any real
     k works, and there is no endpoint singularity to cost digits.
+
+    The sum runs in fixed point on Python integers, scaled by 2^bits.  The
+    first three terms come from mpmath, and each term gives the one three
+    further on by the exact rational step
+    c_(n+3) = c_n s^3 (1 + k + n) / ((n+1)(n+2)(n+3)) (k and s are binary
+    fractions), rounded toward 0; the sum stops after three all-zero steps.
+    mpmath keeps its Gamma coefficients for the highest precision asked so
+    far, so a batch is cheapest deepest point first.
     """
     import mpmath
 
     digits = 30 + int((0.6 if s > 0 else 0.3) * abs(float(s)) ** 1.5)
+    bits = int(digits * 3.33) + 64
+    s_num, s_den = float(s).as_integer_ratio()
+    k_num, k_den = float(k).as_integer_ratio()
+    with mpmath.workdps(digits + 20):
+        kk, ss = mpmath.mpf(k), mpmath.mpf(s)
+        terms = [int(mpmath.nint(mpmath.ldexp(
+            (-ss) ** r / math.factorial(r) * mpmath.power(3, (kk + r - 2) / 3)
+            * mpmath.rgamma((2 - kk - r) / 3), bits))) for r in range(3)]
+    total, n, quiet = 0, 0, 0
+    while quiet < 3:
+        total += sum(terms)
+        quiet = quiet + 1 if not any(terms) else 0
+        for r in range(3):
+            num = terms[r] * s_num ** 3 * (k_den * (n + r + 1) + k_num)
+            den = s_den ** 3 * k_den * (n + r + 1) * (n + r + 2) * (n + r + 3)
+            terms[r] = num // den if num >= 0 else -(-num // den)
+        n += 3
     with mpmath.workdps(digits):
-        k, s = mpmath.mpf(k), mpmath.mpf(s)
-        cbrt3 = mpmath.cbrt(3)
-        # 1/Gamma((2-k-n)/3) for n = 0, 1, 2, stepped by 3 through 1/Gamma(x-1) = (x-1)/Gamma(x)
-        rgamma = [mpmath.rgamma((2 - k - n) / 3) for n in range(3)]
-        coeff = mpmath.power(3, (k - 2) / 3)  # (-s)^n / n! 3^((k+n-2)/3)
-        total, n, quiet = mpmath.mpf(0), 0, 0
-        while quiet < 3:
-            term = coeff * rgamma[n % 3]
-            total += term
-            rgamma[n % 3] *= (2 - k - n) / 3 - 1
-            n += 1
-            coeff *= -s * cbrt3 / n
-            quiet = quiet + 1 if abs(term) <= mpmath.mpf(10) ** -digits * abs(total) else 0
-        return total
+        return mpmath.ldexp(mpmath.mpf(total), -bits)
 
 
 def _mp_ai_k_tau(k, s):
@@ -609,7 +626,12 @@ class TestAnchorLatticeTable:
                                                                     ai_k(0.0, -1000.0)]
 
     def test_contour_method_stops_at_the_switch(self):
-        assert ai_k(-1.0, -200.0, method="contour") == ai_k(-1.0, -200.0)
+        # the contour still serves |s| <= 200 on request; auto leaves it below -16
+        assert ai_k(-1.0, -200.0, method="contour") == \
+            airy._ai_k_contour((-1.0,), np.array([-200.0]))[0, 0]
+        assert ai_k(-1.0, -16.0, method="contour") == ai_k(-1.0, -16.0)
+        assert ai_k(-1.0, np.array([-200.0, 200.0]), method="contour").tolist() == \
+            airy._ai_k_contour((-1.0,), np.array([-200.0, 200.0]))[0].tolist()
         with pytest.raises(ValueError, match="contour route"):
             ai_k(-1.0, np.array([0.0, -250.0]), method="contour")
 
@@ -630,3 +652,93 @@ class TestAsymptoticEdges:
                 ai_k(k, s)
             with pytest.raises(ValueError, match="overflows"):
                 ai_k(k, np.array([0.0, s]))
+
+
+#: the weights the left expansion is checked at
+LEFT_WEIGHTS = (-2.5, -2.0, -1.5, -1.25, -1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+def _left_points(seed, count=40):
+    """`count` points of [-200, EXPANSION_SWITCH), deepest first: -199.9, the
+    float just below the switch, and the rest log-uniform in |s|, so that half
+    lie within a factor 3.5 of the switch, where the expansion has the fewest
+    digits to spare."""
+    rng = np.random.default_rng(seed)
+    inner = -np.exp(rng.uniform(math.log(-airy.EXPANSION_SWITCH), math.log(200.0), count - 2))
+    return np.concatenate([[-199.9], np.sort(inner),
+                           [np.nextafter(airy.EXPANSION_SWITCH, -np.inf)]])
+
+
+def _left_scale(k, s, values):
+    """max(|Ai_k|, |s|^(k/2-1/4)/sqrt(pi)): the size of the oscillation."""
+    return np.maximum(np.abs(values), np.abs(s) ** (k / 2.0 - 0.25) / math.sqrt(math.pi))
+
+
+class TestLeftExpansion:
+    """Below EXPANSION_SWITCH auto sums the branch-point and the saddle series."""
+
+    @pytest.mark.parametrize("k", LEFT_WEIGHTS)
+    def test_matches_mpmath_below_the_switch(self, k):
+        pytest.importorskip("mpmath")
+        s = _left_points(round(4 * k) + 10)
+        got = ai_k(k, s)
+        want = np.array([float(_mp_ai_k(k, x)) for x in s])
+        assert np.max(np.abs(got - want) / _left_scale(k, s, want)) <= 2e-15
+
+    def test_saddle_coefficients_at_weight_zero_are_dlmf(self):
+        # DLMF 9.7.2: u_q = (6q-5)(6q-3)(6q-1) / ((2q-1) 216 q) u_(q-1), u_0 = 1,
+        # and a_q (2/3)^q = (-1)^q sqrt(pi) u_q
+        a = airy._saddle_coefficients(0.0)
+        assert a[0] == math.sqrt(math.pi)
+        u = Fraction(1)
+        for q in range(1, 7):
+            u *= Fraction((6 * q - 5) * (6 * q - 3) * (6 * q - 1), (2 * q - 1) * 216 * q)
+            want = (-1) ** q * math.sqrt(math.pi) * float(u * Fraction(3, 2) ** q)
+            assert a[q] == pytest.approx(want, rel=1e-15)
+
+    def test_value_is_the_same_alone_shuffled_and_beside_other_weights(self):
+        rng = np.random.default_rng(22)
+        s = np.concatenate([-np.exp(rng.uniform(math.log(16.0), math.log(1e9), 200)),
+                            [np.nextafter(-16.0, -17.0), -200.0, -200.1, -1e9]])
+        ks = TUBE_WEIGHTS[3] + (0.0, -1.5)
+        table = airy.ai_k_family(ks, s)
+        perm = rng.permutation(s.size)
+        assert np.array_equal(airy.ai_k_family(ks, s[perm]), table[:, perm])
+        for j, x in enumerate(s.tolist()):
+            assert airy.ai_k_family(ks, x) == table[:, j].tolist()
+            assert [ai_k(k, x) for k in ks] == table[:, j].tolist()
+        for i, k in enumerate(ks):
+            assert np.array_equal(ai_k(k, s.reshape(2, -1)).ravel(), table[i])
+            assert np.array_equal(ai_k(k, s[:7]), table[i, :7])
+            assert np.array_equal(ai_k(k, s, method="asymptotic"), table[i])
+        assert ai(s[s < -200.0]).tolist() == table[ks.index(0.0), s < -200.0].tolist()
+
+    @pytest.mark.parametrize("k", LEFT_WEIGHTS)
+    def test_both_sides_of_the_switch_agree(self, k):
+        s0 = airy.EXPANSION_SWITCH
+        s = s0 + np.linspace(-1.0, 1.0, 41)
+        expansion = ai_k_asymptotic(k, s)
+        contour = ai_k(k, s, method="contour")
+        assert np.max(np.abs(expansion - contour) / _left_scale(k, s, contour)) <= 1e-13
+        below = np.nextafter(s0, -np.inf)
+        auto = ai_k(k, np.array([below, s0]))
+        assert auto.tolist() == [ai_k_asymptotic(k, below), ai_k(k, s0, method="contour")]
+        assert abs(auto[0] - auto[1]) <= 1e-13 * _left_scale(k, s0, auto[1])
+
+    def test_ai_below_the_table_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            for x in (-200.1, -250.3, -1000.7):
+                ref = float(mp.airyai(x))
+                assert abs(ai(x) - ref) <= 1e-14 * max(abs(ref), _envelope(x))
+            # the phase (2/3)|s|^(3/2) is ~2e13 at s = -1e9
+            for x in (-1e6, -1e9):
+                assert abs(ai_k(0.0, x) - float(mp.airyai(x))) <= 1e-12
+
+    def test_refuses_beyond_the_phase_limit(self):
+        assert math.isfinite(ai_k(-1.5, -airy.PHASE_LIMIT))
+        for bad in (np.nextafter(-airy.PHASE_LIMIT, -np.inf), -1e12):
+            with pytest.raises(ValueError, match=r"s >= -1e\+10"):
+                ai_k(-1.5, bad)
+            with pytest.raises(ValueError, match=r"s >= -1e\+10"):
+                ai(np.array([0.0, bad]))

@@ -655,6 +655,18 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert integrate_loaded == "True"
 
 
+def test_left_expansion_loads_neither_mpmath_nor_scipy(tmp_path):
+    """An airy table below the contour's switch runs on numpy alone."""
+    script = (
+        "import sys\n"
+        "from oscnodal.cli import main\n"
+        "print(main(['airy', '--k', '-1.5', '--s', '-40:-16:0.5', '-o', 'a.csv']))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('mpmath', 'scipy')))\n"
+    )
+    done = _run_python(tmp_path, "-c", script)
+    assert done.stdout.splitlines()[-2:] == ["0", "[]"]
+
+
 def test_readme_commands_run_without_scipy(tmp_path):
     """With scipy unimportable, every command of the README block exits 0 and
     writes a manifest whose scipy key is null; the gamma_integral route exits
