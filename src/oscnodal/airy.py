@@ -50,13 +50,13 @@ AI_PRIME_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 
 #: below this the saddle-following contour replaces the vertex contour
 _SADDLE_SWITCH = -2.0
-#: |s| >= this is required before the asymptotic expansions are trusted
+#: s >= this is required before the right expansion is trusted
 ASYMPTOTIC_CROSSOVER = 8.0
 #: method "auto" takes the asymptotic expansion for s beyond this, and the
 #: contour route refuses |s| beyond it
 ASYMPTOTIC_SWITCH = 200.0
-#: method "auto" takes the left expansion (_ai_k_left) below this s; at 40
-#: digits its sums reach only 1e-13 at s = -12 (DECISIONS.md)
+#: method "auto" takes the left expansion (_ai_k_left) below this s, "asymptotic" refuses
+#: (EXPANSION_SWITCH, ASYMPTOTIC_CROSSOVER); its sums reach 1e-13 at s = -12 (DECISIONS.md)
 EXPANSION_SWITCH = -16.0
 #: the left expansion refuses |s| beyond this: past it the double-double phase
 #: (2/3)|s|^(3/2) mod 2 pi no longer holds ~1e-16 rad
@@ -416,7 +416,7 @@ def _family(ks, s, left_switch=EXPANSION_SWITCH):
 
 
 def ai_k_asymptotic(k, s):
-    """Large-|s| expansions of Ai_k; refuses |s| below the crossover radius.
+    """Large-|s| expansions of Ai_k; refuses s in (EXPANSION_SWITCH, ASYMPTOTIC_CROSSOVER).
 
     For s >> 0 (kappa = -k):
 
@@ -436,9 +436,9 @@ def ai_k_asymptotic(k, s):
     """
     s_arr = np.asarray(s, dtype=float)
     flat = s_arr.ravel()
-    if np.any(np.abs(flat) < ASYMPTOTIC_CROSSOVER):
-        raise ValueError(
-            f"asymptotic expansion needs |s| >= {ASYMPTOTIC_CROSSOVER}, got {s}")
+    if np.any((flat > EXPANSION_SWITCH) & (flat < ASYMPTOTIC_CROSSOVER)):
+        raise ValueError(f"asymptotic expansion needs s <= {EXPANSION_SWITCH} or "
+                         f"s >= {ASYMPTOTIC_CROSSOVER}, got {s}")
     out = np.empty(flat.size)
     left = flat < 0.0
     if left.any():

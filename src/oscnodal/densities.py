@@ -257,20 +257,20 @@ def omega_exact(level, x):
 
 
 def omega_exact_batch(level, points):
-    """omega_exact at every point of a list, from one covariance_jet_batch call.
+    """omega_exact at every point of a list, each == to a one-point call.
 
-    One basis recurrence serves the whole table; each matrix is equal (==) to
-    a one-point omega_exact.
+    Omega = lambda_r xhat xhat^T + lambda_t (I - xhat xhat^T), lambda_r = H_rr/Pi -
+    (g/Pi)^2 and lambda_t = H_tt/Pi, from the extended-precision _radial_jet_sums
+    (lambda_r cancels by ~1/hbar in the forbidden region); rounded once.
     """
     points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in points]
     if any(np.linalg.norm(x) == 0.0 for x in points):
         raise ValueError("omega_exact requires x != 0")
-    out = []
-    for jet in projector.covariance_jet_batch(level, points):
-        grad = np.array([(g / jet.pi).to_float() for g in jet.grad])
-        hess = np.array([[(h / jet.pi).to_float() for h in row] for row in jet.hess])
-        out.append(KacRiceMatrix(omega=hess - np.outer(grad, grad)))  # exactly symmetric
-    return out
+    _, xhat, (pi, g, h_rr, h_tt), (pe, ge, e_rr, e_tt) = projector._radial_jet_sums(level, points)
+    grad = np.ldexp(g / pi, ge - pe)
+    omegas = projector._turn_back(xhat, np.ldexp(h_rr / pi, e_rr - pe) - grad * grad,
+                                 np.ldexp(h_tt / pi, e_tt - pe))
+    return [KacRiceMatrix(omega=w) for w in omegas.astype(float)]
 
 
 def omega_caustic_scaled(frame, u):

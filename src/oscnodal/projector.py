@@ -13,14 +13,13 @@ Two independent evaluation routes cross-validate each other:
 
   * pi_mehler - trapezoid quadrature of the propagator residue integral
 
-        Pi(x,y) = (1/2 pi i) oint (z/(pi hbar (1-z^2)))^(d/2)
-                  exp(-(1/hbar)[ (1+z^2)/(1-z^2) (x^2+y^2)/2
-                                 - 2z/(1-z^2) x.y + E log z ]) dz / z
+        Pi(x,y) = (1/2 pi i) oint (pi hbar (1-z^2))^(-d/2) z^(-N)
+                  exp(-[(1-z)/(1+z) |x+y|^2 + (1+z)/(1-z) |x-y|^2] / (4 hbar)) dz / z
 
-    over a circle |z| = r < 1.  With K nodes the rule extracts the z^N
-    coefficient exactly up to upward aliases weighted by r^(jK); K >= N+1
-    eliminates downward aliases entirely.  Valid for |x|,|y| <= 1.3, beyond
-    which cancellation swamps double precision.
+    over a circle |z| = r < 1 through the saddles (just inside the rim where
+    they lie on it).  K nodes extract the z^N coefficient up to upward aliases
+    weighted by r^(jK); K >= N+1 leaves no downward alias.  Valid for |x|,|y|
+    <= 1.3, beyond which cancellation swamps double precision.
 
 Diagonal jets (the Kac-Rice input) come from the basis derivative ladder in
 radial form: the kernel is O(d)-invariant, so the jet at x is the jet at
@@ -66,6 +65,10 @@ _PASS_ENTRIES = 2 * 10**6
 #: is re-summed by the per-coordinate fold (DECISIONS.md)
 _PLANAR_CONDITION_MAX = 1e4
 
+#: pi_mehler's circle stays _RIM_MARGIN / (N + _RIM_MARGIN) inside the rim (N = 0
+#: takes _N0_RADIUS), and its default nodes put the upward aliases below e^-_ALIAS_LOG
+_RIM_MARGIN, _N0_RADIUS, _ALIAS_LOG = 5, 0.5, 40
+
 _ZERO_EXPONENT = -2**30   # the exponent of a zero term: below any other term's
 
 
@@ -88,17 +91,15 @@ def _per_pass(n, columns):
     return max(1, max(1, _PASS_ENTRIES // (n + 1)) // columns)
 
 
-def _conv_last(ma, ea, mb, eb, n, dtype):
+def _conv_last(ma, ea, mb, eb, n):
     """Coefficient n of the product of two tracked coefficient arrays."""
-    s = ea[: n + 1] + eb[n::-1]
-    m = int(s.max())
-    tot = np.sum(ma[: n + 1] * mb[n::-1] * np.exp2((s - m).astype(dtype)))
-    return tot, m
+    tot, m, _ = _row_sums(ma[: n + 1] * mb[n::-1], ea[: n + 1] + eb[n::-1])
+    return tot, int(m)
 
 
 def _conv_full(ma, ea, mb, eb, n, dtype):
     """Coefficients 0..n of the product, each renormalized to its own exponent (exactly)."""
-    tot, e = zip(*(_conv_last(ma, ea, mb, eb, j, dtype) for j in range(n + 1)))
+    tot, e = zip(*(_conv_last(ma, ea, mb, eb, j) for j in range(n + 1)))
     mm, sh = np.frexp(np.array(tot, dtype=dtype))
     return mm, np.array(e, dtype=np.int64) + sh
 
@@ -108,7 +109,7 @@ def _fold(arrays, n, dtype):
     (ma, ea), rest = arrays[0], arrays[1:]
     for mb, eb in rest[:-1]:
         ma, ea = _conv_full(ma, ea, mb, eb, n, dtype)
-    tot, e = _conv_last(ma, ea, *rest[-1], n, dtype) if rest else (ma[n], ea[n])
+    tot, e = _conv_last(ma, ea, *rest[-1], n) if rest else (ma[n], ea[n])
     return float(tot), int(e)
 
 
@@ -124,7 +125,7 @@ def _checked_table(level, points, pairs):
     points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
     if any(p.shape != (d,) for p in points):
         raise ValueError(f"points must be {d}-vectors")
-    points = np.array(points)
+    points = np.array(points).reshape(-1, d)
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
     return points
@@ -173,43 +174,68 @@ def _zero_series(hbar, n, m):
 
 
 def covariance_jet_batch(level, points):
-    """covariance_jet over a list of diagonal points, positionally ordered.
+    """covariance_jet over a list of diagonal points, positionally ordered: the
+    _radial_jet_sums turned back along each xhat, so a jet is == to a one-point call."""
+    points, xhat, (pi, g, h_rr, h_tt), (pe, ge, e_rr, e_tt) = _radial_jet_sums(level, points)
+    top = np.maximum(e_rr, e_tt)
+    hess = _turn_back(xhat, np.ldexp(h_rr, e_rr - top), np.ldexp(h_tt, e_tt - top))
+    return [CovarianceJet(x, TrackedReal(float(p), int(p_e)),
+                          [TrackedReal(float(gj), int(g_e)) for gj in g_i * u],
+                          [[TrackedReal(float(h), int(t)) for h in row] for row in hh])
+            for x, u, p, p_e, g_i, g_e, hh, t in zip(points, xhat, pi, pe, g, ge, hess, top)]
+
+
+def _radial_jet_sums(level, points):
+    """(points, xhat, totals, tops): the checked (m, d) points, their longdouble
+    xhat, and (4, m) arrays of Pi, g, H_rr and H_tt as totals 2**tops.
 
     At r e1, r = |x|, the other d - 1 coordinates are 0, so with (D, T) from
     _zero_series and phi_a = phi_a(r): Pi = sum_a phi_a^2 D(N-a), g = sum_a
-    phi_a phi_a' D(N-a), H_rr = sum_a phi_a'^2 D(N-a), H_tt = sum_a phi_a^2 T(N-a).
-    One extended-precision derivative recurrence runs over the distinct
-    extended-precision radii of each pass (see _PASS_ENTRIES); each point is
-    then turned back along its own xhat, so a jet is == to a one-point call.
+    phi_a phi_a' D(N-a), H_rr = sum_a phi_a'^2 D(N-a), H_tt = sum_a phi_a^2 T(N-a),
+    each one _row_sums over the distinct extended-precision radii of a pass.
     """
-    if len(points) == 0:
-        return []
     d, n, dtype = level.d, level.N, np.longdouble
     points = _checked_table(level, points, pairs=False)
-    series_d, series_t = _zero_series(level.hbar, n, d - 1)
-    x_ld, eye = points.astype(dtype), np.eye(d, dtype=dtype)
-    radii = np.sqrt(np.sum(x_ld * x_ld, axis=1))
-    jets, per_pass = [], _per_pass(n, 2)
+    # zero series read backwards: D meets the degrees of N's parity, T the others
+    (dz_m, dz_e), (tz_m, tz_e) = [(mant[::-1], exp[::-1]) for mant, exp in
+                                  _zero_series(level.hbar, n, d - 1)]
+    radii, xhat = _radial_frame(points.astype(dtype))
+    totals, tops = np.zeros((4, len(points)), dtype), np.zeros((4, len(points)), np.int64)
+    a, b, per_pass = slice(n % 2, None, 2), slice(1 - n % 2, None, 2), _per_pass(n, 2)
     for start in range(0, len(points), per_pass):
-        r, col = np.unique(radii[start:start + per_pass], return_inverse=True)
-        m, e, dm, de = _phi_deriv_mantexp(level.hbar, n, r, dtype=dtype)
-        # D pairs with the degrees of N's parity, T with the others
-        a, b = slice(n % 2, None, 2), slice(1 - n % 2, None, 2)
-        sums = [[_conv_last(m[a, c] * m[a, c], 2 * e[a, c], *series_d, n // 2, dtype),
-                 _conv_last(m[a, c] * dm[a, c], e[a, c] + de[a, c], *series_d, n // 2, dtype),
-                 _conv_last(dm[a, c] * dm[a, c], 2 * de[a, c], *series_d, n // 2, dtype),
-                 _conv_last(m[b, c] * m[b, c], 2 * e[b, c], *series_t, (n - 1) // 2, dtype)
-                 if n else (dtype(0), _ZERO_EXPONENT)]
-                for c in range(r.size)]
-        for x, u, c in zip(points[start:], x_ld[start:], col.ravel()):
-            (pi, pe), (g, ge), (h_rr, e_rr), (h_tt, e_tt) = sums[c]
-            u = u / r[c] if r[c] else eye[0]   # xhat, e1 at x = 0
-            top, radial = max(e_rr, e_tt), np.outer(u, u)
-            hess = np.ldexp(h_rr, e_rr - top) * radial + np.ldexp(h_tt, e_tt - top) * (eye - radial)
-            jets.append(CovarianceJet(x, TrackedReal(float(pi), pe),
-                                      [TrackedReal(float(g * uj), ge) for uj in u],
-                                      [[TrackedReal(float(h), top) for h in row] for row in hess]))
-    return jets
+        rows = slice(start, start + per_pass)
+        r, col = np.unique(radii[rows], return_inverse=True)
+        m, e, dm, de = (t.T for t in _phi_deriv_mantexp(level.hbar, n, r, dtype=dtype))
+        # Pi, g, H_rr, H_tt: phi phi, phi phi' and phi' phi' against D, phi phi against T
+        for i, (p, p_e, q, q_e, deg, z_m, z_e) in enumerate((
+                (m, e, m, e, a, dz_m, dz_e), (m, e, dm, de, a, dz_m, dz_e),
+                (dm, de, dm, de, a, dz_m, dz_e), (m, e, m, e, b, tz_m, tz_e))):
+            total, top = _row_sums(p[:, deg] * q[:, deg] * z_m, p_e[:, deg] + q_e[:, deg] + z_e)[:2]
+            totals[i, rows], tops[i, rows] = total[col.ravel()], top[col.ravel()]
+    return points, xhat, totals, tops
+
+
+def _turn_back(xhat, along, across):
+    """along xhat xhat^T + across (I - xhat xhat^T) for each row of xhat: (m, d, d)."""
+    radial = xhat[:, :, None] * xhat[:, None, :]
+    return along[:, None, None] * radial \
+        + across[:, None, None] * (np.eye(xhat.shape[1], dtype=xhat.dtype) - radial)
+
+
+def _radial_frame(x):
+    """|x| and xhat = x/|x| (e1 at x = 0) for each row of a longdouble (m, d) array."""
+    r = np.sqrt(np.sum(x * x, axis=1))
+    return r, np.where(r[:, None] > 0, x / np.where(r > 0, r, 1)[:, None],
+                       np.eye(x.shape[1], dtype=x.dtype)[0])
+
+
+def _row_sums(mant, exp):
+    """Tracked sums along the last axis of mant 2**exp: (total, top, terms), the sum
+    being total 2**top and terms its summands over 2**top (an empty row sums to 0)."""
+    top = exp.max(axis=-1, initial=_ZERO_EXPONENT)
+    # C order: each row is summed pairwise on its own, as a 1-d sum would be
+    terms = np.multiply(mant, np.exp2((exp - top[..., None]).astype(mant.dtype)), order="C")
+    return terms.sum(axis=-1), top, terms
 
 
 def _distinct_columns(coords):
@@ -223,86 +249,63 @@ def _distinct_columns(coords):
     return flat[first], inv.reshape(coords.shape)
 
 
-def _circle_log_max(level, x, y, r, n_theta=256):
-    """max over the circle |z| = r of log|integrand| (amplitude included)."""
-    hb = level.hbar
-    theta = np.linspace(0.0, math.pi, n_theta)
-    z = r * np.exp(1j * theta)
-    ss = ((1 + z * z) * (x @ x + y @ y) / 2 - 2 * z * (x @ y)) / (1 - z * z)
-    lf = -ss.real / hb - level.N * math.log(r) \
-        - (level.d / 2.0) * np.log(np.abs(math.pi * hb * (1 - z * z)))
-    return float(np.max(lf))
+def _saddle_radius(level, x, y):
+    """The smallest |z| over the saddles of z^(-N) exp(-ss(z)/hbar), capped below the rim.
 
-
-def _best_radius(level, x, y, lo=0.15, hi=0.93):
-    """Radius minimizing the circle's max log-integrand (saddle radius).
-
-    Keeping the circle's maximum as close as possible to log|Pi| minimizes
-    the cancellation the trapezoid sum has to absorb.
+    With c = N hbar, A = (|x|^2+|y|^2)/2 and B = x.y, the saddle equation c z^4 - 2B
+    z^3 + (4A - 2c) z^2 - 2B z + c = 0 is palindromic: w = z + 1/z solves c w^2 - 2B w
+    + 4(A - c) = 0, so the saddles pair as z, 1/z; a real |w| <= 2 puts both on |z| = 1.
     """
-    rs = np.linspace(lo, hi, 40)
-    vals = [_circle_log_max(level, x, y, r) for r in rs]
-    i = int(np.argmin(vals))
-    a = rs[max(0, i - 1)]
-    b = rs[min(len(rs) - 1, i + 1)]
-    for _ in range(25):
-        m1 = a + 0.382 * (b - a)
-        m2 = a + 0.618 * (b - a)
-        if _circle_log_max(level, x, y, m1) < _circle_log_max(level, x, y, m2):
-            b = m2
-        else:
-            a = m1
-    return 0.5 * (a + b)
+    n = level.N
+    if n == 0:
+        return _N0_RADIUS
+    c, a, b = n * level.hbar, (x @ x + y @ y) / 2, x @ y
+    w = (b + np.array([1.0, -1.0]) * np.sqrt(complex(b * b - 4 * c * (a - c)))) / c
+    size = np.abs((w + np.sqrt(w * w - 4)) / 2)
+    return float(min(np.minimum(size, 1 / size).min(), 1 - _RIM_MARGIN / (n + _RIM_MARGIN)))
 
 
 def pi_mehler(level, x, y, num_nodes=None, radius=None):
     """Residue-integral evaluation of Pi(x,y) on the circle |z| = radius.
 
-    radius=None picks the saddle radius per point pair (far-separated pairs
-    near the caustic otherwise lose ~e^20 to cancellation); pass an explicit
-    radius to pin the contour.  num_nodes defaults to max(4(N+1), 512) and
-    must be at least 4(N+1).  Points with x.y < 0 are reduced by parity,
-    Pi(x,y) = (-1)^N Pi(x,-y), which recenters the dominant saddle at z > 0.
+    x.y < 0 is reduced by parity, Pi(x,y) = (-1)^N Pi(x,-y).  radius=None takes
+    _saddle_radius (1 - 5/(N+5) where the saddles lie on the rim); an explicit
+    radius pins the contour.  num_nodes, at least 4(N+1), defaults to max(4(N+1),
+    512, ceil(40 / -ln radius)): upward aliases below e^-40, ~8(N+5) nodes at the
+    rim.  A RuntimeWarning reports an alias/cancellation estimate above 1e-8.
     """
-    d, n = level.d, level.N
-    hb = level.hbar
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    d, n, hb = level.d, level.N, level.hbar
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     if np.linalg.norm(x) > MEHLER_RADIUS_LIMIT or np.linalg.norm(y) > MEHLER_RADIUS_LIMIT:
         raise ValueError(
             f"pi_mehler is certified only for |x|,|y| <= {MEHLER_RADIUS_LIMIT}; "
             "use pi_exact in the deep forbidden region")
-    k_min = 4 * (n + 1)
-    if num_nodes is None:
-        num_nodes = max(k_min, 512)
-    elif num_nodes < k_min:
-        raise ValueError(f"num_nodes must be >= 4(N+1) = {k_min}")
-    sign = 1.0
-    if x @ y < 0:
-        y = -y
-        sign = -1.0 if n % 2 else 1.0
+    sign, y = ((-1.0) ** n, -y) if x @ y < 0 else (1.0, y)
     if radius is None:
-        radius = _best_radius(level, x, y)
+        radius = _saddle_radius(level, x, y)
     elif not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
+    k_min = 4 * (n + 1)
+    if num_nodes is None:
+        num_nodes = max(k_min, 512, math.ceil(_ALIAS_LOG / -math.log(radius)))
+    elif num_nodes < k_min:
+        raise ValueError(f"num_nodes must be >= 4(N+1) = {k_min}")
 
     ld = np.longdouble
+    # |x+y|^2 and |x-y|^2 in place of x^2 + y^2 - 2 x.y: no cancellation near the rim
+    plus, minus = (np.sum((x.astype(ld) + sign_y * y.astype(ld)) ** 2) for sign_y in (1, -1))
 
     def trapezoid(k_nodes):
         r = ld(radius)
-        theta = (ld(2) * np.pi) * np.arange(k_nodes).astype(ld) / k_nodes
+        theta = (2 * _PI_LD) * np.arange(k_nodes).astype(ld) / k_nodes
         z = r * np.exp(1j * theta.astype(np.clongdouble))
-        xx = ld(x @ x + y @ y)
-        xy = ld(x @ y)
-        ss = ((1 + z * z) * xx / 2 - 2 * z * xy) / (1 - z * z)
+        ss = ((1 - z) / (1 + z) * plus + (1 + z) / (1 - z) * minus) / 4
         logf = -ss / ld(hb) - ld(n) * (np.log(r) + 1j * theta) \
-            - (ld(d) / 2) * np.log(np.pi * ld(hb) * (1 - z * z))
+            - (ld(d) / 2) * np.log(_PI_LD * ld(hb) * (1 - z * z))
         m = float(np.max(np.real(logf)))
         if m > 11000.0:  # exp() of the longdouble max exponent
             raise RuntimeError("pi_mehler integrand overflows; use pi_exact")
-        vals = np.exp(logf - ld(m))
-        mean = np.real(np.sum(vals)) / k_nodes
-        return float(mean), m
+        return float(np.real(np.sum(np.exp(logf - ld(m)))) / k_nodes), m
 
     mean, m = trapezoid(num_nodes)
     result = sign * mean * math.exp(m)
@@ -378,8 +381,7 @@ def _planar_sums(level, chunk):
     """
     d, n, dtype = level.d, level.N, np.longdouble
     x, y = chunk.astype(dtype)
-    r = np.sqrt(np.sum(x * x, axis=1))
-    xhat = np.where(r[:, None] > 0, x / np.where(r > 0, r, 1)[:, None], np.eye(d, dtype=dtype)[0])
+    r, xhat = _radial_frame(x)
     p = np.sum(xhat * y, axis=1) + dtype(0)   # + 0 turns -0 into 0: one column for p = 0
     v = y - p[:, None] * xhat
     z = np.sum(v * v, axis=1) / dtype(level.hbar)
@@ -393,10 +395,7 @@ def _planar_sums(level, chunk):
     mt, et = m[n % 2::2].T, e[n % 2::2].T
     lmt, let = lm[::-1].T, le[::-1].T
     cr, cp, cq = col[:len(r)], col[len(r):], qcol.ravel()
-    s = et[cr] + et[cp] + let[cq]
-    top = s.max(axis=1)
-    terms = mt[cr] * mt[cp] * lmt[cq] * np.exp2((s - top[:, None]).astype(dtype))
-    total = terms.sum(axis=1)
+    total, top, terms = _row_sums(mt[cr] * mt[cp] * lmt[cq], et[cr] + et[cp] + let[cq])
     return total, top, np.abs(terms).sum(axis=1)
 
 

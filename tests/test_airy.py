@@ -638,12 +638,21 @@ class TestAnchorLatticeTable:
 
 class TestAsymptoticEdges:
     def test_array_input_is_expanded_element_by_element(self):
-        s = np.array([[10.0, 20.0], [-9.0, -300.0]])
+        s = np.array([[10.0, 20.0], [-17.0, -300.0]])
         got = ai_k(-1.5, s, method="asymptotic")
         assert got.shape == s.shape
         assert got.ravel().tolist() == [ai_k_asymptotic(-1.5, x) for x in s.ravel()]
         with pytest.raises(ValueError, match="needs"):
             ai_k(-1.5, np.array([10.0, 3.0]), method="asymptotic")
+
+    @pytest.mark.parametrize("s", [-15.99, -12.0, -8.0, -3.0])
+    def test_left_expansion_refuses_s_above_the_switch(self, s):
+        # on (-16, -8] the left expansion was silently off by up to 1.9e-6
+        # against the contour (k = -2.5, s = -8)
+        with pytest.raises(ValueError, match=r"s <= -16\.0"):
+            ai_k_asymptotic(-2.5, s)
+        with pytest.raises(ValueError, match=r"s <= -16\.0"):
+            ai_k(-1.0, np.array([-20.0, s]), method="asymptotic")
 
     @pytest.mark.parametrize("s", [1e308, -1e308])
     def test_overflow_is_a_value_error(self, s):
@@ -716,7 +725,7 @@ class TestLeftExpansion:
     @pytest.mark.parametrize("k", LEFT_WEIGHTS)
     def test_both_sides_of_the_switch_agree(self, k):
         s0 = airy.EXPANSION_SWITCH
-        s = s0 + np.linspace(-1.0, 1.0, 41)
+        s = s0 + np.linspace(-1.0, 0.0, 21)   # the expansion takes s <= s0 only
         expansion = ai_k_asymptotic(k, s)
         contour = ai_k(k, s, method="contour")
         assert np.max(np.abs(expansion - contour) / _left_scale(k, s, contour)) <= 1e-13

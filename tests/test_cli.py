@@ -563,7 +563,7 @@ def test_one_dimensional_eigenspace_is_a_usage_error(tmp_path, capsys, monkeypat
     # basis is built
     def no_basis(*args, **kwargs):
         raise AssertionError("a basis was built")
-    monkeypatch.setattr(oscnodal.projector, "covariance_jet_batch", no_basis)
+    monkeypatch.setattr(oscnodal.projector, "_phi_deriv_mantexp", no_basis)
     status, out = run(tmp_path, *argv)
     assert status == 1
     assert "one-dimensional eigenspace" in capsys.readouterr().err

@@ -332,10 +332,10 @@ class TestOmegaExact:
         val = [(m[:, j] * m[:, j], 2 * e[:, j]) for j in range(2)]
         mix = [(m[:, j] * dm[:, j], e[:, j] + de[:, j]) for j in range(2)]
         der = [(dm[:, j] * dm[:, j], 2 * de[:, j]) for j in range(2)]
-        pi_total, pi_exp = _conv_last(*val[0], *val[1], level.N, ld)
+        pi_total, pi_exp = _conv_last(*val[0], *val[1], level.N)
 
         def ratio(a, b):
-            total, exp = _conv_last(*a, *b, level.N, ld)
+            total, exp = _conv_last(*a, *b, level.N)
             return np.ldexp(total / pi_total, exp - pi_exp)
 
         grad = [ratio(mix[0], val[1]), ratio(val[0], mix[1])]
@@ -348,20 +348,21 @@ class TestOmegaExact:
 
     @pytest.mark.parametrize("n,x", [(800, (2.0, 0.0)), (1600, (1.3, 0.0))])
     def test_forbidden_density_matches_mpmath_jet(self, n, x):
-        # H/Pi - (G/Pi)^2 cancels heavily here: a 1e-19 change in the
-        # basis moves the log density by ~1e-11
+        # H_rr/Pi - (g/Pi)^2 cancels heavily here, so it is formed from the
+        # extended-precision sums (measured: 1.3e-14 and 4.4e-16; 1.5e-11
+        # and 1.2e-12 when formed from float64 mantissas)
         pytest.importorskip("mpmath")
         level = level_new(2, n)
         ref = math.log(kac_rice_density_batch(_mp_jet(level, x)[1][np.newaxis])[0])
         got = math.log(kac_rice_density_batch(omega_exact(level, x).omega[np.newaxis])[0])
-        assert abs(got - ref) <= 3e-11
+        assert abs(got - ref) <= 1e-13
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [200, 800, 1600])
     def test_jet_matches_mpmath(self, d, n):
         # off-axis points from the allowed bulk to |x| = 1.6: Pi within 3e-13
-        # relative and Omega within 1e-11 of max|Omega| (measured: <= 1.2e-13
-        # and <= 4.4e-12)
+        # relative and Omega within 1e-14 of max|Omega| (measured: <= 1.2e-13
+        # and <= 1.2e-15)
         mpmath = pytest.importorskip("mpmath")
         level = level_new(d, n)
         rng = np.random.default_rng(70 + d)
@@ -371,7 +372,7 @@ class TestOmegaExact:
         for x, jet, omega in zip(points, jets, omega_exact_batch(level, points)):
             pi, ref = _mp_jet(level, x)
             assert abs(mpmath.ldexp(jet.pi.mantissa, jet.pi.exponent) / pi - 1) <= 3e-13
-            assert np.max(np.abs(omega.omega - ref)) <= 1e-11 * np.max(np.abs(ref))
+            assert np.max(np.abs(omega.omega - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_extended_ground_state_constants(self):
         # deep in the forbidden region psi_0 carries the relative error of

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,67 @@ from oscnodal.semiclassical import (
     _phi_deriv_mantexp,
     _phi_mantexp,
 )
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+class TestSaddleRadius:
+    # pi_mehler's circle from the closed-form saddles of z^(-N) exp(-ss(z)/hbar)
+
+    @pytest.mark.parametrize("n", [40, 400, 1600])
+    def test_diagonal_closed_form(self, n):
+        # on the diagonal w = z + 1/z is 2 or 2|x|^2/c - 2: |x| < 1 keeps the
+        # saddles on the rim (the radius is the cap), |x| > 1 has the real
+        # saddle z = (w - sqrt(w^2 - 4)) / 2 < 1
+        level = level_new(3, n)
+        c, cap = n * level.hbar, 1 - projector._RIM_MARGIN / (n + projector._RIM_MARGIN)
+        for r in (0.0, 0.3, 0.9, 0.99, 1.01, 1.1, 1.3):
+            x = r * unit(np.array([1.0, -2.0, 0.5]))
+            w = 2 * r * r / c - 2
+            saddle = (w - math.sqrt(w * w - 4)) / 2 if w > 2 else 1.0
+            assert projector._saddle_radius(level, x, x) == pytest.approx(min(saddle, cap),
+                                                                         rel=1e-12)
+
+    @pytest.mark.parametrize("x,y", [((1.2, 0.1), (1.1, 0.0)), ((1.05, 0.0), (1.05, 0.02)),
+                                     ((0.9, -0.9), (0.85, -0.8))])
+    def test_real_saddle_is_stationary(self, x, y):
+        # phi(r) = -N log r - ss(r)/hbar on the real axis: phi'(r) ~ 0 by
+        # central differences, against the size N/r of either term
+        level = level_new(2, 800)
+        x, y = np.array(x), np.array(y)
+        r = projector._saddle_radius(level, x, y)
+        assert r < 1 - projector._RIM_MARGIN / (level.N + projector._RIM_MARGIN)
+        a, b = (x @ x + y @ y) / 2, x @ y
+
+        def phi(z):
+            return -level.N * math.log(z) - ((1 + z * z) * a - 2 * z * b) / (1 - z * z) / level.hbar
+
+        h = 1e-6
+        assert abs(phi(r + h) - phi(r - h)) / (2 * h) <= 1e-6 * level.N / r
+
+    @pytest.mark.parametrize("x,y", [((1.2, 0.1), (1.1, 0.0)), ((1.05, 0.0), (1.02, 0.1)),
+                                     ((1.3, 0.0), (0.9, 0.1)), ((0.2, 0.1), (0.1, 0.3))])
+    def test_radius_is_the_smallest_root_of_the_quartic(self, x, y):
+        # real and complex w alike: the smallest modulus among the roots of
+        # c z^4 - 2B z^3 + (4A - 2c) z^2 - 2B z + c, capped below the rim
+        level = level_new(2, 800)
+        x, y = np.array(x), np.array(y)
+        a, b, c = (x @ x + y @ y) / 2, x @ y, level.N * level.hbar
+        roots = np.roots([c, -2 * b, 4 * a - 2 * c, -2 * b, c])
+        cap = 1 - projector._RIM_MARGIN / (level.N + projector._RIM_MARGIN)
+        assert projector._saddle_radius(level, x, y) == pytest.approx(
+            min(np.abs(roots).min(), cap), rel=1e-9)
+
+    def test_allowed_pairs_take_the_rim(self):
+        level = level_new(2, 1600)
+        cap = 1 - projector._RIM_MARGIN / (level.N + projector._RIM_MARGIN)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x = 0.95 * rng.random() * unit(rng.standard_normal(2))
+            y = x + 0.02 * rng.standard_normal(2)
+            assert projector._saddle_radius(level, x, y) == cap
 
 
 def rotation(theta):
@@ -195,6 +257,74 @@ class TestPiMehler:
     def test_node_count_floor(self):
         with pytest.raises(ValueError):
             pi_mehler(level_new(2, 40), [0.1, 0.0], [0.0, 0.0], num_nodes=100)
+
+    @pytest.mark.parametrize("n", [800, 1600])
+    def test_allowed_diagonal(self, n):
+        # the ROADMAP diagonal: a searched radius in [0.15, 0.93] was off by
+        # 4.3e6 (N = 800) and 3.5e28 (N = 1600) without a warning
+        level, x = level_new(2, n), np.array([0.3, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert pi_mehler(level, x, x) == pytest.approx(pi_exact(level, x).to_float(),
+                                                           rel=1e-11)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_near_pairs(self, seed):
+        # the d = 2, N = 1600 pairs perfbench/workloads.write_pairs draws for
+        # the kernels workload, inside the Mehler reach |x|, |y| <= 1.1
+        level, rng = level_new(2, 1600), np.random.default_rng([seed, 0])
+        checked = 0
+        for r in np.resize([0.6, 1.0, 1.6], 6):
+            direction = rng.standard_normal(2)
+            x = (r + 0.02 * rng.uniform(-1.0, 1.0)) * direction / np.linalg.norm(direction)
+            y = x + 0.05 * rng.standard_normal(2)
+            if max(np.linalg.norm(x), np.linalg.norm(y)) <= 1.1:
+                exact = pi_exact(level, x, y).to_float()
+                assert pi_mehler(level, x, y) == pytest.approx(exact, rel=1e-11)
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("n", [400, 1600])
+    def test_random_pairs_at_large_n(self, n):
+        # pi_exact is the reference only where it is trustworthy: at d = 3
+        # where the planar condition is <= 1e4; at d = 2 the near-diagonal
+        # pairs are read against the 60-digit planar kernel instead
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        for d in (2, 3):
+            level = level_new(d, n)
+            checked = 0
+            while checked < 6:
+                x = 1.1 * rng.random() ** (1 / d) * unit(rng.standard_normal(d))
+                y = x + rng.choice([0.0, 0.01, 0.05]) * rng.standard_normal(d)
+                if np.linalg.norm(y) > 1.1:
+                    continue
+                if d == 2:
+                    ref = float(mp_kernel_planar(level, x, y))
+                else:
+                    values, conditions = planar(level, [x], [y])
+                    if conditions[0] > _PLANAR_CONDITION_MAX:
+                        continue
+                    ref = pi_exact(level, x, y).to_float()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    assert pi_mehler(level, x, y) == pytest.approx(ref, rel=1e-10), (x, y)
+                checked += 1
+
+    def test_edge_cases(self):
+        for n, d in ((0, 1), (0, 3), (1, 2), (40, 2), (41, 3)):
+            level = level_new(d, n)
+            x, y = np.full(d, 0.4), np.linspace(-0.5, 0.6, d)
+            zero = np.zeros(d)
+            # Pi(x, x) sets the scale: at x = 0 an odd N gives Pi = 0
+            scale = pi_exact(level, x).to_float()
+            for a, b in ((x, y), (zero, y), (zero, zero), (x, -x)):
+                exact = pi_exact(level, a, b).to_float()
+                assert abs(pi_mehler(level, a, b) - exact) <= 1e-12 * scale, (n, d, a, b)
+            # x.y < 0 is the parity image of x.y > 0, bit for bit
+            assert pi_mehler(level, x, -x) == (-1) ** n * pi_mehler(level, x, x)
+        x = np.array([0.4, 0.3])
+        assert projector._saddle_radius(level_new(2, 0), x, x) == projector._N0_RADIUS
 
     def test_derivative_contour_cross_check(self):
         # the first-derivative residue integrand (analytic cross-check only;
@@ -580,7 +710,7 @@ class TestZeroSeries:
         n = self.N // 2
         exponents = np.full(n + 1, 9000, dtype=np.int64)
         exponents[n] = -9000
-        total, e = _conv_last(np.ones(n + 1, dtype=np.longdouble), exponents, *d, n, np.longdouble)
+        total, e = _conv_last(np.ones(n + 1, dtype=np.longdouble), exponents, *d, n)
         assert np.ldexp(total, e) == np.ldexp(np.longdouble(1), -9000)
 
 
