@@ -7,8 +7,9 @@ eigenspace projection kernel.  This module samples fields reproducibly
 per seed), evaluates them on grids, circles and rays through shared-basis
 matrix products, and measures:
 
-  * nodal length in boxes (marching squares on the bilinear interpolant,
-    with a halved-resolution Richardson consistency estimate),
+  * nodal length in boxes (marching squares on the bilinear interpolant of
+    one fine grid per box, whose even nodes give the coarse grid of a
+    Richardson consistency estimate),
   * sign changes around the caustic circle,
   * zero densities along radial segments (one sweep crossing bulk, annuli,
     tube and forbidden region).
@@ -313,17 +314,26 @@ def _grid_axis(lo, hi, step):
     return np.linspace(lo, hi, n)
 
 
-def _box_values(level_or_callable, box, step, coeffs=None):
-    (x0, x1), (y0, y1) = box
-    xs = _grid_axis(x0, x1, step)
-    ys = _grid_axis(y0, y1, step)
-    obj = level_or_callable
-    if callable(obj):
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        return obj(pts).reshape(len(ys), len(xs)), xs, ys
-    cx, cy = _tensor_basis(obj, xs, ys)
-    return _grid_values(coeffs, cx, cy), xs, ys
+def _fine_axes(box, grid_step):
+    """The box's fine axes: each n-node grid_step axis refined at its midpoints, 2n - 1 nodes."""
+    return [np.linspace(lo, hi, 2 * len(_grid_axis(lo, hi, grid_step)) - 1) for lo, hi in box]
+
+
+def _fine_coarse_lengths(f, xs, ys):
+    """Marching-squares lengths of the fine grid f and of its even nodes at twice the step."""
+    dx, dy = xs[1] - xs[0], ys[1] - ys[0]
+    return (_marching_squares_length(f, dx, dy),
+            _marching_squares_length(f[::2, ::2], 2.0 * dx, 2.0 * dy))
+
+
+def _box_lengths(level, coeffs, box, grid_step):
+    """(fine, coarse) nodal lengths in the box of the fields coeffs @ basis, a column per row:
+    one _tensor_basis on the fine axes, and one _grid_values per field."""
+    xs, ys = _fine_axes(box, grid_step)
+    cx, cy = _tensor_basis(level, xs, ys)
+    scaled, f = np.empty_like(cx), np.empty((len(ys), len(xs)))
+    return np.array([_fine_coarse_lengths(_grid_values(a, cx, cy, out=f, scaled=scaled), xs, ys)
+                     for a in coeffs]).T
 
 
 def _check_box(box):
@@ -342,26 +352,23 @@ def _check_grid_step(level, box, grid_step):
 def nodal_length(field, box, grid_step):
     """Nodal length of the field inside an axis-aligned box (d = 2).
 
-    Marching squares at grid_step and grid_step/2; the Richardson-refined
-    value is returned with the two-resolution difference folded into the
-    error.  `field` is a RandomEigenfunction or any callable mapping an
-    (P, 2) array of points to values.
+    Marching squares on the fine grid (_fine_axes, step <= grid_step/2) and
+    on its even nodes, the grid_step grid: 2 fine - coarse is returned, with
+    |fine - coarse| as the error.  `field` is a RandomEigenfunction, measured
+    as the one-row ensemble, or any callable mapping an (P, 2) array of
+    points to values, evaluated once on the fine grid.
     """
     if isinstance(field, RandomEigenfunction):
         if field.level.d != 2:
             raise ValueError("nodal_length is d = 2 only")
         _check_grid_step(field.level, box, grid_step)
-        evaluator = field.level
-        coeffs = field.coeffs
+        fine, coarse = _box_lengths(field.level, field.coeffs[None], box, grid_step)[:, 0].tolist()
     else:
         _check_box(box)
-        evaluator = field
-        coeffs = None
-    lengths = []
-    for step in (grid_step, grid_step / 2.0):
-        f, xs, ys = _box_values(evaluator, box, step, coeffs=coeffs)
-        lengths.append(_marching_squares_length(f, xs[1] - xs[0], ys[1] - ys[0]))
-    coarse, fine = lengths
+        xs, ys = _fine_axes(box, grid_step)
+        pts = np.stack(np.meshgrid(xs, ys), axis=-1)
+        f = field(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        fine, coarse = _fine_coarse_lengths(f, xs, ys)
     diff = abs(fine - coarse)
     if fine > 0 and diff > 0.02 * fine:
         warnings.warn(
@@ -371,20 +378,16 @@ def nodal_length(field, box, grid_step):
                          n_samples=1, resolution=grid_step / 2.0)
 
 
-def _check_ensemble_size(n):
-    if n < 2:
-        raise ValueError(f"an ensemble needs at least two seeds for a standard error, got {n}")
-
-
 def _ensemble_coeffs(level, seeds):
     """Coefficient vectors of the ensemble's fields, one row per seed."""
-    _check_ensemble_size(len(seeds))
+    if len(seeds) < 2:
+        raise ValueError(
+            f"an ensemble needs at least two seeds for a standard error, got {len(seeds)}")
     return _draw_coeffs(level, seeds)
 
 
 def _mean_estimate(samples, resolution):
-    """The mean of per-seed samples, with its standard error."""
-    _check_ensemble_size(len(samples))
+    """The mean of per-seed samples (at least two: _ensemble_coeffs), with its standard error."""
     return NodalEstimate(value=float(np.mean(samples)),
                          std_error=float(np.std(samples, ddof=1) / math.sqrt(len(samples))),
                          n_samples=len(samples), resolution=resolution)
@@ -393,28 +396,15 @@ def _mean_estimate(samples, resolution):
 def nodal_length_ensemble(level, seeds, box, grid_step):
     """Per-seed nodal lengths over an ensemble, sharing one basis build.
 
-    Returns (lengths, NodalEstimate-of-the-mean); lengths are the fine-grid
-    Richardson values per seed.  Each seed's field is drawn once and used at
-    both resolutions; each resolution reuses one grid buffer across seeds.
+    Returns (lengths, NodalEstimate-of-the-mean); lengths are the per-seed
+    Richardson values of nodal_length, each field drawn once and evaluated
+    once, on the fine grid (_box_lengths).
     """
     if level.d != 2:
         raise ValueError("nodal_length_ensemble is d = 2 only")
     _check_grid_step(level, box, grid_step)
-    (x0, x1), (y0, y1) = box
-    coeffs = _ensemble_coeffs(level, seeds)
-    values = {}
-    for step_name, step in (("coarse", grid_step), ("fine", grid_step / 2.0)):
-        xs = _grid_axis(x0, x1, step)
-        ys = _grid_axis(y0, y1, step)
-        cx, cy = _tensor_basis(level, xs, ys)
-        scaled = np.empty_like(cx)
-        f = np.empty((len(ys), len(xs)))
-        out = np.empty(len(seeds))
-        for i, a in enumerate(coeffs):
-            _grid_values(a, cx, cy, out=f, scaled=scaled)
-            out[i] = _marching_squares_length(f, xs[1] - xs[0], ys[1] - ys[0])
-        values[step_name] = out
-    refined = 2.0 * values["fine"] - values["coarse"]
+    fine, coarse = _box_lengths(level, _ensemble_coeffs(level, seeds), box, grid_step)
+    refined = 2.0 * fine - coarse
     return refined, _mean_estimate(refined, grid_step / 2.0)
 
 
@@ -571,6 +561,14 @@ def _circle_points(level, angular_step):
     return 4 * int(math.ceil(2.0 * math.pi / angular_step / 4.0))
 
 
+def _crossing_counts(level, coeffs, angular_step):
+    """(fine, coarse, n_fine): sign changes of each field around the caustic
+    circle on the n_fine-point grid and on its even points."""
+    n_fine = _circle_points(level, angular_step)
+    signs = _circle_signs(level, coeffs, n_fine)
+    return _count_changes(signs), _count_changes(signs[:, ::2]), n_fine
+
+
 def caustic_crossings(field, angular_step=None):
     """Number of nodal crossings of the caustic circle (d = 2).
 
@@ -582,10 +580,7 @@ def caustic_crossings(field, angular_step=None):
     level = field.level
     if level.d != 2:
         raise ValueError("caustic_crossings is d = 2 only")
-    n_fine = _circle_points(level, angular_step)
-    signs = _circle_signs(level, field.coeffs[None, :], n_fine)
-    fine = int(_count_changes(signs)[0])
-    coarse = int(_count_changes(signs[:, ::2])[0])
+    (fine,), (coarse,), n_fine = _crossing_counts(level, field.coeffs[None], angular_step)
     diff = abs(fine - coarse)
     if fine > 0 and diff > 0.02 * fine + 2:
         warnings.warn(
@@ -602,10 +597,8 @@ def caustic_crossings_ensemble(level, seeds, angular_step=None):
     """
     if level.d != 2:
         raise ValueError("caustic_crossings_ensemble is d = 2 only")
-    n_fine = _circle_points(level, angular_step)
-    coeffs = _ensemble_coeffs(level, seeds)
-    signs = _circle_signs(level, coeffs, n_fine)
-    counts = _count_changes(signs).astype(float)
+    fine, _, n_fine = _crossing_counts(level, _ensemble_coeffs(level, seeds), angular_step)
+    counts = fine.astype(float)
     return counts, _mean_estimate(counts, 2.0 * math.pi / n_fine)
 
 

@@ -46,6 +46,7 @@ from .semiclassical import (
     ResourceLimitError,
     TrackedReal,
     _PI_LD,
+    _check_range,
     _laguerre_mantexp,
     _phi_deriv_mantexp,
     _phi_mantexp,
@@ -69,7 +70,9 @@ _PLANAR_CONDITION_MAX = 1e4
 #: takes _N0_RADIUS), and its default nodes put the upward aliases below e^-_ALIAS_LOG
 _RIM_MARGIN, _N0_RADIUS, _ALIAS_LOG = 5, 0.5, 40
 
-_ZERO_EXPONENT = -2**30   # the exponent of a zero term: below any other term's
+#: the exponent of a zero term: below every other term's, which _check_range keeps
+#: above -1.5 * 2^60, and far enough inside int64 that a term plus it still fits
+_ZERO_EXPONENT = np.int64(-2**62)
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,8 @@ def _fold(arrays, n, dtype):
 
 
 def _checked_table(level, points, pairs):
-    """points as a float (len, d) array of finite d-vectors, once the table's work
-    is inside DEFAULT_DIM_BUDGET: d (N+1) for jets and for pairs at d <= 2, and
+    """points as a float (len, d) array of d-vectors in _check_range, once the table's
+    work is inside DEFAULT_DIM_BUDGET: d (N+1) for jets and for pairs at d <= 2, and
     d (N+1)^2 for pairs at d >= 3 (the fold a pair may fall back to)."""
     d, power = level.d, 2 if pairs and level.d >= 3 else 1
     work = d * (level.N + 1) ** power
@@ -126,8 +129,7 @@ def _checked_table(level, points, pairs):
     if any(p.shape != (d,) for p in points):
         raise ValueError(f"points must be {d}-vectors")
     points = np.array(points).reshape(-1, d)
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
+    _check_range(level, points)
     return points
 
 
@@ -265,54 +267,47 @@ def _saddle_radius(level, x, y):
     return float(min(np.minimum(size, 1 / size).min(), 1 - _RIM_MARGIN / (n + _RIM_MARGIN)))
 
 
-def pi_mehler(level, x, y, num_nodes=None, radius=None):
-    """Residue-integral evaluation of Pi(x,y) on the circle |z| = radius.
+def _mehler_trapezoid(level, plus, minus, radius, k_nodes):
+    """(mean, m): pi_mehler's integral on |z| = radius by the k_nodes-point trapezoid
+    rule is mean e^m; plus = |x+y|^2 and minus = |x-y|^2, in longdouble."""
+    ld, n, r, hb = np.longdouble, level.N, np.longdouble(radius), np.longdouble(level.hbar)
+    theta = (2 * _PI_LD) * np.arange(k_nodes).astype(ld) / k_nodes
+    z = r * np.exp(1j * theta.astype(np.clongdouble))
+    ss = ((1 - z) / (1 + z) * plus + (1 + z) / (1 - z) * minus) / 4
+    logf = -ss / hb - ld(n) * (np.log(r) + 1j * theta) \
+        - (ld(level.d) / 2) * np.log(_PI_LD * hb * (1 - z * z))
+    m = float(np.max(np.real(logf)))
+    if m > 11000.0:  # exp() of the longdouble max exponent
+        raise RuntimeError("pi_mehler integrand overflows; use pi_exact")
+    return float(np.real(np.sum(np.exp(logf - ld(m)))) / k_nodes), m
 
-    x.y < 0 is reduced by parity, Pi(x,y) = (-1)^N Pi(x,-y).  radius=None takes
-    _saddle_radius (1 - 5/(N+5) where the saddles lie on the rim); an explicit
-    radius pins the contour.  num_nodes, at least 4(N+1), defaults to max(4(N+1),
-    512, ceil(40 / -ln radius)): upward aliases below e^-40, ~8(N+5) nodes at the
-    rim.  A RuntimeWarning reports an alias/cancellation estimate above 1e-8.
+
+def pi_mehler(level, x, y):
+    """Residue-integral evaluation of Pi(x,y) on the circle |z| = r = _saddle_radius.
+
+    x.y < 0 is reduced by parity, Pi(x,y) = (-1)^N Pi(x,-y).  r is 1 - 5/(N+5)
+    where the saddles lie on the rim, and max(4(N+1), 512, ceil(40 / -ln r))
+    nodes put the upward aliases below e^-40, ~8(N+5) nodes at the rim.  A
+    RuntimeWarning reports an alias/cancellation estimate above 1e-8.
     """
-    d, n, hb = level.d, level.N, level.hbar
+    n = level.N
     x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     if np.linalg.norm(x) > MEHLER_RADIUS_LIMIT or np.linalg.norm(y) > MEHLER_RADIUS_LIMIT:
         raise ValueError(
             f"pi_mehler is certified only for |x|,|y| <= {MEHLER_RADIUS_LIMIT}; "
             "use pi_exact in the deep forbidden region")
     sign, y = ((-1.0) ** n, -y) if x @ y < 0 else (1.0, y)
-    if radius is None:
-        radius = _saddle_radius(level, x, y)
-    elif not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    k_min = 4 * (n + 1)
-    if num_nodes is None:
-        num_nodes = max(k_min, 512, math.ceil(_ALIAS_LOG / -math.log(radius)))
-    elif num_nodes < k_min:
-        raise ValueError(f"num_nodes must be >= 4(N+1) = {k_min}")
-
-    ld = np.longdouble
+    radius = _saddle_radius(level, x, y)
+    num_nodes = max(4 * (n + 1), 512, math.ceil(_ALIAS_LOG / -math.log(radius)))
     # |x+y|^2 and |x-y|^2 in place of x^2 + y^2 - 2 x.y: no cancellation near the rim
-    plus, minus = (np.sum((x.astype(ld) + sign_y * y.astype(ld)) ** 2) for sign_y in (1, -1))
-
-    def trapezoid(k_nodes):
-        r = ld(radius)
-        theta = (2 * _PI_LD) * np.arange(k_nodes).astype(ld) / k_nodes
-        z = r * np.exp(1j * theta.astype(np.clongdouble))
-        ss = ((1 - z) / (1 + z) * plus + (1 + z) / (1 - z) * minus) / 4
-        logf = -ss / ld(hb) - ld(n) * (np.log(r) + 1j * theta) \
-            - (ld(d) / 2) * np.log(_PI_LD * ld(hb) * (1 - z * z))
-        m = float(np.max(np.real(logf)))
-        if m > 11000.0:  # exp() of the longdouble max exponent
-            raise RuntimeError("pi_mehler integrand overflows; use pi_exact")
-        return float(np.real(np.sum(np.exp(logf - ld(m)))) / k_nodes), m
-
-    mean, m = trapezoid(num_nodes)
+    plus, minus = (np.sum((x.astype(np.longdouble) + sign_y * y.astype(np.longdouble)) ** 2)
+                   for sign_y in (1, -1))
+    mean, m = _mehler_trapezoid(level, plus, minus, radius, num_nodes)
     result = sign * mean * math.exp(m)
     # measured alias/cancellation estimate: a rule with num_nodes + (N+1)
     # nodes keeps the no-downward-alias property but samples a different
     # upward alias set, so the difference bounds both error sources
-    mean_alt, m_alt = trapezoid(num_nodes + n + 1)
+    mean_alt, m_alt = _mehler_trapezoid(level, plus, minus, radius, num_nodes + n + 1)
     disagreement = abs(mean * math.exp(m) - mean_alt * math.exp(m_alt))
     noise_floor = 1e-13 * math.exp(max(m, m_alt))  # absolute floor of the rule
     if disagreement > 1e-8 * abs(result) and \

@@ -43,6 +43,11 @@ _PI_M14_LD = _PI_LD ** np.longdouble(-0.25)
 
 DEFAULT_DIM_BUDGET = 10**8
 
+#: the largest |x| / sqrt(hbar) of a point: _psi_blocks is finite below 2^31, and
+#: below 2^30 a term of a kernel or jet sum (two points' bases) has an exponent
+#: above -1.5 * 2^60
+_XI_LIMIT = 2**30
+
 
 class ResourceLimitError(RuntimeError):
     """An operation would exceed its configured work/memory budget."""
@@ -496,24 +501,30 @@ def _laguerre_mantexp(jmax, alpha, z, log2_scale):
     return m, e + sh
 
 
+def _check_range(level, points):
+    """Refuse points (the rows of an array) unless finite with |x| <= _XI_LIMIT sqrt(hbar)."""
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    limit = _XI_LIMIT * math.sqrt(level.hbar)
+    if np.any(np.hypot.reduce(np.abs(points), axis=-1) > limit):
+        raise ValueError(f"points must have |x| <= 2^30 sqrt(hbar) = {limit:.4g} at N = {level.N}, "
+                         "the range of the Hermite recurrence")
+
+
 def hermite_all(level, x):
     """[phi_0(x), ..., phi_N(x)] for the 1D scaled basis, as TrackedReal.
 
     The Gaussian factor is folded in from step zero; values deep in the
     forbidden region come out with large negative exponents instead of
-    underflowing.
+    underflowing.  |x| may not exceed 2^30 sqrt(hbar) (_XI_LIMIT).
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("coordinate must be finite")
-    m, e = _phi_mantexp(level.hbar, level.N, [x], dtype=np.longdouble)
+    _check_range(level, [float(x)])
+    m, e = _phi_mantexp(level.hbar, level.N, [float(x)], dtype=np.longdouble)
     return [TrackedReal(float(m[k, 0]), int(e[k, 0])) for k in range(level.N + 1)]
 
 
 def hermite_deriv_all(level, x):
     """[phi_0'(x), ..., phi_N'(x)] via the ladder relation."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("coordinate must be finite")
-    _, _, dm, de = _phi_deriv_mantexp(level.hbar, level.N, [x], dtype=np.longdouble)
+    _check_range(level, [float(x)])
+    _, _, dm, de = _phi_deriv_mantexp(level.hbar, level.N, [float(x)], dtype=np.longdouble)
     return [TrackedReal(float(dm[k, 0]), int(de[k, 0])) for k in range(level.N + 1)]

@@ -90,6 +90,14 @@ class TestProjectorCommand:
         expect = pi_exact(level_new(2, 12), [0.5, 0.1], [0.2, -0.3]).to_float()
         assert value == pytest.approx(expect, rel=1e-12)
 
+    def test_point_beyond_the_recurrence_range_is_a_usage_error(self, tmp_path, capsys):
+        # at (1e12, 0) the recurrence overflows to NaN: the range check refuses it first
+        status, out = run(tmp_path, "projector", "--d", "2", "--N", "1600", "--x", "1e12,0")
+        assert status == 1
+        assert "points must have |x| <= 2^30 sqrt(hbar) = 1.898e+07 at N = 1600" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_pairs_csv_is_a_usage_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

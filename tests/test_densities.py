@@ -323,6 +323,12 @@ class TestEllipticE:
 
 
 class TestOmegaExact:
+    def test_jet_sums_below_two_to_the_minus_two_to_the_30(self):
+        # Pi's exponent at (600, 0), N = 1600 is ~-2.3e9, below -2^30: the
+        # jet's tracked sums keep their scale and omega stays finite
+        omega = omega_exact(level_new(2, 1600), [600.0, 0.0]).omega
+        assert np.isfinite(omega).all() and omega[1, 1] > 0
+
     @pytest.mark.parametrize("x", [(1.3, 0.0), (1.6, 0.3)])
     def test_forbidden_ratio_matches_longdouble_reference(self, x):
         # the same fold totals, left unrounded and divided in longdouble; the

@@ -423,6 +423,42 @@ class TestNodalLength:
         a = nodal_length(field, box, step)
         b = nodal_length(lambda pts: field.evaluate(pts), box, step)
         assert a.value == pytest.approx(b.value, rel=1e-9)
+        assert a.std_error == pytest.approx(b.std_error, rel=1e-6, abs=1e-12)
+        fine, coarse = montecarlo._box_lengths(level, field.coeffs[None], box, step)[:, 0]
+        assert (a.value, a.std_error) == (2.0 * fine - coarse, abs(fine - coarse))
+
+    def test_coarse_grid_is_the_even_nodes_of_the_fine_grid(self):
+        # the fine axes refine the grid_step axes at their midpoints, and the
+        # coarse length is marching squares on the even nodes at twice the step
+        level, box = level_new(2, 60), ((0.4, 0.6), (-0.1, 0.1))
+        step = level.hbar / 8.0
+        xs, ys = montecarlo._fine_axes(box, step)
+        for (lo, hi), axis in zip(box, (xs, ys)):
+            coarse = _grid_axis(lo, hi, step)
+            assert len(axis) == 2 * len(coarse) - 1
+            assert axis[::2] == pytest.approx(coarse, rel=0, abs=1e-15)
+        coeffs = _ensemble_coeffs(level, [5, 6])
+        fine, coarse = montecarlo._box_lengths(level, coeffs, box, step)
+        dx, dy = xs[1] - xs[0], ys[1] - ys[0]
+        for a, f_len, c_len in zip(coeffs, fine, coarse):
+            f = _grid_values(a, *_tensor_basis(level, xs, ys))
+            assert f_len == _marching_squares_length(f, dx, dy)
+            assert c_len == _marching_squares_length(f[::2, ::2], 2 * dx, 2 * dy)
+
+    def test_one_basis_and_one_evaluation_per_field(self, monkeypatch):
+        calls = {"_tensor_basis": 0, "_grid_values": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(montecarlo, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(montecarlo, name, counted)
+        level, box = level_new(2, 40), ((0.4, 0.6), (-0.1, 0.1))
+        nodal_length_ensemble(level, range(1, 6), box, level.hbar / 8.0)
+        assert calls == {"_tensor_basis": 1, "_grid_values": 5}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            nodal_length(sample_field(level, 1), box, level.hbar / 8.0)
+        assert calls == {"_tensor_basis": 2, "_grid_values": 6}
 
 
 def _marching_squares_reference(f, dx, dy):
@@ -543,6 +579,19 @@ class TestMarchingSquares:
 
 
 class TestCausticCrossings:
+    @pytest.mark.parametrize("n, counts", [
+        (60, [28, 32, 40, 44, 28, 32, 32, 20, 36, 28, 32, 32]),
+        (200, [56, 68, 84, 80, 72, 72, 64, 64, 68, 72, 72, 76]),
+    ])
+    def test_counts_are_pinned(self, n, counts):
+        # seeds 1-12: the single-field and ensemble entries share one count
+        # routine, and their counts stay pinned
+        level = level_new(2, n)
+        assert caustic_crossings_ensemble(level, range(1, 13))[0].tolist() == counts
+        for seed in (1, 2, 3):
+            est = caustic_crossings(sample_field(level, seed))
+            assert (est.value, est.std_error) == (counts[seed - 1], 0.0)
+
     def test_count_is_even(self):
         level = level_new(2, 60)
         for seed in range(1, 8):

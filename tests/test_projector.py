@@ -149,6 +149,39 @@ class TestPiExact:
         with pytest.raises(ResourceLimitError, match=r"d \(N\+1\) = 1e\+08 exceeds"):
             covariance_jet(level_new(100, 10**6), np.zeros(100))
 
+    @pytest.mark.parametrize("d, n, x", [(2, 1600, 500.0), (3, 200, 1500.0)])
+    def test_sums_below_two_to_the_minus_two_to_the_30(self, d, n, x):
+        # every term's exponent is below -2^30: the kernel and the jet's Pi at
+        # x e1 against sum_a phi_a(x)^2 D(N - a), D the zero-coordinate sums,
+        # in TrackedReal arithmetic from hermite_all
+        level = level_new(d, n)
+        from oscnodal import hermite_all
+        at_x, at_0 = hermite_all(level, x), hermite_all(level, 0.0)
+        zero = [a * a for a in at_0]
+        for _ in range(d - 2):
+            zero = [sum((zero[j] * at_0[k - j] * at_0[k - j] for j in range(k + 1)),
+                        TrackedReal(0.0)) for k in range(n + 1)]
+        ref = sum((a * a * zero[n - k] for k, a in enumerate(at_x)), TrackedReal(0.0))
+        assert ref.exponent < -2**30
+        point = [x] + [0.0] * (d - 1)
+        for value in (pi_exact(level, point), covariance_jet(level, point).pi):
+            assert (value / ref).to_float() == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("x", [[1.9e7, 0.0], [1.4e7, -1.4e7], [1e8, 0.0], [1e12, 0.0]])
+    def test_points_beyond_the_recurrence_range_are_refused(self, x):
+        # |x| <= 2^30 sqrt(hbar) = 1.898e7 at N = 1600; beyond it the exponents
+        # leave int64 (a silent 0 at (1e8, 0)) and the recurrence overflows
+        # (NaN at (1e12, 0))
+        level = level_new(2, 1600)
+        match = r"\|x\| <= 2\^30 sqrt\(hbar\) = 1\.898e\+07 at N = 1600"
+        with pytest.raises(ValueError, match=match):
+            pi_exact(level, x)
+        with pytest.raises(ValueError, match=match):
+            pi_exact_batch(level, [[0.1, 0.2]], [x])
+        with pytest.raises(ValueError, match=match):
+            covariance_jet(level, x)
+        assert pi_exact(level, [1.89e7, 0.0]).mantissa > 0
+
     def test_forbidden_region_tracked_exponent(self):
         # deep forbidden value is ~e^(-1189): far below float underflow
         level = level_new(2, 1600)
@@ -244,19 +277,19 @@ class TestPiMehler:
         assert pi_mehler(level, [0.0], [0.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_radius_independence(self):
+        # the trapezoid rule behind pi_mehler, on two circles at (1, 0), (1, 0):
+        # plus = |x+y|^2 = 4, minus = |x-y|^2 = 0, and 1024 nodes put the
+        # upward aliases below e^-40 on both
         level = level_new(2, 30)
-        x = np.array([1.0, 0.0])
-        a = pi_mehler(level, x, x, radius=0.85)
-        b = pi_mehler(level, x, x, radius=0.95)
+        plus, minus = np.longdouble(4.0), np.longdouble(0.0)
+        a, b = (mean * math.exp(m) for mean, m in
+                (projector._mehler_trapezoid(level, plus, minus, r, 1024) for r in (0.85, 0.95)))
         assert a == pytest.approx(b, rel=1e-9)
+        assert pi_mehler(level, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(a, rel=1e-9)
 
     def test_region_guard(self):
         with pytest.raises(ValueError):
             pi_mehler(level_new(2, 20), [1.4, 0.0], [0.0, 0.0])
-
-    def test_node_count_floor(self):
-        with pytest.raises(ValueError):
-            pi_mehler(level_new(2, 40), [0.1, 0.0], [0.0, 0.0], num_nodes=100)
 
     @pytest.mark.parametrize("n", [800, 1600])
     def test_allowed_diagonal(self, n):

@@ -346,6 +346,18 @@ class TestPsiRecurrence:
         assert np.all((size < 1.0) & ((size >= 0.5) | (size == 0.0)))
 
 
+    @pytest.mark.parametrize("x", [1.01, -1.01, math.inf, math.nan])
+    def test_coordinates_beyond_the_recurrence_range_are_refused(self, x):
+        # the extended-precision recurrence takes |x| <= 2^30 sqrt(hbar)
+        level = level_new(1, 1600)
+        limit = 2**30 * math.sqrt(level.hbar)
+        assert hermite_all(level, 0.99 * limit)[-1].mantissa != 0.0
+        match = r"\|x\| <= 2\^30 sqrt\(hbar\)" if math.isfinite(x) else "finite"
+        for basis in (hermite_all, hermite_deriv_all):
+            with pytest.raises(ValueError, match=match):
+                basis(level, x * limit)
+
+
 class TestHermiteDerivAll:
     def test_ground_state_derivative_vanishes(self):
         level = level_new(1, 4)
