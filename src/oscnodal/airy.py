@@ -18,7 +18,9 @@ Evaluation routes:
                    relative accuracy down to s = -40 and beyond.  Paths sit
                    on the anchor lattice h floor(s / h); a table shares one
                    path and one exponential block per anchor.
-  * gamma_integral - adaptive quadrature of the antiderivative form (k < 0).
+  * gamma_integral - a fixed Gauss-Legendre rule on the antiderivative form
+                   (k < 0, s >= -ASYMPTOTIC_SWITCH) that reads ai alone, so
+                   it checks the contour table independently.
   * asymptotic   - large-|s| expansions (see ai_k_asymptotic); for s < 0 the
                    branch-point series plus the multi-term saddle series, with
                    the phase (2/3)|s|^(3/2) reduced mod 2 pi in double-double.
@@ -28,7 +30,6 @@ Method "auto" takes that left expansion below EXPANSION_SWITCH, the contour on
 The classical Ai itself is a Taylor series from the nearest anchor of a
 lattice of step 1/4 on [-200, 108], whose (Ai, Ai') values are mpmath's
 (_airy_anchors); the tests check it against an independent Maclaurin series.
-Only the gamma_integral route needs scipy.
 """
 
 from __future__ import annotations
@@ -128,16 +129,14 @@ def ai(s):
 
     On [-ASYMPTOTIC_SWITCH, 108] it is the Taylor series about the nearest
     anchor a of the lattice STEP Z (STEP = 1/4, so |s - a| <= 1/8) in
-    h = s - a, summed by Horner's rule from the anchor's own last term.
+    h = s - a, summed by Horner's rule.
     Beyond 108 it underflows to 0, below -ASYMPTOTIC_SWITCH it is the left
     expansion _ai_k_left(0, s), which ai_k(0, s) also reads there, and
     Ai(+-inf) = 0.  A
     batch runs Horner's rule over its largest term count, and an anchor's
-    coefficients past its own count are 0, so every value is the scalar
-    branch's (== in any array).
+    coefficients past its own count are 0, so every value is the one its
+    anchor's own terms give (== alone and in any array).
     """
-    if np.ndim(s) == 0:
-        return _ai_scalar(float(s))
     s = np.asarray(s, dtype=float)
     flat = s.ravel()
     out = np.zeros(flat.size)
@@ -148,6 +147,8 @@ def ai(s):
     if far.any():
         out[far] = _ai_k_left(0.0, flat[far])
     out[np.isnan(flat)] = np.nan
+    if s.ndim == 0:
+        return float(out[0])
     return out.reshape(s.shape)
 
 
@@ -163,22 +164,6 @@ def _ai_taylor(s):
         p *= h
         p += c[n, idx]
     return p
-
-
-def _ai_scalar(s):
-    """ai at one float: the same operations as the array branch."""
-    if -ASYMPTOTIC_SWITCH <= s <= _AI_TABLE_END:
-        j = round(s / _airy_anchors.STEP)
-        h = s - j * _airy_anchors.STEP
-        c, counts = _taylor_table()
-        row = c[:counts[j + _ANCHOR_ZERO], j + _ANCHOR_ZERO].tolist()
-        p = row[-1]
-        for coeff in reversed(row[:-1]):
-            p = p * h + coeff
-        return p
-    if -math.inf < s < -ASYMPTOTIC_SWITCH:
-        return float(_ai_k_left(0.0, np.array([s]))[0])
-    return math.nan if math.isnan(s) else 0.0
 
 
 @functools.lru_cache(maxsize=16)
@@ -304,31 +289,26 @@ def _ai_k_contour(ks, s):
 
 
 def _ai_k_gamma(k, s):
-    """Antiderivative form for k < 0, by adaptive quadrature.
+    """Ai_k(s) for k < 0 and s >= -ASYMPTOTIC_SWITCH from the antiderivative form.
 
-    The endpoint singularity rho^(kappa-1) for kappa < 1 is removed by the
-    substitution rho = tau^(1/kappa).
+    24-point Gauss-Legendre panels: on [0, 1], where rho = tau^(1/kappa) turns
+    rho^(kappa-1) drho into dtau / kappa, 25 panels graded by 0.15 toward
+    tau = 0, where tau^(1/kappa) is not smooth; unit panels on [1, upper],
+    upper = max(2, 14 - s) + 40.  Only ai is read (no contour, expansion or
+    _memo), and the nodes depend on (k, s) alone (DECISIONS.md).
     """
     if k >= 0:
         raise ValueError("gamma_integral route requires k < 0")
-    # imported on first use: this is the runtime's only use of scipy, which is
-    # not a dependency of the package
-    try:
-        from scipy.integrate import quad as _quad
-    except ImportError:
-        raise ImportError("the gamma_integral route of ai_k needs scipy, which is not "
-                          "installed (pip install scipy)") from None
-
+    if s < -ASYMPTOTIC_SWITCH:
+        raise ValueError(f"the gamma_integral route takes s >= -{ASYMPTOTIC_SWITCH:g} (below "
+                         f"it ai is the left expansion); use auto or asymptotic for s = {s!r}")
     kappa = -float(k)
-    s = float(s)
-    if kappa < 1.0:
-        head, _ = _quad(lambda tau: ai(s + tau ** (1.0 / kappa)), 0.0, 1.0, limit=200)
-        head /= kappa
-    else:
-        head, _ = _quad(lambda rho: ai(s + rho) * rho ** (kappa - 1.0), 0.0, 1.0, limit=200)
+    tau, w_tau = quadrature.panels(np.append(0.0, 0.15 ** np.arange(24.0, -1.0, -1.0)), 24)
     upper = max(2.0, 14.0 - s) + 40.0
-    tail, _ = _quad(lambda rho: ai(s + rho) * rho ** (kappa - 1.0), 1.0, upper, limit=800)
-    return (head + tail) / math.gamma(kappa)
+    rho, w_rho = quadrature.panels(np.append(np.arange(1.0, upper), upper), 24)
+    nodes = np.concatenate((tau ** (1.0 / kappa), rho))
+    weights = np.concatenate((w_tau / kappa, w_rho * rho ** (kappa - 1.0)))
+    return float(np.sum(weights * ai(s + nodes))) / math.gamma(kappa)
 
 
 _memo = {}
@@ -340,7 +320,8 @@ def ai_k(k, s, method="auto"):
     method: one of "auto", "contour", "gamma_integral", "asymptotic".
     auto takes the left expansion below EXPANSION_SWITCH, the contour on
     [EXPANSION_SWITCH, ASYMPTOTIC_SWITCH] and the right expansion beyond,
-    element by element; contour refuses |s| > ASYMPTOTIC_SWITCH.  `s` may be
+    element by element; contour refuses |s| > ASYMPTOTIC_SWITCH, and
+    gamma_integral k >= 0 and s < -ASYMPTOTIC_SWITCH.  `s` may be
     a scalar or an array; a scalar contour value goes through _memo, keyed by
     (float(k), float(s)).  Every auto value is the one its route gives for
     (k, s) in any table.
@@ -349,9 +330,8 @@ def ai_k(k, s, method="auto"):
         raise ValueError(f"unknown method {method!r}")
     _check_finite((k,), s)
     if method == "gamma_integral":
-        if np.ndim(s) > 0:
-            return np.array([_ai_k_gamma(k, v) for v in np.asarray(s, float)])
-        return _ai_k_gamma(k, s)
+        values = [_ai_k_gamma(k, x) for x in np.ravel(s).tolist()]
+        return values[0] if np.ndim(s) == 0 else np.reshape(values, np.shape(s))
     if method == "asymptotic":
         return ai_k_asymptotic(k, s)
     if method == "contour":

@@ -9,10 +9,10 @@ configuration and seed give byte-identical CSV output.
 
 Schema note: the manifest's "scipy" key is the version of the scipy module
 loaded in this process when the manifest is written, and null when none is.
-scipy is no longer a dependency, and the runtime imports it only for the
-gamma_integral Airy route; before, every run imported it and the key always
-held a version.  The version comes from the loaded module, not from the
-package metadata, whose lookup costs ~20 ms a run.
+scipy is no longer a dependency and no subcommand imports it, so the key is
+null in every CLI run; it is kept so that manifests keep one schema.  The
+version comes from the loaded module, not from the package metadata, whose
+lookup costs ~20 ms a run.
 
 Configuration can come from flags or a plain key=value file (--config);
 explicit flags win.  Ranges use start:stop:step, discrete sets use commas.

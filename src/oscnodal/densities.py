@@ -285,7 +285,7 @@ def omega_caustic_scaled(frame, u):
     ~105; an offset whose Ai_{-d/2}(s) is below the smallest normal float is
     refused with a ValueError, since the ratios are then not computable.
     An (m, d) array of offsets gives a list of m matrices from one
-    four-weight ai_k_family table.
+    three-weight ai_k_family table.
     """
     u = np.asarray(u, dtype=float)
     stack = [KacRiceMatrix(omega=w) for w in _caustic_omegas(frame, np.atleast_2d(u))]
@@ -298,15 +298,15 @@ def _caustic_omegas(frame, offsets):
     if d < 2:
         raise ValueError("the caustic matrix needs d >= 2")
     s = 2.0 * (offsets @ frame.x0)
-    base, second, first, lower = airy.ai_k_family(
-        (-d / 2.0, 2.0 - d / 2.0, 1.0 - d / 2.0, -1.0 - d / 2.0), s)
+    base, first, lower = airy.ai_k_family((-d / 2.0, 1.0 - d / 2.0, -1.0 - d / 2.0), s)
     small = np.flatnonzero(base < np.finfo(float).tiny)
     if small.size:
         s_i, base_i = float(s[small[0]]), float(base[small[0]])
         raise ValueError(f"caustic-tube offset <u, x0> = {s_i / 2.0!r}: Ai_{{-d/2}}({s_i!r}) = "
                          f"{base_i!r} is below the smallest normal float: Omega0 is not computable")
-    radial = second / base - (first / base) ** 2
     tangential = 0.5 * lower / base
+    # Ai_(2-d/2) / Ai_(-d/2) = s + d tangential: Ai_(k+2) = s Ai_k - k Ai_(k-1), by parts
+    radial = s + d * tangential - (first / base) ** 2
     return radial[:, np.newaxis, np.newaxis] * np.outer(frame.x0, frame.x0) \
         + tangential[:, np.newaxis, np.newaxis] * np.eye(d)
 

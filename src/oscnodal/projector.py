@@ -62,9 +62,10 @@ MEHLER_RADIUS_LIMIT = 1.3
 #: columns, a pair the 2d columns of the fold it may fall back to)
 _PASS_ENTRIES = 2 * 10**6
 
-#: the largest sum|terms| / |Pi| a planar sum is taken at; a pair beyond it
-#: is re-summed by the per-coordinate fold (DECISIONS.md)
-_PLANAR_CONDITION_MAX = 1e4
+#: the largest sum|terms| / |Pi| a planar sum is taken at: the planar error is
+#: about the longdouble eps times it, so an accepted value is within ~1e-9 (9.2e9
+#: on x86-64); a pair beyond it is re-summed by the per-coordinate fold (DECISIONS.md)
+_PLANAR_CONDITION_MAX = 1e-9 / float(np.finfo(np.longdouble).eps)
 
 #: pi_mehler's circle stays _RIM_MARGIN / (N + _RIM_MARGIN) inside the rim (N = 0
 #: takes _N0_RADIUS), and its default nodes put the upward aliases below e^-_ALIAS_LOG

@@ -1,8 +1,8 @@
 """Gauss-Legendre nodes and composite panel rules, shared by every quadrature.
 
-The Airy contours, the radial rule of Pi0, the composition windows, the
-d = 3 sphere rule and the tube-mass integrals all draw their nodes here, so
-each rule size is computed once per process.
+The Airy contours, the gamma_integral route of Ai_k, the radial rule of Pi0,
+the composition windows, the d = 3 sphere rule and the tube-mass integrals
+all draw their nodes here, so each rule size is computed once per process.
 """
 
 from __future__ import annotations

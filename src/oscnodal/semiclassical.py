@@ -35,6 +35,10 @@ import numpy as np
 
 _LOG2 = math.log(2.0)
 _LOG2E = 1.0 / _LOG2
+#: ln 2 in fixed point, floor(ln 2 * 2^_LN2_BITS) to within 2^-240 relative, from
+#: ln 2 = sum_k 1 / (k 2^k): exponents cross the base-2 / base-e edge in integers
+_LN2_BITS = 256
+_LN2_SCALED = sum((1 << _LN2_BITS) // (k << k) for k in range(1, _LN2_BITS + 1))
 _PI_M14 = math.pi ** -0.25
 #: pi, log2(e) and pi^(-1/4) in extended precision, for the longdouble route
 _PI_LD = np.longdouble("3.14159265358979323846264338327950288")
@@ -61,7 +65,8 @@ class TrackedReal:
     taken as they are and every rescaling is exact.  Arithmetic renormalizes
     the mantissa into [0.5, 1) (up to sign) with frexp; only the mantissa
     operation rounds.  to_base_e and from_base_e convert at the projector
-    CSV's mantissa * e**exponent edge.
+    CSV's mantissa * e**exponent edge, splitting exponent * ln 2 (or the
+    exponent / ln 2) in integers, so that only the mantissa rounds.
     """
 
     mantissa: float
@@ -86,16 +91,18 @@ class TrackedReal:
         mantissa = float(mantissa)
         if mantissa == 0.0:
             return TrackedReal(0.0, 0)
-        return TrackedReal.from_log(math.log(abs(mantissa)) + int(exponent),
-                                    math.copysign(1.0, mantissa))
+        twos, rest = divmod(int(exponent) << _LN2_BITS, _LN2_SCALED)
+        return TrackedReal(mantissa * math.exp(rest / (1 << _LN2_BITS)), twos).normalized()
 
     def to_base_e(self):
         """(mantissa, exponent) with value = mantissa * e**exponent, mantissa in [1, e)."""
         if self.mantissa == 0.0:
             return 0.0, 0
-        log_abs = int(self.exponent) * _LOG2 + math.log(abs(self.mantissa))
-        e = math.floor(log_abs)
-        return math.copysign(math.exp(log_abs - e), self.mantissa), int(e)
+        m, shift = math.frexp(abs(self.mantissa))
+        whole, frac = divmod((int(self.exponent) + shift) * _LN2_SCALED, 1 << _LN2_BITS)
+        rest = frac / (1 << _LN2_BITS) + math.log(m)
+        e = math.floor(rest)
+        return math.copysign(math.exp(rest - e), self.mantissa), whole + e
 
     def normalized(self):
         m, shift = math.frexp(self.mantissa)

@@ -142,6 +142,7 @@ class TestAiTaylorTable:
         s = np.concatenate([rng.uniform(-210.0, 115.0, 401),
                             [-200.0, -0.125, -0.0, 0.0, 0.125, 107.875, 108.0]])
         alone = [ai(x) for x in s.tolist()]
+        assert all(type(v) is float for v in alone + [ai(np.float64(0.5)), ai(np.array(0.5))])
         assert ai(s).tolist() == alone
         perm = rng.permutation(s.size)
         assert ai(s[perm]).tolist() == [alone[i] for i in perm]
@@ -165,11 +166,11 @@ class TestAiTaylorTable:
         assert counts.max() < airy._TAYLOR_TERMS
         assert np.all(c[np.arange(airy._TAYLOR_TERMS)[:, None] >= counts] == 0.0)
 
-    def test_gamma_integral_names_the_missing_scipy(self, monkeypatch):
+    def test_gamma_integral_runs_without_scipy(self, monkeypatch):
+        want = ai_k(-1.5, -3.2, method="gamma_integral")
         monkeypatch.setitem(sys.modules, "scipy", None)
         monkeypatch.setitem(sys.modules, "scipy.integrate", None)
-        with pytest.raises(ImportError, match="needs scipy"):
-            ai_k(-1.0, 0.0, method="gamma_integral")
+        assert ai_k(-1.5, -3.2, method="gamma_integral") == want
 
 
 class TestAiK:
@@ -453,8 +454,9 @@ class TestContourPath:
 
 class TestSharedContourExponential:
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_caustic_matrix_equals_four_scalar_weights(self, d):
-        # s = 2 u1 runs over [-12, 6]
+    def test_caustic_matrix_equals_three_scalar_weights(self, d):
+        # s = 2 u1 runs over [-12, 6]; Ai_(2-d/2) enters through the
+        # recurrence, Ai_(2-d/2) / Ai_(-d/2) = s + d tangential
         frame = CausticFrame.from_point(np.eye(d)[0])
         for u1 in np.arange(-6.0, 3.0 + 1e-9, 0.05):
             u = u1 * frame.x0
@@ -463,10 +465,19 @@ class TestSharedContourExponential:
             airy._memo.clear()
             s = 2.0 * frame.normal_component(u)
             base = ai_k(-d / 2.0, s)
-            radial = ai_k(2.0 - d / 2.0, s) / base - (ai_k(1.0 - d / 2.0, s) / base) ** 2
             tangential = 0.5 * ai_k(-1.0 - d / 2.0, s) / base
+            radial = s + d * tangential - (ai_k(1.0 - d / 2.0, s) / base) ** 2
             want = radial * np.outer(frame.x0, frame.x0) + tangential * np.eye(d)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_recurrence_lifts_the_weight_by_two(self, d):
+        # Ai_(k+2)(s) = s Ai_k(s) - k Ai_(k-1)(s) at k = -d/2, by parts on the
+        # contour: the tube's fourth weight is redundant
+        s = np.linspace(-10.0, 20.0, 121)
+        base, second, lower = airy.ai_k_family((-d / 2.0, 2.0 - d / 2.0, -1.0 - d / 2.0), s)
+        scale = np.maximum(np.abs(s * base), d / 2.0 * np.abs(lower))
+        assert np.max(np.abs(second - (s * base + d / 2.0 * lower)) / scale) <= 2e-14
 
     def test_family_fills_the_memo_that_ai_k_reads(self, monkeypatch):
         ks = (-1.5, 0.5, -0.5, -2.5)
@@ -751,3 +762,49 @@ class TestLeftExpansion:
                 ai_k(-1.5, bad)
             with pytest.raises(ValueError, match=r"s >= -1e\+10"):
                 ai(np.array([0.0, bad]))
+
+
+class TestGammaIntegral:
+    """The antiderivative form on one fixed Gauss-Legendre rule, reading ai alone."""
+
+    GRIDS = [(-1.5, np.arange(-40.0, 10.0 + 1e-9, 0.5))] + \
+        [(k, np.arange(-10.0, 10.0 + 1e-9, 0.5)) for k in (-0.5, -1.0, -2.0, -2.5)]
+
+    def test_matches_mpmath(self):
+        pytest.importorskip("mpmath")
+        for k, s in self.GRIDS:
+            got = ai_k(k, s, method="gamma_integral")
+            want = np.array([float(_mp_ai_k(k, x)) for x in s])
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14, k
+        for k in (-0.5, -1.5, -2.5):
+            for x in (-200.0, -150.3, -100.7, -60.2):   # deepest first (_mp_ai_k)
+                want = float(_mp_ai_k(k, x))
+                got = ai_k(k, x, method="gamma_integral")
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (k, x)
+
+    def test_value_is_the_same_alone_and_in_any_array(self):
+        rng = np.random.default_rng(26)
+        s = np.concatenate([rng.uniform(-200.0, 20.0, 24), [-200.0, -2.0, 0.0, 13.5]])
+        alone = [ai_k(-1.5, x, method="gamma_integral") for x in s.tolist()]
+        assert all(isinstance(v, float) for v in alone)
+        assert ai_k(-1.5, s, method="gamma_integral").tolist() == alone
+        perm = rng.permutation(s.size)
+        assert ai_k(-1.5, s[perm], method="gamma_integral").tolist() == [alone[i] for i in perm]
+        assert ai_k(-1.5, s.reshape(4, -1), method="gamma_integral").ravel().tolist() == alone
+
+    def test_reads_neither_the_contour_nor_an_expansion(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the gamma_integral route left ai's Taylor table")
+        for name in ("contour_integral", "_ai_k_contour", "_ai_k_left", "_family"):
+            monkeypatch.setattr(airy, name, forbidden)
+        airy._memo.clear()
+        assert math.isfinite(ai_k(-1.5, -200.0, method="gamma_integral"))
+        assert not airy._memo
+
+    def test_refuses_below_the_table(self):
+        assert math.isfinite(ai_k(-2.5, -200.0, method="gamma_integral"))
+        for bad in (np.nextafter(-200.0, -np.inf), -250.0):
+            with pytest.raises(ValueError, match=r"gamma_integral route takes s >= -200"):
+                ai_k(-1.5, bad, method="gamma_integral")
+            with pytest.raises(ValueError, match=r"s >= -200"):
+                ai_k(-1.5, np.array([0.0, bad]), method="gamma_integral")

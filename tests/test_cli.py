@@ -629,8 +629,7 @@ def test_extreme_inputs_end_without_a_traceback(tmp_path, argv):
 
 def test_runtime_imports_no_scipy(tmp_path):
     """No scipy module is loaded by importing the CLI, nor by pi0, caustic-tube
-    density and montecarlo runs; the gamma_integral route loads scipy.integrate
-    on first use, with unchanged values."""
+    density, montecarlo and gamma_integral Airy runs."""
     script = (
         "import json, sys\n"
         "def scipy_modules():\n"
@@ -642,25 +641,26 @@ def test_runtime_imports_no_scipy(tmp_path):
         "        ['density', '--regime', 'caustic-tube', '--d', '2', '--u1-range', '-3:3:0.5'],\n"
         "        ['density', '--regime', 'forbidden-bulk', '--d', '2', '--N', '40'],\n"
         "        ['montecarlo', '--statistic', 'nodal-length', '--d', '2', '--N', '20',\n"
-        "         '--seeds', '2']]\n"
+        "         '--seeds', '2'],\n"
+        "        ['airy', '--k', '-1.5', '--s', '-40:10:2.5', '--method', 'gamma_integral']]\n"
         "print([oscnodal.cli.main(argv + ['-o', 'out.csv']) for argv in runs])\n"
         "print(scipy_modules())\n"
         "print(json.load(open('out_manifest.json'))['scipy'])\n"
         "from oscnodal import ai_k\n"
         "print(repr(ai_k(-1.5, -3.2, method='gamma_integral')))\n"
         "print(repr(ai_k(-0.5, 1.0, method='gamma_integral')))\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "print(scipy_modules())\n"
     )
     done = _run_python(tmp_path, "-c", script)
-    at_import, statuses, after_runs, manifest_key, first, second, integrate_loaded = \
+    at_import, statuses, after_runs, manifest_key, first, second, after_gamma = \
         done.stdout.splitlines()
     assert at_import == "[]"
-    assert statuses == "[0, 0, 0, 0, 0]"
+    assert statuses == "[0, 0, 0, 0, 0, 0]"
     assert after_runs == "[]"
     assert manifest_key == "None"
     assert float(first) == ai_k(-1.5, -3.2, method="gamma_integral")
     assert float(second) == ai_k(-0.5, 1.0, method="gamma_integral")
-    assert integrate_loaded == "True"
+    assert after_gamma == "[]"
 
 
 def test_left_expansion_loads_neither_mpmath_nor_scipy(tmp_path):
@@ -676,9 +676,9 @@ def test_left_expansion_loads_neither_mpmath_nor_scipy(tmp_path):
 
 
 def test_readme_commands_run_without_scipy(tmp_path):
-    """With scipy unimportable, every command of the README block exits 0 and
-    writes a manifest whose scipy key is null; the gamma_integral route exits
-    1 and names the missing package."""
+    """With scipy unimportable, every command of the README block and a
+    gamma_integral Airy table exit 0 and write a manifest whose scipy key is
+    null; the gamma_integral route below s = -200 exits 1 and names its bound."""
     script = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
@@ -689,12 +689,16 @@ def test_readme_commands_run_without_scipy(tmp_path):
     commands = _readme_commands()
     assert ["-o", "pi.csv"] == commands[0][-2:]
     gamma = ["airy", "--k", "-1", "--s", "0,1", "--method", "gamma_integral", "-o", "g.csv"]
-    done = _run_python(tmp_path, "-c", script, json.dumps(commands + [gamma]))
+    below = ["airy", "--k", "-1", "--s", "-250,0", "--method", "gamma_integral", "-o", "b.csv"]
+    done = _run_python(tmp_path, "-c", script, json.dumps(commands + [gamma, below]))
     statuses, manifest_key = done.stdout.splitlines()[-2:]  # after the commands' own output
-    assert json.loads(statuses) == [0] * len(commands) + [1]
+    assert json.loads(statuses) == [0] * len(commands) + [0, 1]
     assert manifest_key == "None"
-    assert "gamma_integral route of ai_k needs scipy" in done.stderr
-    assert not (tmp_path / "g.csv").exists()
+    assert "the gamma_integral route takes s >= -200" in done.stderr
+    assert "Traceback" not in done.stderr
+    _, rows = read_table(tmp_path / "g.csv")
+    assert [row[2] for row in rows] == [ai_k(-1.0, s, method="gamma_integral") for s in (0.0, 1.0)]
+    assert not (tmp_path / "b.csv").exists()
 
 
 #: commands run one after another in one interpreter; the second projector

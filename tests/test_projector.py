@@ -336,7 +336,7 @@ class TestPiMehler:
                     ref = float(mp_kernel_planar(level, x, y))
                 else:
                     values, conditions = planar(level, [x], [y])
-                    if conditions[0] > _PLANAR_CONDITION_MAX:
+                    if conditions[0] > 1e4:
                         continue
                     ref = pi_exact(level, x, y).to_float()
                 with warnings.catch_warnings():
@@ -452,14 +452,25 @@ def matches_fold(level, x, y, v):
 
 
 def base_e_oracle(m, e2):
-    """A fold's base-2 pair as the base-e pair mantissa * e**exponent, by the
-    conversion the projector CSV was written with before TrackedReal was base 2."""
+    """A base-2 pair as the base-e pair mantissa * e**exponent, by the
+    conversion the projector CSV was written with before the integer split
+    of exponent * ln 2: log|value| as one float64."""
     m = float(m)
     if m == 0.0:
         return 0.0, 0
     log_abs = int(e2) * math.log(2.0) + math.log(abs(m))
     e = math.floor(log_abs)
     return math.copysign(math.exp(log_abs - e), m), int(e)
+
+
+def mp_base_e(t):
+    """A TrackedReal as the base-e pair (mantissa as an mpf, exponent) at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        log_abs = mpmath.log(abs(mp_value(t.mantissa, t.exponent)))
+        e = int(mpmath.floor(log_abs))
+        return mpmath.sign(t.mantissa) * mpmath.exp(log_abs - e), e
 
 
 class TestBatch:
@@ -492,16 +503,36 @@ class TestBatch:
 
     @pytest.mark.parametrize("d,n,count", [(2, 40, 12), (2, 1600, 12), (3, 40, 12), (3, 1600, 4)])
     def test_base_e_edge_matches_the_old_conversion(self, d, n, count):
-        # the CSV's base-e columns are bit for bit those of the old conversion,
-        # of the fold's base-2 pair at d <= 2 and of the batch's own from d = 3
+        # the CSV's base-e columns move from those of the old float64
+        # conversion by no more than its own rounding of log|value|
         level = level_new(d, n)
         rng = np.random.default_rng(60 + d)
         points = rng.standard_normal((2 * count, d))
         points *= (rng.uniform(0.0, 1.7, 2 * count) / np.linalg.norm(points, axis=1))[:, None]
         xs, ys = points[:count], points[count:]
         for x, y, v in zip(xs, ys, pi_exact_batch(level, xs, ys)):
-            base_2 = fold_per_coordinate(level, x, y) if d <= 2 else (v.mantissa, v.exponent)
-            assert v.to_base_e() == base_e_oracle(*base_2)
+            m, e = v.to_base_e()
+            old_m, old_e = base_e_oracle(v.mantissa, v.exponent)
+            assert e == old_e
+            assert abs(m - old_m) <= abs(m) * (4 * math.ulp(abs(v.log_abs()) + 1.0) + 1e-15)
+
+    def test_base_e_edge_is_exact_to_a_few_ulps(self):
+        # on the axis at N = 1600 the old float64 log|value| put the written
+        # mantissa 1.1e-14 off at |x| = 1.6, 5.9e-11 at 10, 1.9e-8 at 500 and
+        # 8.3e-4 at 1e5; the integer split of exponent * ln 2 keeps it within
+        # a few ulps, and reading it back returns the value to a few ulps
+        mpmath = pytest.importorskip("mpmath")
+        level = level_new(2, 1600)
+        for r in (1.6, 10.0, 500.0, 1e5):
+            v = pi_exact(level, (r, 0.0), (r, 0.0))
+            m, e = v.to_base_e()
+            want_m, want_e = mp_base_e(v)
+            assert e == want_e and 1.0 <= m < math.e
+            assert abs(m - want_m) <= 4 * math.ulp(m), r
+            back = TrackedReal.from_base_e(m, e)
+            with mpmath.workdps(50):
+                assert abs(mp_value(back.mantissa, back.exponent)
+                           / mp_value(v.mantissa, v.exponent) - 1) <= 4e-16, r
 
     def test_empty_pairs_csv_is_an_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -887,7 +918,7 @@ class TestPlanar:
         xs *= (rng.uniform(0.1, 1.6, 12) / np.linalg.norm(xs, axis=1))[:, None]
         ys = xs + 0.3 * rng.standard_normal((12, d))
         values, conditions = planar(level, xs, ys)
-        inside = conditions <= _PLANAR_CONDITION_MAX
+        inside = conditions <= 1e4
         assert inside.sum() >= 10
         for x, y, v in zip(xs[inside], ys[inside], values[inside]):
             want = tracked_value(per_coordinate(level, x, y))
@@ -910,6 +941,40 @@ class TestPlanar:
             assert same(v, pi_exact(level, x, y))
         for v in values[8:11]:
             assert v.mantissa > 0.0
+
+    @pytest.mark.parametrize("d,n", [(3, 200), (4, 400)])
+    def test_planar_sums_inside_the_bound_are_within_1e_9(self, d, n):
+        # pairs uniform in the ball |x|, |y| <= 1.1, x.y < 0 included: every
+        # one the planar sum takes is within 1e-9 of the 60-digit planar
+        # kernel, also where its condition is past 1e4
+        mpmath = pytest.importorskip("mpmath")
+        level = level_new(d, n)
+        rng = np.random.default_rng(26)
+        xs, ys = rng.standard_normal((2, 40, d))
+        for v in (xs, ys):
+            v *= (1.1 * rng.random(40) ** (1 / d) / np.linalg.norm(v, axis=1))[:, None]
+        _, conditions = planar(level, xs, ys)
+        inside = conditions <= _PLANAR_CONDITION_MAX
+        assert np.sum(inside & (conditions > 1e4)) >= 7
+        with mpmath.workdps(60):
+            for x, y, v in zip(xs[inside], ys[inside],
+                               pi_exact_batch(level, xs[inside], ys[inside])):
+                ref = mp_kernel_planar(level, x, y)
+                assert abs(mp_value(v.mantissa, v.exponent) / ref - 1) <= 1e-9, (x, y)
+
+    def test_planar_pair_the_old_bound_sent_to_the_fold(self):
+        # planar condition 1.0e9 at d = 3, N = 200: the fold that the old
+        # bound of 1e4 chose missed the 60-digit kernel by 2.2e-2
+        mpmath = pytest.importorskip("mpmath")
+        level = level_new(3, 200)
+        x = (0.3929247392747984, 0.9341691611811787, 0.37570266518945344)
+        y = (-0.8571385459211751, -0.4633913367651267, 0.38232716656311294)
+        assert 1e4 < planar(level, [x], [y])[1][0] <= _PLANAR_CONDITION_MAX
+        got = pi_exact(level, x, y)
+        assert pi_mehler(level, x, y) == pytest.approx(got.to_float(), rel=1e-8)
+        with mpmath.workdps(60):
+            ref = mp_kernel_planar(level, x, y)
+            assert abs(mp_value(got.mantissa, got.exponent) / ref - 1) <= 1e-9
 
     def test_ill_conditioned_pair_takes_the_fold(self):
         # the planar sum cancels by ~6e13 here and misses the 60-digit kernel
