@@ -445,6 +445,18 @@ class TestNodalLength:
             assert f_len == _marching_squares_length(f, dx, dy)
             assert c_len == _marching_squares_length(f[::2, ::2], 2 * dx, 2 * dy)
 
+    def test_lengths_are_pinned(self):
+        # seeds 1-4 at N = 60 in the default CLI box: the reprs of the CSV's
+        # values, so that basis and marching-squares rewrites keep them byte for byte
+        level = level_new(2, 60)
+        lengths, est = nodal_length_ensemble(level, range(1, 5), ((0.4, 0.6), (-0.1, 0.1)),
+                                             level.hbar / 8.0)
+        assert [repr(v) for v in lengths.tolist()] == [
+            "1.4324443269631117", "1.5196935978821209", "1.5499565868169505",
+            "1.4926017218315746"]
+        assert (repr(est.value), repr(est.std_error), repr(est.resolution)) == (
+            "1.4986740583734395", "0.02499161419102808", "0.0005122950819672131")
+
     def test_one_basis_and_one_evaluation_per_field(self, monkeypatch):
         calls = {"_tensor_basis": 0, "_grid_values": 0}
         for name in calls:
@@ -673,6 +685,37 @@ class TestRadialProfile:
                 assert a.value == b.value
             else:
                 assert abs(a.value - b.value) <= 3.0 * se
+
+    @pytest.mark.parametrize("n_rays, rows", [
+        (32, [("35.46875000000004", "1.8465726980454022"),
+              ("35.31250000000004", "1.036445246986064"),
+              ("30.62500000000004", "0.570544330734549"),
+              ("26.093750000000036", "1.5388840315306436"),
+              ("18.593750000000025", "1.2597277731716505"),
+              ("3.2812500000000044", "0.5915529526875294"),
+              ("0.31250000000000044", "0.18042195912175832"),
+              ("0.31250000000000044", "0.31250000000000044"),
+              ("0.15625000000000022", "0.15625000000000022"),
+              ("0.31250000000000044", "0.18042195912175832")]),
+        (30, [("37.33333333333338", "1.7638342073763968"),
+              ("35.33333333333338", "0.902670933848442"),
+              ("31.833333333333375", "0.9179284245476844"),
+              ("25.500000000000036", "0.31914236925211326"),
+              ("19.000000000000025", "1.1706281947614163"),
+              ("4.333333333333339", "1.0000000000000013"),
+              ("0.33333333333333376", "0.1924500897298755"),
+              ("0.33333333333333376", "0.1924500897298755"),
+              ("0.16666666666666688", "0.16666666666666688"),
+              ("0.0", "0.0")]),
+    ])
+    def test_rows_are_pinned(self, n_rays, rows):
+        # seeds 1-4 at N = 100 on the CLI's default radii, on both fan routes
+        # (4 | n_rays and not): the reprs of the CSV's values and errors
+        spec = EnsembleSpec(level=level_new(2, 100), seeds=(1, 2, 3, 4), n_rays=n_rays)
+        radii = [0.5 + i * 0.1 for i in range(10)]
+        profile = radial_zero_profile(spec, radii)
+        assert [(repr(e.value), repr(e.std_error)) for e in profile] == rows
+        assert {repr(e.resolution) for e in profile} == {"0.0006188118811881188"}
 
     @pytest.mark.parametrize("radii,half_width,message", [
         ([0.5, 0.5], None, "radii must be"), ([0.5, 0.7, 0.5], 0.05, "radii must be"),
