@@ -40,8 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .semiclassical import (
+    _RENORM,
     ResourceLimitError,
     _phi_mantexp,
+    _row_exponents,
     eigenspace_dim,
     multi_indices,
 )
@@ -163,9 +165,9 @@ def _point_basis(level, points):
     blocks = [slice(lo, lo + step) for lo in range(0, len(idx), step)]
     for rows in blocks:
         e = out[rows]
-        e[...] = axes[0][1][idx[rows, 0]]
+        e[...] = _row_exponents(axes[0][1], idx[rows, 0])
         for j in range(1, level.d):
-            e += axes[j][1][idx[rows, j]]
+            e += _row_exponents(axes[j][1], idx[rows, j])
     scale = out.max(axis=0)
     for rows in blocks:
         m = axes[0][0][idx[rows, 0]]
@@ -179,27 +181,25 @@ def _point_basis(level, points):
 
 
 def _pair_basis(mx, ex, my, ey):
-    """The d = 2 basis from an x table and a y table (mantissas, exponents).
+    """The d = 2 basis from an x table and a y table (mantissas, block exponents).
 
-    Row k is phi_k(x) phi_{N-k}(y): B = exp2(ex + ey[::-1] - scale) *
-    (mx * my[::-1]), with scale the per-point maximum of the exponent sums.
-    Any trailing point axes are kept; the tables may be strided views.  The
-    products are formed a block of rows at a time, so that the only full-size
-    array is B itself.
+    Row k is phi_k(x) phi_{N-k}(y) = mx[k] my[N-k] 2^(ex[k // 8] + ey[(N-k) // 8])
+    (semiclassical._row_exponents), so the rows that share both exponent
+    blocks (a run; about two per 8 rows) share one power of two:
+    B[run] = (mx * my[::-1])[run] * exp2(ex[k // 8] + ey[(N-k) // 8] - scale),
+    with scale the per-point maximum of the exponent sums.  Any trailing
+    point axes are kept; the tables may be strided views.
     """
-    my, ey = my[::-1], ey[::-1]
-    out = np.add(ex, ey, dtype=float)
-    scale = out.max(axis=0)
-    step = max(1, _BLOCK_ENTRIES * len(out) // out.size)
-    m = np.empty((step,) + out.shape[1:])
-    for lo in range(0, len(out), step):
-        b = out[lo:lo + step]
-        mb = m[:len(b)]
-        np.multiply(mx[lo:lo + step], my[lo:lo + step], out=mb)
-        b -= scale
-        np.exp2(b, out=b)
-        b *= mb
-    return out, scale.astype(np.int64)
+    n = len(mx) - 1
+    ends = [k for k in range(1, n + 2) if k % _RENORM == 0 or (n + 1 - k) % _RENORM == 0]
+    starts = np.array([0] + ends[:-1])
+    sums = _row_exponents(ex, starts) + _row_exponents(ey, n - starts)
+    scale = sums.max(axis=0)
+    np.subtract(sums, scale, out=sums)
+    out = np.multiply(mx, my[::-1])
+    for lo, hi, power in zip(starts, ends, np.exp2(sums)):
+        out[lo:hi] *= power
+    return out, scale
 
 
 def _tensor_basis(level, xs, ys):
@@ -216,8 +216,9 @@ def _tensor_basis(level, xs, ys):
         raise ResourceLimitError(
             "tensor-grid evaluation would underflow; the grid reaches too deep "
             "into the forbidden region for the plain-float fast path")
-    cx = np.ldexp(mx, ex)
-    cy = np.ldexp(my, ey)[::-1]
+    rows = np.arange(n + 1)
+    cx = np.ldexp(mx, _row_exponents(ex, rows))
+    cy = np.ldexp(my, _row_exponents(ey, rows))[::-1]
     return cx, cy
 
 
@@ -257,55 +258,53 @@ def _marching_squares_length(f, dx, dy):
     total.  The two ambiguous saddle cases are resolved by the sign of the
     bilinear center value (the sum of the four corners).
 
-    Only the crossing cells (case neither 0 nor 15) are gathered; their edge
+    A cell is crossed when its corner signs differ, i.e. when its bottom or
+    top edge or its left edge changes sign: two comparisons and two ors over
+    the grid.  Only the crossed cells are gathered; their case codes, edge
     crossings and one hypot per segment are computed on that subset.  The
     segment lengths are summed per group of _MS_GROUPS, each group in
     row-major cell order, and the group sums are added in table order: the
     same pairwise sums in the same order as a per-case masked pass over the
     whole grid, so the length is bit-identical to one.
     """
-    pos = (f >= 0).view(np.uint8)
-    case = (pos[:-1, :-1] | (pos[:-1, 1:] << 1)
-            | (pos[1:, 1:] << 2) | (pos[1:, :-1] << 3))
-    cells = np.flatnonzero((case != 0) & (case != 15))
-    code = case.ravel()[cells]
+    pos = f >= 0
+    across = pos[:, :-1] != pos[:, 1:]
+    crossed = across[:-1] | across[1:] | (pos[:-1, :-1] != pos[1:, :-1])
+    cells = np.flatnonzero(crossed)
     nx = f.shape[1]
     node = cells + cells // (nx - 1)   # flat index of each cell's bottom-left node
-    flat = f.ravel()
-    bl = flat[node]
-    br = flat[node + 1]
-    tr = flat[node + nx + 1]
-    tl = flat[node + nx]
+    bl, br, tr, tl = f.ravel().take(node + np.array([[0], [1], [nx + 1], [nx]]))
 
-    group = _MS_FIRST_GROUP[code]
+    code = ((bl >= 0).view(np.uint8) | ((br >= 0).view(np.uint8) << 1)
+            | ((tr >= 0).view(np.uint8) << 2) | ((tl >= 0).view(np.uint8) << 3))
+    group = _MS_FIRST_GROUP.take(code)
     saddle = np.flatnonzero((code == 5) | (code == 10))
     center = bl[saddle] + br[saddle] + tr[saddle] + tl[saddle]
     group[saddle[center < 0]] += 2
     seg_group = np.concatenate([group, group[saddle] + 1])
     seg_cell = np.concatenate([np.arange(len(cells)), saddle])
     order = np.argsort(seg_group, kind="stable")
-    seg_group = seg_group[order]
-    seg_cell = seg_cell[order]
+    seg_group = seg_group.take(order)
+    seg_cell = seg_cell.take(order)
 
+    # points[axis, edge, cell]: the crossing of each edge in cell units,
+    # edges 0 bottom (x, 0), 1 right (1, y), 2 top (x, 1), 3 left (0, y)
+    points = np.empty((2, 4, len(cells)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        xb = bl / (bl - br)   # bottom edge crossing, x in [0,1]
-        yr = br / (br - tr)   # right edge
-        xt = tl / (tl - tr)   # top edge
-        yl = bl / (bl - tl)   # left edge
-    one = np.ones_like(xb)
-    zero = np.zeros_like(xb)
-    # edge -> (x, y) in cell units, indexed [edge, cell]
-    ex = np.stack([xb, one, xt, zero])
-    ey = np.stack([zero, yr, one, yl])
-    e1 = _MS_EDGES[0][seg_group]
-    e2 = _MS_EDGES[1][seg_group]
-    ddx = (ex[e1, seg_cell] - ex[e2, seg_cell]) * dx
-    ddy = (ey[e1, seg_cell] - ey[e2, seg_cell]) * dy
-    lengths = np.hypot(ddx, ddy)
+        np.divide(bl, bl - br, out=points[0, 0])
+        np.divide(br, br - tr, out=points[1, 1])
+        np.divide(tl, tl - tr, out=points[0, 2])
+        np.divide(bl, bl - tl, out=points[1, 3])
+    points[0, 1] = points[1, 2] = 1.0
+    points[0, 3] = points[1, 0] = 0.0
+    points = points.reshape(2, -1)
+    ends = [edge.take(seg_group) * len(cells) + seg_cell for edge in _MS_EDGES]
+    delta = points.take(ends[0], axis=1) - points.take(ends[1], axis=1)
+    lengths = np.hypot(delta[0] * dx, delta[1] * dy)
     bounds = np.searchsorted(seg_group, np.arange(len(_MS_GROUPS) + 1))
     total = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        total += float(np.sum(lengths[lo:hi]))
+        total += float(np.add.reduce(lengths[lo:hi]))
     return total
 
 
@@ -341,9 +340,16 @@ def _check_box(box):
         raise ValueError(f"box sides must be positive, got {box}")
 
 
+def _check_step(name, step):
+    """Refuse a grid step that is not a positive finite number."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {step!r}")
+
+
 def _check_grid_step(level, box, grid_step):
     """The box-grid rule: grid_step <= hbar/8 where the box meets the allowed region."""
     _check_box(box)
+    _check_step("grid_step", grid_step)
     gaps = [0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)) for lo, hi in box]
     if gaps[0] ** 2 + gaps[1] ** 2 < 1.0 and grid_step > level.hbar / 8.0 * (1 + 1e-9):
         raise ValueError("grid_step must be <= hbar/8 inside the allowed region")
@@ -365,6 +371,7 @@ def nodal_length(field, box, grid_step):
         fine, coarse = _box_lengths(field.level, field.coeffs[None], box, grid_step)[:, 0].tolist()
     else:
         _check_box(box)
+        _check_step("grid_step", grid_step)
         xs, ys = _fine_axes(box, grid_step)
         pts = np.stack(np.meshgrid(xs, ys), axis=-1)
         f = field(pts.reshape(-1, 2)).reshape(pts.shape[:2])
@@ -458,15 +465,16 @@ def _fan_passes(n, n_base, n_rows, n_ts):
 def _fan_axes(level, n, angles, ts):
     """x and y tables of the fan points ts (cos theta_j, sin theta_j), theta_j = 2 pi j / n.
 
-    Each table is (mantissas, exponents) of shape (N + 1, len(angles), len(ts)).
-    When 4 | n, sin theta_j is defined as cos theta_(n/4 - j): the angles are a
-    symmetric block of _fan_passes, so the y table is the x table with its
-    angle axis reversed, and one recurrence serves both axes.  Otherwise one
-    recurrence runs over the x and y coordinates together.
+    Each table is (mantissas, block exponents) of _psi_mantexp's float64
+    route, with the point axis shaped (len(angles), len(ts)).  When 4 | n,
+    sin theta_j is defined as cos theta_(n/4 - j): the angles are a symmetric
+    block of _fan_passes, so the y table is the x table with its angle axis
+    reversed, and one recurrence serves both axes.  Otherwise one recurrence
+    runs over the x and y coordinates together.
     """
     theta = 2.0 * math.pi * angles / n
     x = np.cos(theta)[:, None] * ts
-    shape = (level.N + 1, len(angles), len(ts))
+    shape = (-1, len(angles), len(ts))
     if n % 4 == 0:
         m, e = _phi_mantexp(level.hbar, level.N, x.ravel())
         m, e = m.reshape(shape), e.reshape(shape)
@@ -556,8 +564,10 @@ def _circle_points(level, angular_step):
     step_cap = level.hbar ** (2.0 / 3.0) / 16.0
     if angular_step is None:
         angular_step = step_cap
-    elif angular_step > step_cap * (1 + 1e-9):
-        raise ValueError("angular_step must be <= hbar^(2/3)/16")
+    else:
+        _check_step("angular_step", angular_step)
+        if angular_step > step_cap * (1 + 1e-9):
+            raise ValueError("angular_step must be <= hbar^(2/3)/16")
     return 4 * int(math.ceil(2.0 * math.pi / angular_step / 4.0))
 
 
@@ -615,6 +625,8 @@ class EnsembleSpec:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.n_rays < 1:
             raise ValueError(f"a radial profile needs at least one ray, got n_rays = {self.n_rays}")
+        if self.t_step is not None:
+            _check_step("t_step", self.t_step)
 
 
 def radial_zero_profile(spec, radii, half_width=None):

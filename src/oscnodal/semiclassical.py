@@ -18,10 +18,13 @@ to TrackedReal; see TrackedReal.
 
 The recurrence has two routes, chosen by dtype alone (_psi_mantexp).  float64
 (Monte Carlo fields, jet grids: thousands of columns at N <= 400) steps one
-row at a time.  Extended precision (the exact kernels and jets: a few columns
-at N up to thousands) runs as transfers across blocks of _BLOCK = 32 rows, so
-a table of N rows costs ~8 * 32 + N / 3 array operations instead of ~3.6 N,
-at the per-step loop's accuracy; its mantissas come frexp-normalized, |m| < 1.
+row at a time and renormalizes every _RENORM = 8 rows, so its exponents come
+as one row per block of 8 (row k has exponent row k // 8; _row_exponents
+reads them per row).  Extended precision (the exact kernels and jets: a few
+columns at N up to thousands) runs as transfers across blocks of _BLOCK = 32
+rows, so a table of N rows costs ~8 * 32 + N / 3 array operations instead of
+~3.6 N, at the per-step loop's accuracy; its mantissas come frexp-normalized,
+|m| < 1, with one exponent per entry.
 _laguerre_mantexp tracks the Laguerre functions that the exact pair kernels
 at d >= 3 sum against (projector._planar_sums).
 """
@@ -255,39 +258,43 @@ def rescale_to_unit(x, E_general):
 
 #: rows per block of the extended-precision block-transfer recurrence
 _BLOCK = 32
+#: rows per renormalization block of the float64 per-step recurrence
+_RENORM = 8
 
 
 def _psi_mantexp(nmax, xi, dtype=np.float64):
     """psi_0..psi_nmax at the points xi, exponent tracked in base 2.
 
-    Returns (m, e) with value = m * 2**e elementwise, shapes (nmax+1, len(xi)).
+    Returns (m, e) with value = m * 2**e; m has shape (nmax+1, len(xi)).
     Each step is psi_{k+1} = (a_k xi) psi_k - b_k psi_{k-1} with
     a_k = sqrt(2/(k+1)) and b_k = sqrt(k/(k+1)); the route depends on the
     dtype alone, never on the batch, so every column depends on its own xi.
 
     float64 (Monte Carlo fields, jet grids: thousands of columns at small N,
     where per-step arithmetic dominates) runs the steps one row at a time,
-    written straight into m, and renormalizes the running pair every 8
-    steps; the per-step growth factor is at most ~sqrt(2)|xi| + 1, which
-    keeps mantissas inside float range for |xi| up to several hundred.  Any
-    other dtype (extended precision: a few columns at large N, where the
-    per-call overhead dominates) takes _psi_blocks, with mantissas
-    frexp-normalized, |m| < 1.
+    written straight into m, and renormalizes the running pair every
+    _RENORM = 8 steps; the per-step growth factor is at most ~sqrt(2)|xi| +
+    1, which keeps mantissas inside float range for |xi| up to several
+    hundred.  Its e holds one row per block of 8 rows, shape
+    (nmax // 8 + 1, len(xi)): row k of the table is m[k] * 2**e[k // 8]
+    (_row_exponents).  Any other dtype (extended precision: a few columns at
+    large N, where the per-call overhead dominates) takes _psi_blocks, with
+    mantissas frexp-normalized, |m| < 1, and e of m's shape.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=dtype))
     if np.dtype(dtype) != np.float64:
         return _psi_blocks(nmax, xi, dtype)
     npts = xi.size
     m = np.empty((nmax + 1, npts), dtype=dtype)
-    e = np.empty((nmax + 1, npts), dtype=np.int64)
-    ecur, m[0] = _psi_ground(xi, dtype)
+    e = np.empty((nmax // _RENORM + 1, npts), dtype=np.int64)
+    e[0], m[0] = _psi_ground(xi, dtype)
     a, b = _psi_coefficients(nmax, dtype)
     a, b = a[:, None], b[:, None]
-    a_xi = np.empty((8, npts), dtype=dtype)
+    a_xi = np.empty((_RENORM, npts), dtype=dtype)
     tmp = np.empty(npts, dtype=dtype)
     cur, prev = m[0], np.zeros(npts, dtype=dtype)
-    for k0 in range(0, nmax, 8):
-        k_end = min(k0 + 8, nmax)
+    for block, k0 in enumerate(range(0, nmax, _RENORM)):
+        k_end = min(k0 + _RENORM, nmax)
         np.multiply(a[k0:k_end], xi, out=a_xi[:k_end - k0])
         for k in range(k0, k_end):
             new = m[k + 1]
@@ -295,15 +302,18 @@ def _psi_mantexp(nmax, xi, dtype=np.float64):
             np.multiply(b[k], prev, out=tmp)
             np.subtract(new, tmp, out=new)
             prev, cur = cur, new
-        e[k0:k_end] = ecur
-        if k_end % 8 == 0:
+        if k_end % _RENORM == 0:
             _, sh = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
-            sh = sh.astype(np.int64)
-            np.ldexp(cur, -sh, out=cur)
-            prev = np.ldexp(prev, -sh)   # a copy: row k_end - 1 keeps its own scale
-            ecur = ecur + sh
-    e[nmax] = ecur
+            np.negative(sh, out=sh)
+            np.ldexp(cur, sh, out=cur)
+            prev = np.ldexp(prev, sh)   # a copy: row k_end - 1 keeps its own scale
+            np.subtract(e[block], sh, out=e[block + 1])
     return m, e
+
+
+def _row_exponents(e, rows):
+    """The exponents e[k // 8] of the rows k (an index array) of a float64 _psi_mantexp table."""
+    return e[np.asarray(rows) // _RENORM]
 
 
 def _psi_ground(xi, dtype):
@@ -427,9 +437,12 @@ def _psi_deriv_mantexp(nmax, xi, dtype=np.float64):
 
     psi_k' = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1}; runs the recurrence
     one degree past nmax and realigns the per-degree exponents exactly (powers
-    of two).  Returns (m, e, dm, de).
+    of two).  Returns (m, e, dm, de), all of shape (nmax+1, len(xi)), on both
+    routes.
     """
     m1, e1 = _psi_mantexp(nmax + 1, xi, dtype=dtype)
+    if np.dtype(dtype) == np.float64:
+        e1 = _row_exponents(e1, np.arange(nmax + 2))
     m = m1[: nmax + 1]
     e = e1[: nmax + 1]
     dm = np.empty_like(m)

@@ -34,6 +34,7 @@ from oscnodal.montecarlo import (
     _grid_values,
     _index_table,
     _marching_squares_length,
+    _pair_basis,
     _point_basis,
     _reflected_signs,
     _tensor_basis,
@@ -156,8 +157,10 @@ class TestSampleField:
 def _point_basis_d2_reference(level, points):
     """The two-axis d = 2 basis formula (the oracle for the product basis)."""
     n = level.N
+    rows = np.arange(n + 1) // 8   # the float64 tables hold one exponent row per 8 rows
     m1, e1 = _phi_mantexp(level.hbar, n, points[:, 0])
     m2, e2 = _phi_mantexp(level.hbar, n, points[:, 1])
+    e1, e2 = e1[rows], e2[rows]
     m = m1 * m2[::-1]
     e = e1 + e2[::-1]
     scale = e.max(axis=0)
@@ -252,7 +255,25 @@ class TestReflectionFold:
                 for (m, e), coord in (((mx, ex), np.cos(theta)), ((my, ey), y)):
                     ref_m, ref_e = _phi_mantexp(level.hbar, 60, np.outer(coord, radii).ravel())
                     assert np.array_equal(m.reshape(61, -1), ref_m)
-                    assert np.array_equal(e.reshape(61, -1), ref_e)
+                    assert np.array_equal(e.reshape(60 // 8 + 1, -1), ref_e)
+
+    @pytest.mark.parametrize("n_level", [37, 100, 400])
+    @pytest.mark.parametrize("n", [36, 30])   # the quarter-turn route (4 | n) and the other
+    def test_pair_basis_equals_exp2_per_entry(self, n_level, n):
+        # the block runs' one power of two per run against exp2 of every
+        # entry's exponent sum, on the per-row exponents e[k // 8]
+        level = level_new(2, n_level)
+        rows = np.arange(n_level + 1) // 8
+        n_base = n // 4 + 1 if n % 4 == 0 else n // 2 + 1
+        ts = np.array([0.3, 0.9, 1.0, 1.45])
+        for angles in _fan_passes(n, n_base, n_level + 1, len(ts))[0]:
+            mx, ex, my, ey = _fan_axes(level, n, angles, ts)
+            basis, scale = _pair_basis(mx, ex, my, ey)
+            e = ex[rows] + ey[rows][::-1]
+            ref_scale = e.max(axis=0)
+            ref = np.exp2((e - ref_scale).astype(float)) * (mx * my[::-1])
+            assert np.array_equal(basis, ref)
+            assert np.array_equal(scale, ref_scale) and scale.dtype == np.int64
 
     def test_comparisons_equal_the_signs_of_the_sums(self):
         level = level_new(2, 41)
@@ -560,6 +581,23 @@ class TestMarchingSquares:
                 _marching_squares_reference(f, 0.1, 0.2)
         assert _marching_squares_length(np.zeros((5, 6)), 0.1, 0.1) == 0.0
 
+    def test_single_row_or_column_of_cells_and_strided_views(self):
+        rng = np.random.default_rng(9)
+        for shape in ((2, 40), (40, 2), (2, 2), (3, 2), (2, 3)):
+            for _ in range(10):
+                f = rng.standard_normal(shape)
+                assert _marching_squares_length(f, 0.1, 0.2) == \
+                    _marching_squares_reference(f, 0.1, 0.2)
+        level = level_new(2, 60)
+        xs = _grid_axis(0.4, 0.6, level.hbar / 16.0)
+        ys = _grid_axis(-0.1, 0.1, level.hbar / 16.0)
+        cx, cy = _tensor_basis(level, xs, ys)
+        for seed in range(1, 4):
+            f = _grid_values(sample_field(level, seed).coeffs, cx, cy)
+            for view in (f[::2, ::2], f[1::3, ::2], f[:, :2], f[:2], f[::-1]):
+                assert _marching_squares_length(view, 0.3, 0.7) == \
+                    _marching_squares_reference(view, 0.3, 0.7)
+
     def test_constant_field(self):
         for value in (1.0, -1.0):
             f = np.full((7, 8), value)
@@ -726,6 +764,35 @@ class TestRadialProfile:
         spec = EnsembleSpec(level=level_new(2, 20), seeds=(1, 2), n_rays=4)
         with pytest.raises(ValueError, match=message):
             radial_zero_profile(spec, radii, half_width=half_width)
+
+
+class TestStepValidation:
+    """Grid steps must be positive and finite, and the error names the argument."""
+
+    BOX = ((0.4, 0.6), (-0.1, 0.1))
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+    def test_grid_step(self, step):
+        level = level_new(2, 20)
+        calls = (lambda: nodal_length(sample_field(level, 1), self.BOX, step),
+                 lambda: nodal_length_ensemble(level, [1, 2], self.BOX, step),
+                 lambda: nodal_length(lambda pts: pts[:, 0] - 0.5, self.BOX, step))
+        for call in calls:
+            with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+                call()
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_angular_step(self, step):
+        level = level_new(2, 20)
+        with pytest.raises(ValueError, match="angular_step must be positive and finite"):
+            caustic_crossings(sample_field(level, 1), angular_step=step)
+        with pytest.raises(ValueError, match="angular_step must be positive and finite"):
+            caustic_crossings_ensemble(level, [1, 2], angular_step=step)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+    def test_t_step(self, step):
+        with pytest.raises(ValueError, match="t_step must be positive and finite"):
+            EnsembleSpec(level=level_new(2, 20), seeds=(1, 2), n_rays=4, t_step=step)
 
 
 class TestNoForbiddenNodalDomain:

@@ -148,14 +148,14 @@ class TestHermiteAll:
         half = 6.0 * math.sqrt(level.energy) * 3.0
         xs, ws = gauss_legendre(-half, half, 2400)
         m, e = _phi_mantexp(level.hbar, level.N, xs)
-        vals = np.ldexp(m[k], e[k])
+        vals = np.ldexp(m[k], e[k // 8])
         assert float(np.sum(ws * vals * vals)) == pytest.approx(1.0, abs=1e-10)
 
     def test_gram_matrix_is_identity(self):
         level = level_new(1, 60)
         xs, ws = gauss_legendre(-3.0, 3.0, 2400)
         m, e = _phi_mantexp(level.hbar, level.N, xs)
-        basis = np.ldexp(m, e)
+        basis = np.ldexp(m, np.repeat(e, 8, axis=0)[:len(m)])
         gram = (basis * ws) @ basis.T
         assert np.max(np.abs(gram - np.eye(level.N + 1))) < 1e-8
 
@@ -181,7 +181,7 @@ class TestHermiteAll:
             m, e = _psi_mantexp(nmax, np.array([xi]))
             for k in (0, 137, 2500, 4000):
                 ref = psi_ref(k, xi)
-                got = mp.mpf(float(m[k, 0])) * mp.power(2, int(e[k, 0]))
+                got = mp.mpf(float(m[k, 0])) * mp.power(2, int(e[k // 8, 0]))
                 assert float(abs(got - ref) / abs(ref)) < 1e-10
 
 
@@ -278,18 +278,23 @@ def _recurrence_points(nmax):
 
 
 class TestPsiRecurrence:
-    @pytest.mark.parametrize("nmax,dtype", [(n, np.float64) for n in (0, 1, 7, 8, 9, 17, 400, 1601)]
+    @pytest.mark.parametrize("nmax,dtype", [(n, np.float64)
+                                            for n in (0, 1, 7, 8, 9, 17, 37, 400, 1601)]
                              + [(n, np.longdouble) for n in (0, 1, 7, 8, 9, 17)])
     def test_equals_per_step_reference(self, nmax, dtype):
         # the float64 route (Monte Carlo fields, jet grids) is the per-step
-        # loop; so is an extended table of one block (nmax < 32), up to the
-        # frexp that normalizes its mantissas
+        # loop, with one exponent row per block of 8 rows; so is an extended
+        # table of one block (nmax < 32), up to the frexp that normalizes its
+        # mantissas, with one exponent per entry
         xi = _recurrence_points(nmax)
         m, e = _psi_mantexp(nmax, xi.astype(dtype), dtype=dtype)
         m_ref, e_ref = psi_reference(nmax, xi.astype(dtype), dtype)
         assert m.dtype == m_ref.dtype and e.dtype == e_ref.dtype
         if dtype is np.longdouble:
             m, e = np.ldexp(m, e - e_ref), e_ref
+        else:
+            assert e.shape == (nmax // 8 + 1, xi.size)
+            e = np.array([e[k // 8] for k in range(nmax + 1)])
         assert np.array_equal(m, m_ref) and np.array_equal(e, e_ref)
         assert np.array_equal(np.signbit(m), np.signbit(m_ref))
 
