@@ -40,6 +40,7 @@ from oscnodal.densities import (
     c_d,
     chi_mean,
     density_grid,
+    mean_density_box,
     omega_allowed_annulus,
     omega_forbidden_annulus,
 )
@@ -459,6 +460,11 @@ class TestOmegaExact:
         for x, omega in zip(points, omegas):
             one = omega_exact(level, x)
             assert np.array_equal(omega.omega, one.omega)
+
+    def test_mean_density_box_value(self):
+        # pinned: the box average of the exact density over an hbar/6 grid
+        box = ((0.4, 0.6), (-0.1, 0.1))
+        assert mean_density_box(level_new(2, 60), box) == 37.260458686161435
 
     def test_density_grid_matches_pointwise(self):
         # allowed points, and forbidden ones where Omega is near rank one

@@ -541,6 +541,24 @@ def _marching_squares_reference(f, dx, dy):
     return total
 
 
+class TestTensorBasis:
+    def test_underflow_bound(self):
+        # refused once a block exponent (row 0's, floor(-xi^2 / (2 ln 2)), in
+        # the forbidden region) is below -980, on either axis
+        level = level_new(2, 60)
+        edge = math.sqrt(980 * 2.0 * math.log(2.0) * level.hbar)
+        inside, outside = edge * (1 - 1e-9), edge * (1 + 1e-9)
+        for x, e0 in ((inside, -980), (outside, -981)):
+            _, e = _phi_mantexp(level.hbar, level.N, [x])
+            assert e.min() == e[0, 0] == e0
+        cx, cy = _tensor_basis(level, [inside, 0.3], [0.0, -inside])
+        assert np.all(np.isfinite(cx)) and np.all(np.isfinite(cy))
+        assert np.all(cx[:, 0] != 0.0) and np.all(cy[:, 1] != 0.0)
+        for xs, ys in (([outside, 0.3], [0.0]), ([0.0], [0.1, -outside])):
+            with pytest.raises(ResourceLimitError, match="tensor-grid evaluation would underflow"):
+                _tensor_basis(level, xs, ys)
+
+
 class TestMarchingSquares:
     BOX = ((0.4, 0.6), (-0.1, 0.1))
 

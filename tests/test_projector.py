@@ -36,6 +36,7 @@ from oscnodal.semiclassical import (
     _laguerre_mantexp,
     _phi_deriv_mantexp,
     _phi_mantexp,
+    _psi_mantexp,
 )
 
 
@@ -719,6 +720,64 @@ class TestJetBatch:
             covariance_jet_batch(level, [[0.1, 0.2], [0.1, math.inf]])
 
 
+def jet_grid_float64_ladder(level, xs, ys):
+    """jet_grid as the float64 ladder built it: the tracked derivative table of
+    _psi_mantexp's float64 route (neighbours realigned to the larger exponent),
+    scaled by hbar^(-1/4) and hbar^(-3/4), then collapsed to plain floats."""
+    n, hb = level.N, np.float64(level.hbar)
+    k = np.arange(n + 1, dtype=np.float64)
+    lo, hi = np.sqrt(k / 2.0)[:, None], np.sqrt((k + 1) / 2.0)[:, None]
+    factors = []
+    for coords, step in ((xs, 1), (ys, -1)):
+        m1, e1 = _psi_mantexp(n + 1, np.asarray(coords, dtype=float) / np.sqrt(hb))
+        e1 = e1[np.arange(n + 2) // 8]
+        dm, de = np.empty_like(m1[:n + 1]), np.empty_like(e1[:n + 1])
+        dm[0], de[0] = -hi[0] * m1[1], e1[1]
+        eo = np.maximum(e1[:n], e1[2:])
+        dm[1:] = lo[1:] * np.ldexp(m1[:n], e1[:n] - eo) - hi[1:] * np.ldexp(m1[2:], e1[2:] - eo)
+        de[1:] = eo
+        phi = np.ldexp(m1[:n + 1] * hb ** np.float64(-0.25), e1[:n + 1])[::step]
+        dphi = np.ldexp(dm * hb ** np.float64(-0.75), de)[::step]
+        factors.append((phi * phi, phi * dphi, dphi * dphi))
+    (p1, d1, q1), (p2, d2, q2) = factors
+    return {"Pi": p2.T @ p1, "G1": p2.T @ d1, "G2": d2.T @ p1,
+            "H11": p2.T @ q1, "H22": q2.T @ p1, "H12": d2.T @ d1}
+
+
+class TestJetGrid:
+    @pytest.mark.parametrize("n,box", [(20, ((0.4, 0.6), (-0.1, 0.1))),
+                                       (60, ((0.4, 0.6), (-0.1, 0.1))),
+                                       (200, ((0.4, 0.6), (-0.1, 0.1))),
+                                       (100, ((1.2, 1.4), (-0.1, 0.1)))])
+    def test_equals_the_float64_ladder(self, n, box):
+        # the mean_density_box grid (step hbar/6), and one reaching |x| = 1.4
+        level = level_new(2, n)
+        (x0, x1), (y0, y1) = box
+        step = level.hbar / 6.0
+        xs = np.linspace(x0, x1, math.ceil((x1 - x0) / step) + 1)
+        ys = np.linspace(y0, y1, math.ceil((y1 - y0) / step) + 1)
+        got, want = projector.jet_grid(level, xs, ys), jet_grid_float64_ladder(level, xs, ys)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_underflow_bound(self):
+        # refused once a psi exponent (row 0's, floor(-xi^2 / (2 ln 2)), in the
+        # forbidden region) is below -500, on either axis
+        level = level_new(2, 60)
+        edge = math.sqrt(500 * 2.0 * math.log(2.0) * level.hbar)
+        inside, outside = edge * (1 - 1e-9), edge * (1 + 1e-9)
+        for x, e0 in ((inside, -500), (outside, -501)):
+            _, e = _phi_mantexp(level.hbar, level.N + 1, [x])
+            assert e.min() == e[0, 0] == e0
+        jets = projector.jet_grid(level, [inside, 0.3], [0.0, inside])
+        assert all(np.all(np.isfinite(v)) for v in jets.values())
+        assert jets["Pi"][0, 0] > 0.0 and jets["Pi"][1, 1] > 0.0
+        for xs, ys in (([outside, 0.3], [0.0]), ([0.0], [0.1, -outside])):
+            with pytest.raises(ResourceLimitError, match="jet_grid would underflow"):
+                projector.jet_grid(level, xs, ys)
+
+
 def tracked_values(pairs):
     """A tracked (mantissas, exponents) array as longdouble values."""
     m, e = pairs
@@ -853,6 +912,40 @@ def planar(level, xs, ys):
     return np.ldexp(total, top.astype(np.intc)), size / np.abs(total)
 
 
+def laguerre_per_row(jmax, alpha, z, log2_scale):
+    """The Laguerre recurrence as its own per-row loop wrote it: the running pair
+    renormalized every 8 steps, one exponent per row, one frexp at the end."""
+    dtype = np.longdouble
+    z = np.atleast_1d(np.asarray(z, dtype=dtype))
+    t = dtype(log2_scale) - z * (dtype(0.5) * (1 / np.log(dtype(2))))
+    ecur = np.floor(t).astype(np.int64)
+    m = np.empty((jmax + 1, z.size), dtype=dtype)
+    e = np.empty((jmax + 1, z.size), dtype=np.int64)
+    m[0] = np.exp2(t - ecur)
+    j = np.arange(jmax, dtype=dtype)[:, None]
+    slope = (2 * j + (1 + dtype(alpha)) - z) / (j + 1)
+    back = (j + dtype(alpha)) / (j + 1)
+    tmp = np.empty(z.size, dtype=dtype)
+    cur, prev = m[0], np.zeros(z.size, dtype=dtype)
+    for k0 in range(0, jmax, 8):
+        k_end = min(k0 + 8, jmax)
+        for k in range(k0, k_end):
+            new = m[k + 1]
+            np.multiply(slope[k], cur, out=new)
+            np.multiply(back[k], prev, out=tmp)
+            np.subtract(new, tmp, out=new)
+            prev, cur = cur, new
+        e[k0:k_end] = ecur
+        if k_end % 8 == 0:
+            _, sh = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+            np.ldexp(cur, -sh, out=cur)
+            prev = np.ldexp(prev, -sh)
+            ecur = ecur + sh
+    e[jmax] = ecur
+    m, sh = np.frexp(m)
+    return m, e + sh
+
+
 class TestPlanar:
     # Pi at d >= 3 as one sum in the plane of x and y, against the Laguerre
     # series' closed form and the per-coordinate fold
@@ -875,6 +968,16 @@ class TestPlanar:
                     ref = [scale * mpmath.laguerre(k, alpha, z) for k in (j - 1, j, j + 1)]
                     got = mp_value(m[j, col], e[j, col])
                     assert abs(got - ref[1]) <= 2e-15 * max(abs(v) for v in ref)
+
+    @pytest.mark.parametrize("jmax", [0, 1, 7, 8, 9, 100, 800])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0])
+    def test_laguerre_equals_per_row_loop(self, jmax, alpha):
+        zs = np.array([0.0, 1e-3, 0.7, 30.0, 450.0, 3000.0, 12000.0], dtype=np.longdouble)
+        m, e = _laguerre_mantexp(jmax, alpha, zs, -3.25)
+        m_ref, e_ref = laguerre_per_row(jmax, alpha, zs, -3.25)
+        assert m.dtype == m_ref.dtype and e.dtype == e_ref.dtype
+        assert np.array_equal(m, m_ref) and np.array_equal(e, e_ref)
+        assert np.array_equal(np.signbit(m), np.signbit(m_ref))
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_laguerre_series_is_the_fold(self, d):
