@@ -40,9 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .semiclassical import (
-    _RENORM,
     ResourceLimitError,
+    _pair_basis,
     _phi_mantexp,
+    _plain_floats,
     _row_exponents,
     eigenspace_dim,
     multi_indices,
@@ -180,46 +181,18 @@ def _point_basis(level, points):
     return out, scale.astype(np.int64)
 
 
-def _pair_basis(mx, ex, my, ey):
-    """The d = 2 basis from an x table and a y table (mantissas, block exponents).
-
-    Row k is phi_k(x) phi_{N-k}(y) = mx[k] my[N-k] 2^(ex[k // 8] + ey[(N-k) // 8])
-    (semiclassical._row_exponents), so the rows that share both exponent
-    blocks (a run; about two per 8 rows) share one power of two:
-    B[run] = (mx * my[::-1])[run] * exp2(ex[k // 8] + ey[(N-k) // 8] - scale),
-    with scale the per-point maximum of the exponent sums.  Any trailing
-    point axes are kept; the tables may be strided views.
-    """
-    n = len(mx) - 1
-    ends = [k for k in range(1, n + 2) if k % _RENORM == 0 or (n + 1 - k) % _RENORM == 0]
-    starts = np.array([0] + ends[:-1])
-    sums = _row_exponents(ex, starts) + _row_exponents(ey, n - starts)
-    scale = sums.max(axis=0)
-    np.subtract(sums, scale, out=sums)
-    out = np.multiply(mx, my[::-1])
-    for lo, hi, power in zip(starts, ends, np.exp2(sums)):
-        out[lo:hi] *= power
-    return out, scale
-
-
 def _tensor_basis(level, xs, ys):
     """Plain-float factor matrices Cx[k, ix] = phi_k(x), Cy[k, iy] = phi_{N-k}(y).
 
     Valid when the collapsed magnitudes stay inside double range; the deepest
     forbidden grids used here (|x| <= ~1.6 at N <= a few hundred) sit far above
-    the underflow threshold, which is checked.
+    the underflow threshold, which is checked (semiclassical._plain_floats).
     """
-    n = level.N
-    mx, ex = _phi_mantexp(level.hbar, n, np.asarray(xs, dtype=float))
-    my, ey = _phi_mantexp(level.hbar, n, np.asarray(ys, dtype=float))
-    if ex.min() < -980 or ey.min() < -980:
-        raise ResourceLimitError(
-            "tensor-grid evaluation would underflow; the grid reaches too deep "
-            "into the forbidden region for the plain-float fast path")
-    rows = np.arange(n + 1)
-    cx = np.ldexp(mx, _row_exponents(ex, rows))
-    cy = np.ldexp(my, _row_exponents(ey, rows))[::-1]
-    return cx, cy
+    refusal = ("tensor-grid evaluation would underflow; the grid reaches too deep "
+               "into the forbidden region for the plain-float fast path")
+    cx, cy = (_plain_floats(*_phi_mantexp(level.hbar, level.N, np.asarray(axis, dtype=float)),
+                            -980, refusal) for axis in (xs, ys))
+    return cx, cy[::-1]
 
 
 def _grid_values(coeffs, cx, cy, out=None, scaled=None):

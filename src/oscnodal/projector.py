@@ -50,6 +50,8 @@ from .semiclassical import (
     _laguerre_mantexp,
     _phi_deriv_mantexp,
     _phi_mantexp,
+    _plain_floats,
+    _psi_mantexp,
 )
 
 #: |x| cap for the residue-integral route; beyond this the circle integrand
@@ -208,7 +210,7 @@ def _radial_jet_sums(level, points):
     for start in range(0, len(points), per_pass):
         rows = slice(start, start + per_pass)
         r, col = np.unique(radii[rows], return_inverse=True)
-        m, e, dm, de = (t.T for t in _phi_deriv_mantexp(level.hbar, n, r, dtype=dtype))
+        m, e, dm, de = (t.T for t in _phi_deriv_mantexp(level.hbar, n, r))
         # Pi, g, H_rr, H_tt: phi phi, phi phi' and phi' phi' against D, phi phi against T
         for i, (p, p_e, q, q_e, deg, z_m, z_e) in enumerate((
                 (m, e, m, e, a, dz_m, dz_e), (m, e, dm, de, a, dz_m, dz_e),
@@ -325,19 +327,24 @@ def jet_grid(level, xs, ys):
     Returns a dict with arrays Pi, G1, G2, H11, H12, H22 of shape
     (len(ys), len(xs)).  The exact bulk density oscillates on scale hbar, so
     averages of Kac-Rice predictions over regions must resolve that scale;
-    this GEMM path makes such grids cheap.  Valid while the collapsed basis
-    magnitudes stay inside double range (grids within |x| <~ 1.6 at moderate
-    N), which is checked.
+    this GEMM path makes such grids cheap.  Each axis takes one float64 psi
+    table of N + 2 rows in plain floats (semiclassical._plain_floats, refused
+    once an exponent is below -500, i.e. beyond |x| ~1.6 at moderate N), the
+    ladder psi_k' = sqrt(k/2) psi_(k-1) - sqrt((k+1)/2) psi_(k+1) on it, and
+    the factors hbar^(-1/4) and hbar^(-3/4).
     """
     if level.d != 2:
         raise ValueError("jet_grid is d = 2 only")
+    n, hb = level.N, np.float64(level.hbar)
+    k = np.arange(n + 1, dtype=np.float64)
+    lo, hi = np.sqrt(k / 2.0)[:, None], np.sqrt((k + 1) / 2.0)[:, None]
     factors = []
     for coords, step in ((xs, 1), (ys, -1)):
-        m, e, dm, de = _phi_deriv_mantexp(level.hbar, level.N, np.asarray(coords, dtype=float))
-        if e.min() < -500 or de.min() < -500:
-            raise ResourceLimitError(
-                "jet_grid would underflow; use covariance_jet point by point")
-        phi, dphi = np.ldexp(m, e)[::step], np.ldexp(dm, de)[::step]
+        xi = np.asarray(coords, dtype=float) / np.sqrt(hb)
+        psi = _plain_floats(*_psi_mantexp(n + 1, xi), -500,
+                            "jet_grid would underflow; use covariance_jet point by point")
+        dpsi = np.vstack([-hi[0] * psi[1], lo[1:] * psi[:n] - hi[1:] * psi[2:]])
+        phi, dphi = (psi[:-1] * hb ** -0.25)[::step], (dpsi * hb ** -0.75)[::step]
         factors.append((phi * phi, phi * dphi, dphi * dphi))
     (p1, d1, q1), (p2, d2, q2) = factors
     return {"Pi": p2.T @ p1, "G1": p2.T @ d1, "G2": d2.T @ p1,

@@ -17,14 +17,16 @@ exp(-c/hbar), far below float underflow, so every value is carried as a
 to TrackedReal; see TrackedReal.
 
 The recurrence has two routes, chosen by dtype alone (_psi_mantexp).  float64
-(Monte Carlo fields, jet grids: thousands of columns at N <= 400) steps one
-row at a time and renormalizes every _RENORM = 8 rows, so its exponents come
-as one row per block of 8 (row k has exponent row k // 8; _row_exponents
-reads them per row).  Extended precision (the exact kernels and jets: a few
-columns at N up to thousands) runs as transfers across blocks of _BLOCK = 32
-rows, so a table of N rows costs ~8 * 32 + N / 3 array operations instead of
-~3.6 N, at the per-step loop's accuracy; its mantissas come frexp-normalized,
-|m| < 1, with one exponent per entry.
+(Monte Carlo fields, plain-float grids: thousands of columns at N <= 400)
+runs _renorm_steps, the one step loop, which _laguerre_mantexp shares: rows
+are written in place and the running pair is renormalized every _RENORM = 8
+rows, one exponent row per block of 8 rows.  Only this module reads that
+layout (_row_exponents, _plain_floats, _pair_basis).  Extended precision (the
+exact kernels and jets: a few columns at N up to thousands) runs as transfers
+across blocks of _BLOCK = 32 rows, so a table of N rows costs ~8 * 32 + N / 3
+array operations instead of ~3.6 N, at the per-step loop's accuracy; its
+mantissas come frexp-normalized, |m| < 1, with one exponent per entry.  The
+derivative ladder (_phi_deriv_mantexp) is extended precision only.
 _laguerre_mantexp tracks the Laguerre functions that the exact pair kernels
 at d >= 3 sum against (projector._planar_sums).
 """
@@ -270,36 +272,44 @@ def _psi_mantexp(nmax, xi, dtype=np.float64):
     a_k = sqrt(2/(k+1)) and b_k = sqrt(k/(k+1)); the route depends on the
     dtype alone, never on the batch, so every column depends on its own xi.
 
-    float64 (Monte Carlo fields, jet grids: thousands of columns at small N,
-    where per-step arithmetic dominates) runs the steps one row at a time,
-    written straight into m, and renormalizes the running pair every
-    _RENORM = 8 steps; the per-step growth factor is at most ~sqrt(2)|xi| +
-    1, which keeps mantissas inside float range for |xi| up to several
-    hundred.  Its e holds one row per block of 8 rows, shape
-    (nmax // 8 + 1, len(xi)): row k of the table is m[k] * 2**e[k // 8]
-    (_row_exponents).  Any other dtype (extended precision: a few columns at
-    large N, where the per-call overhead dominates) takes _psi_blocks, with
+    float64 (Monte Carlo fields, plain-float grids: thousands of columns at
+    small N) runs _renorm_steps; the per-step growth factor is at most
+    ~sqrt(2)|xi| + 1, which keeps mantissas inside float range for |xi| up
+    to several hundred.  Its e holds one row per block of 8 rows: row k of
+    the table is m[k] * 2**e[k // 8] (_row_exponents).  Any other dtype
+    (extended precision: a few columns at large N) takes _psi_blocks, with
     mantissas frexp-normalized, |m| < 1, and e of m's shape.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=dtype))
     if np.dtype(dtype) != np.float64:
         return _psi_blocks(nmax, xi, dtype)
-    npts = xi.size
-    m = np.empty((nmax + 1, npts), dtype=dtype)
-    e = np.empty((nmax // _RENORM + 1, npts), dtype=np.int64)
-    e[0], m[0] = _psi_ground(xi, dtype)
+    m = np.empty((nmax + 1, xi.size), dtype=dtype)
+    e0, m[0] = _psi_ground(xi, dtype)
     a, b = _psi_coefficients(nmax, dtype)
-    a, b = a[:, None], b[:, None]
-    a_xi = np.empty((_RENORM, npts), dtype=dtype)
-    tmp = np.empty(npts, dtype=dtype)
-    cur, prev = m[0], np.zeros(npts, dtype=dtype)
+    a_xi = np.empty((_RENORM, xi.size), dtype=dtype)
+    return m, _renorm_steps(
+        m, e0, lambda k0, k1: np.multiply(a[k0:k1, None], xi, out=a_xi[:k1 - k0]), b[:, None])
+
+
+def _renorm_steps(m, e0, slopes, back):
+    """Rows 1.. of m in place by m[k+1] = c_k m[k] - back[k] m[k-1] (m[-1] = 0), from row 0.
+
+    slopes(k0, k1) gives the rows c_k0..c_(k1-1) of one block of _RENORM
+    rows.  After each full block the running pair is renormalized by frexp,
+    so row k is m[k] * 2**e[k // _RENORM]; returns e, whose row 0 is e0.
+    """
+    nmax, npts = m.shape[0] - 1, m.shape[1]
+    e = np.empty((nmax // _RENORM + 1, npts), dtype=np.int64)
+    e[0] = e0
+    tmp = np.empty(npts, dtype=m.dtype)
+    cur, prev = m[0], np.zeros(npts, dtype=m.dtype)
     for block, k0 in enumerate(range(0, nmax, _RENORM)):
         k_end = min(k0 + _RENORM, nmax)
-        np.multiply(a[k0:k_end], xi, out=a_xi[:k_end - k0])
+        c = slopes(k0, k_end)
         for k in range(k0, k_end):
             new = m[k + 1]
-            np.multiply(a_xi[k - k0], cur, out=new)
-            np.multiply(b[k], prev, out=tmp)
+            np.multiply(c[k - k0], cur, out=new)
+            np.multiply(back[k], prev, out=tmp)
             np.subtract(new, tmp, out=new)
             prev, cur = cur, new
         if k_end % _RENORM == 0:
@@ -308,12 +318,42 @@ def _psi_mantexp(nmax, xi, dtype=np.float64):
             np.ldexp(cur, sh, out=cur)
             prev = np.ldexp(prev, sh)   # a copy: row k_end - 1 keeps its own scale
             np.subtract(e[block], sh, out=e[block + 1])
-    return m, e
+    return e
 
 
 def _row_exponents(e, rows):
-    """The exponents e[k // 8] of the rows k (an index array) of a float64 _psi_mantexp table."""
+    """The exponents e[k // 8] of the rows k (an index array) of a _renorm_steps table."""
     return e[np.asarray(rows) // _RENORM]
+
+
+def _plain_floats(m, e, floor, refusal):
+    """A float64 table as plain floats, m[k] 2**e[k // 8]; ResourceLimitError(refusal)
+    if an exponent is below floor (the grid's products would underflow)."""
+    if e.min() < floor:
+        raise ResourceLimitError(refusal)
+    return np.ldexp(m, _row_exponents(e, np.arange(len(m))))
+
+
+def _pair_basis(mx, ex, my, ey):
+    """The d = 2 basis from an x table and a y table of the float64 route.
+
+    Row k is phi_k(x) phi_{N-k}(y) = mx[k] my[N-k] 2^(ex[k // 8] + ey[(N-k) // 8]),
+    so the rows that share both exponent blocks (a run; about two per 8 rows)
+    share one power of two:
+    B[run] = (mx * my[::-1])[run] * exp2(ex[k // 8] + ey[(N-k) // 8] - scale),
+    with scale the per-point maximum of the exponent sums.  Any trailing
+    point axes are kept; the tables may be strided views.
+    """
+    n = len(mx) - 1
+    ends = [k for k in range(1, n + 2) if k % _RENORM == 0 or (n + 1 - k) % _RENORM == 0]
+    starts = np.array([0] + ends[:-1])
+    sums = _row_exponents(ex, starts) + _row_exponents(ey, n - starts)
+    scale = sums.max(axis=0)
+    np.subtract(sums, scale, out=sums)
+    out = np.multiply(mx, my[::-1])
+    for lo, hi, power in zip(starts, ends, np.exp2(sums)):
+        out[lo:hi] *= power
+    return out, scale
 
 
 def _psi_ground(xi, dtype):
@@ -432,36 +472,6 @@ def _psi_blocks(nmax, xi, dtype):
     return m.reshape(shape)[:rows], e.reshape(shape)[:rows]
 
 
-def _psi_deriv_mantexp(nmax, xi, dtype=np.float64):
-    """(psi_k, psi_k') for k <= nmax via the ladder relation.
-
-    psi_k' = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1}; runs the recurrence
-    one degree past nmax and realigns the per-degree exponents exactly (powers
-    of two).  Returns (m, e, dm, de), all of shape (nmax+1, len(xi)), on both
-    routes.
-    """
-    m1, e1 = _psi_mantexp(nmax + 1, xi, dtype=dtype)
-    if np.dtype(dtype) == np.float64:
-        e1 = _row_exponents(e1, np.arange(nmax + 2))
-    m = m1[: nmax + 1]
-    e = e1[: nmax + 1]
-    dm = np.empty_like(m)
-    de = np.empty_like(e)
-    k = np.arange(nmax + 1, dtype=dtype)
-    lo = np.sqrt(k / dtype(2.0))[:, None]
-    hi = np.sqrt((k + 1) / dtype(2.0))[:, None]
-    # k = 0: psi' = -sqrt(1/2) psi_1
-    dm[0] = -hi[0] * m1[1]
-    de[0] = e1[1]
-    # k >= 1: both neighbours realigned to the larger of their exponents
-    ea = e1[: nmax]
-    eb = e1[2:]
-    eo = np.maximum(ea, eb)
-    dm[1:] = lo[1:] * np.ldexp(m1[: nmax], ea - eo) - hi[1:] * np.ldexp(m1[2:], eb - eo)
-    de[1:] = eo
-    return m, e, dm, de
-
-
 def _phi_mantexp(hbar, nmax, xs, dtype=np.float64):
     """Scaled eigenfunctions phi_k(x) = hbar^(-1/4) psi_k(x/sqrt(hbar))."""
     hb = dtype(hbar)
@@ -471,12 +481,28 @@ def _phi_mantexp(hbar, nmax, xs, dtype=np.float64):
     return m, e
 
 
-def _phi_deriv_mantexp(hbar, nmax, xs, dtype=np.float64):
-    """phi_k and phi_k' = hbar^(-3/4) psi_k'(x/sqrt(hbar)), tracked."""
+def _phi_deriv_mantexp(hbar, nmax, xs):
+    """phi_k and phi_k' = hbar^(-3/4) psi_k'(x/sqrt(hbar)), k <= nmax, in extended precision.
+
+    The ladder psi_k' = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1} runs on
+    a table one degree past nmax, each derivative taking the larger of its
+    two neighbours' exponents (the realignment is exact, by powers of two).
+    Returns (m, e, dm, de), all of shape (nmax+1, len(xs)).
+    """
+    dtype = np.longdouble
     hb = dtype(hbar)
-    xi = np.asarray(xs, dtype=dtype) / np.sqrt(hb)
-    m, e, dm, de = _psi_deriv_mantexp(nmax, xi, dtype=dtype)
-    return m * hb ** dtype(-0.25), e, dm * hb ** dtype(-0.75), de
+    m1, e1 = _psi_mantexp(nmax + 1, np.asarray(xs, dtype=dtype) / np.sqrt(hb), dtype=dtype)
+    k = np.arange(nmax + 1, dtype=dtype)
+    lo, hi = np.sqrt(k / dtype(2.0))[:, None], np.sqrt((k + 1) / dtype(2.0))[:, None]
+    dm, de = np.empty_like(m1[:-1]), np.empty_like(e1[:-1])
+    # k = 0: psi' = -sqrt(1/2) psi_1
+    dm[0], de[0] = -hi[0] * m1[1], e1[1]
+    # k >= 1: both neighbours realigned to the larger of their exponents
+    ea, eb = e1[:nmax], e1[2:]
+    eo = np.maximum(ea, eb)
+    dm[1:] = lo[1:] * np.ldexp(m1[:nmax], ea - eo) - hi[1:] * np.ldexp(m1[2:], eb - eo)
+    de[1:] = eo
+    return m1[:-1] * hb ** dtype(-0.25), e1[:-1], dm * hb ** dtype(-0.75), de
 
 
 def _laguerre_mantexp(jmax, alpha, z, log2_scale):
@@ -485,40 +511,21 @@ def _laguerre_mantexp(jmax, alpha, z, log2_scale):
     Extended precision throughout.  The forward recurrence (j+1) L_{j+1} =
     (2j+1+alpha-z) L_j - (j+alpha) L_{j-1}, L_0 = 1, follows the polynomials,
     the recurrence's dominant solution for z > 0 (Gil, Segura & Temme 2007,
-    ch. 4).  As on _psi_mantexp's float64 route the running pair is
-    renormalized every 8 steps, and one frexp normalizes the table at the
-    end, |m| < 1; every column depends on its own z alone.  Returns (m, e),
-    shapes (jmax+1, len(z)).
+    ch. 4).  It runs in _renorm_steps, and one frexp normalizes the table at
+    the end, |m| < 1, with one exponent per row; every column depends on its
+    own z alone.  Returns (m, e), shapes (jmax+1, len(z)).
     """
     dtype = np.longdouble
     z = np.atleast_1d(np.asarray(z, dtype=dtype))
     t = dtype(log2_scale) - z * (dtype(0.5) * _LOG2E_LD)
-    ecur = np.floor(t).astype(np.int64)
+    e0 = np.floor(t).astype(np.int64)
     m = np.empty((jmax + 1, z.size), dtype=dtype)
-    e = np.empty((jmax + 1, z.size), dtype=np.int64)
-    m[0] = np.exp2(t - ecur)
-    j = np.arange(jmax, dtype=dtype)[:, None]
-    slope = (2 * j + (1 + dtype(alpha)) - z) / (j + 1)
-    back = (j + dtype(alpha)) / (j + 1)
-    tmp = np.empty(z.size, dtype=dtype)
-    cur, prev = m[0], np.zeros(z.size, dtype=dtype)
-    for k0 in range(0, jmax, 8):
-        k_end = min(k0 + 8, jmax)
-        for k in range(k0, k_end):
-            new = m[k + 1]
-            np.multiply(slope[k], cur, out=new)
-            np.multiply(back[k], prev, out=tmp)
-            np.subtract(new, tmp, out=new)
-            prev, cur = cur, new
-        e[k0:k_end] = ecur
-        if k_end % 8 == 0:
-            _, sh = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
-            np.ldexp(cur, -sh, out=cur)
-            prev = np.ldexp(prev, -sh)   # a copy: row k_end - 1 keeps its own scale
-            ecur = ecur + sh
-    e[jmax] = ecur
+    m[0] = np.exp2(t - e0)
+    j, a1 = np.arange(jmax, dtype=dtype)[:, None], 1 + dtype(alpha)
+    e = _renorm_steps(m, e0, lambda k0, k1: (2 * j[k0:k1] + a1 - z) / (j[k0:k1] + 1),
+                      (j + dtype(alpha)) / (j + 1))
     m, sh = np.frexp(m)
-    return m, e + sh
+    return m, _row_exponents(e, np.arange(jmax + 1)) + sh
 
 
 def _check_range(level, points):
@@ -546,5 +553,5 @@ def hermite_all(level, x):
 def hermite_deriv_all(level, x):
     """[phi_0'(x), ..., phi_N'(x)] via the ladder relation."""
     _check_range(level, [float(x)])
-    _, _, dm, de = _phi_deriv_mantexp(level.hbar, level.N, [float(x)], dtype=np.longdouble)
+    _, _, dm, de = _phi_deriv_mantexp(level.hbar, level.N, [float(x)])
     return [TrackedReal(float(dm[k, 0]), int(de[k, 0])) for k in range(level.N + 1)]

@@ -335,7 +335,7 @@ class TestOmegaExact:
         # the same fold totals, left unrounded and divided in longdouble; the
         # difference H/Pi - (G/Pi)^2 amplifies any error in the ratios by ~1/hbar
         level, ld = level_new(2, 1600), np.longdouble
-        m, e, dm, de = _phi_deriv_mantexp(level.hbar, level.N, np.array(x), dtype=ld)
+        m, e, dm, de = _phi_deriv_mantexp(level.hbar, level.N, np.array(x))
         val = [(m[:, j] * m[:, j], 2 * e[:, j]) for j in range(2)]
         mix = [(m[:, j] * dm[:, j], e[:, j] + de[:, j]) for j in range(2)]
         der = [(dm[:, j] * dm[:, j], 2 * de[:, j]) for j in range(2)]

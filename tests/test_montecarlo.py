@@ -34,13 +34,13 @@ from oscnodal.montecarlo import (
     _grid_values,
     _index_table,
     _marching_squares_length,
-    _pair_basis,
     _point_basis,
     _reflected_signs,
     _tensor_basis,
 )
 from oscnodal.semiclassical import (
     ResourceLimitError,
+    _pair_basis,
     _phi_mantexp,
     eigenspace_dim,
     multi_indices,

@@ -628,7 +628,7 @@ def jet_per_point(level, x):
     """The per-coordinate fold's jet at x, with its own basis recurrence over x's
     d coordinates: the oracle of the radial covariance_jet."""
     ld = np.longdouble
-    m, e, dm, de = _phi_deriv_mantexp(level.hbar, level.N, x, dtype=ld)
+    m, e, dm, de = _phi_deriv_mantexp(level.hbar, level.N, x)
     val = [(m[:, j] * m[:, j], 2 * e[:, j]) for j in range(level.d)]
     mix = [(m[:, j] * dm[:, j], e[:, j] + de[:, j]) for j in range(level.d)]
     der = [(dm[:, j] * dm[:, j], 2 * de[:, j]) for j in range(level.d)]
@@ -790,7 +790,7 @@ class TestZeroSeries:
 
     def axis_series(self, hbar):
         """(phi_k(0)^2, phi_k'(0)^2) for k <= N, tracked, from the recurrence."""
-        m, e, dm, de = _phi_deriv_mantexp(hbar, self.N, [0.0], dtype=np.longdouble)
+        m, e, dm, de = _phi_deriv_mantexp(hbar, self.N, [0.0])
         return (m[:, 0] ** 2, 2 * e[:, 0]), (dm[:, 0] ** 2, 2 * de[:, 0])
 
     def full(self, compact, parity):

@@ -394,7 +394,7 @@ class TestHermiteDerivAll:
         # psi_k' = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1}, one k at a time
         ld = np.longdouble
         hbar = level_new(2, n).hbar
-        m, e, dm, de = _phi_deriv_mantexp(hbar, n, xs, dtype=ld)
+        m, e, dm, de = _phi_deriv_mantexp(hbar, n, xs)
         pm, pe = _psi_mantexp(n + 1, np.asarray(xs, dtype=ld) / np.sqrt(ld(hbar)), dtype=ld)
         scale = ld(hbar) ** ld(-0.75)
         assert np.array_equal(de[0], pe[1])
