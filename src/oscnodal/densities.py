@@ -352,9 +352,14 @@ def _regime_omega(query, level):
     """(KacRiceMatrix, log sigma^2) of a query off the caustic tube."""
     frame, u, alpha, region = query.frame, np.asarray(query.u, float), query.alpha, query.region
     d = level.d
-    x = frame.x0 + u
-    r_sq = float(x @ x)
     u1 = frame.normal_component(u)
+    if region in (Region.ALLOWED_BULK, Region.FORBIDDEN_BULK):
+        x = frame.x0 + u
+        with np.errstate(over="ignore"):
+            r_sq = float(x @ x)
+        if not math.isfinite(r_sq * r_sq):   # the forbidden-bulk log takes |x|^2 (|x|^2 - 1)
+            raise ValueError(f"bulk point must have |x|^4 inside the float range, "
+                             f"got |x|^2 = {r_sq:.4g}")
     if region is Region.ALLOWED_BULK:
         if not 0.0 < r_sq < 1.0:
             raise ValueError("allowed_bulk point must satisfy 0 < |x| < 1")

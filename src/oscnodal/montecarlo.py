@@ -41,6 +41,7 @@ import numpy as np
 
 from .semiclassical import (
     ResourceLimitError,
+    _check_range,
     _pair_basis,
     _phi_mantexp,
     _plain_floats,
@@ -49,7 +50,8 @@ from .semiclassical import (
     multi_indices,
 )
 
-_DEFAULT_FIELD_BUDGET = 2 * 10**6
+#: the largest eigenspace dimension a field is drawn at
+_FIELD_BUDGET = 2 * 10**6
 #: basis entries (dim x points) one evaluation pass holds
 _PASS_ENTRIES = 1 << 22
 #: basis entries gathered at a time inside a pass, so that a block stays in cache
@@ -97,6 +99,7 @@ class RandomEigenfunction:
     def evaluate(self, points):
         """Field values at an array of points, shape (P, d) or (d,)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        _check_range(self.level, points)
         out = np.empty(len(points))
         for sl in _passes(self.level, len(points)):
             basis, scale = _point_basis(self.level, points[sl])
@@ -104,13 +107,13 @@ class RandomEigenfunction:
         return out
 
 
-def sample_field(level, seed, budget=_DEFAULT_FIELD_BUDGET):
+def sample_field(level, seed):
     """Draw a random eigenfunction; deterministic and bitwise stable in seed."""
-    coeffs = _draw_coeffs(level, [seed], budget)[0]
+    coeffs = _draw_coeffs(level, [seed])[0]
     return RandomEigenfunction(level=level, coeffs=coeffs, seed=int(seed))
 
 
-def _draw_coeffs(level, seeds, budget=_DEFAULT_FIELD_BUDGET):
+def _draw_coeffs(level, seeds):
     """Coefficient vectors, one row per seed: Generator(Philox(key=seed)).standard_normal(dim).
 
     One Philox is re-keyed for every seed.  Its state is set to the state a
@@ -119,9 +122,9 @@ def _draw_coeffs(level, seeds, budget=_DEFAULT_FIELD_BUDGET):
     sequence that building a bit generator costs.
     """
     dim = eigenspace_dim(level)
-    if dim > budget:
+    if dim > _FIELD_BUDGET:
         raise ResourceLimitError(
-            f"eigenspace dimension {dim} exceeds the sampling budget {budget}")
+            f"eigenspace dimension {dim} exceeds the sampling budget {_FIELD_BUDGET}")
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
@@ -323,6 +326,7 @@ def _check_grid_step(level, box, grid_step):
     """The box-grid rule: grid_step <= hbar/8 where the box meets the allowed region."""
     _check_box(box)
     _check_step("grid_step", grid_step)
+    _check_range(level, [[max(abs(lo), abs(hi)) for lo, hi in box]])   # the far corner
     gaps = [0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)) for lo, hi in box]
     if gaps[0] ** 2 + gaps[1] ** 2 < 1.0 and grid_step > level.hbar / 8.0 * (1 + 1e-9):
         raise ValueError("grid_step must be <= hbar/8 inside the allowed region")
@@ -626,6 +630,7 @@ def radial_zero_profile(spec, radii, half_width=None):
     t_lo = max(radii[0] - half_width, t_step)
     t_hi = radii[-1] + half_width
     ts = _grid_axis(t_lo, t_hi, t_step)
+    _check_range(level, ts[-1:, None])
     mids = 0.5 * (ts[1:] + ts[:-1])
     signs = _fan_signs(level, _ensemble_coeffs(level, spec.seeds), spec.n_rays, ts)
     changes = (signs[..., 1:] != signs[..., :-1]).sum(axis=1, dtype=np.int32)

@@ -335,13 +335,14 @@ def jet_grid(level, xs, ys):
     """
     if level.d != 2:
         raise ValueError("jet_grid is d = 2 only")
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    _check_range(level, [[np.abs(xs).max(), np.abs(ys).max()]])   # the far corner
     n, hb = level.N, np.float64(level.hbar)
     k = np.arange(n + 1, dtype=np.float64)
     lo, hi = np.sqrt(k / 2.0)[:, None], np.sqrt((k + 1) / 2.0)[:, None]
     factors = []
     for coords, step in ((xs, 1), (ys, -1)):
-        xi = np.asarray(coords, dtype=float) / np.sqrt(hb)
-        psi = _plain_floats(*_psi_mantexp(n + 1, xi), -500,
+        psi = _plain_floats(*_psi_mantexp(n + 1, coords / np.sqrt(hb)), -500,
                             "jet_grid would underflow; use covariance_jet point by point")
         dpsi = np.vstack([-hi[0] * psi[1], lo[1:] * psi[:n] - hi[1:] * psi[2:]])
         phi, dphi = (psi[:-1] * hb ** -0.25)[::step], (dpsi * hb ** -0.75)[::step]

@@ -282,28 +282,32 @@ def _pi0_grid(frame, point, w1, w2, p, wp):
     return pref * np.real((c[:, None] * a).T @ e)
 
 
-def _panel_grid(lo, hi, max_freq, nodes_per_panel=12):
+#: compose_pi0's Gauss-Legendre nodes per panel and the upper cut of its w1 window
+_NODES_PER_PANEL, _W1_UPPER = 12, 8.0
+
+
+def _panel_grid(lo, hi, max_freq):
     width = max(0.1, 2.0 / (1.0 + max_freq / 6.0))
     n_panels = int(math.ceil((hi - lo) / width))
-    return quadrature.panels(np.linspace(lo, hi, n_panels + 1), nodes_per_panel)
+    return quadrature.panels(np.linspace(lo, hi, n_panels + 1), _NODES_PER_PANEL)
 
 
-def compose_pi0(frame, u, v, window=25.0, w1_upper=8.0):
+def compose_pi0(frame, u, v, window=25.0):
     """Numerically compose Pi0 with itself over a truncated window (d = 2).
 
     Returns (composed, direct) where composed = int Pi0(u,w) Pi0(w,v) dw over
-    w1 in [-window, w1_upper], w2 in [-window, window], and direct = Pi0(u,v).
+    w1 in [-window, _W1_UPPER], w2 in [-window, window], and direct = Pi0(u,v).
     Pi0 is the energy-0 spectral density of a continuum, not an L2 projector,
     so composed does not tend to direct.  The w2 integral pairs Airy modes by
     delta(p - q), and the w1 integral of mode p is
 
-        2^(1/3) [G(2^(1/3)(p^2/2 - window)) - G(2^(1/3)(w1_upper + p^2/2))],
+        2^(1/3) [G(2^(1/3)(p^2/2 - window)) - G(2^(1/3)(_W1_UPPER + p^2/2))],
         G(t) = Ai'(t)^2 - t Ai(t)^2,
 
     which tends to sqrt(2 window)/pi.  Hence composed = (sqrt(2 window)/pi)
     direct (1 + O(1/window)), with one factor for every (u, v).  The
     positive-w1 side decays superexponentially (hence the asymmetric cut at
-    +8) while the negative side carries an oscillatory |w1|^(-1/2) envelope.
+    _W1_UPPER = 8) while the negative side carries an oscillatory |w1|^(-1/2) envelope.
     """
     if frame.d != 2:
         raise ValueError("the composition check is implemented for d = 2")
@@ -313,7 +317,7 @@ def compose_pi0(frame, u, v, window=25.0, w1_upper=8.0):
     p_max = math.sqrt(2.0 * max(1.0, _AIRY_NEGLIGIBLE_ARG * 2.0 ** (-1.0 / 3.0) - m))
     p, wp = _panel_grid(-p_max, p_max, 2.0 * window + 2.2 * p_max)
     osc = math.sqrt(2.0 * window)  # largest Airy oscillation rate on the grid
-    w1, ww1 = _panel_grid(-window, w1_upper, osc + 2.0)
+    w1, ww1 = _panel_grid(-window, _W1_UPPER, osc + 2.0)
     w2, ww2 = _panel_grid(-window, window, p_max)
     gu = _pi0_grid(frame, u, w1, w2, p, wp)
     gv = _pi0_grid(frame, v, w1, w2, p, wp)

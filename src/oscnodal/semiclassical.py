@@ -125,7 +125,9 @@ class TrackedReal:
     def log_abs(self):
         if self.mantissa == 0.0:
             raise ValueError("log of zero")
-        return math.log(abs(self.mantissa)) + self.exponent * _LOG2
+        # normalize first: an unnormalized mantissa's log would cancel against the exponent's
+        m, shift = math.frexp(abs(self.mantissa))
+        return math.log(m) + (self.exponent + shift) * _LOG2
 
     @property
     def sign(self):

@@ -184,6 +184,30 @@ class TestDensityCommand:
                         "--with-exact", "--tolerance", "1e-12")
         assert status == 2
 
+    @pytest.mark.parametrize("regime,u1", [("forbidden-bulk", "1e300"),
+                                           ("forbidden-bulk", "1e150"),
+                                           ("allowed-bulk", "-1e300")])
+    def test_bulk_point_beyond_float_range_is_a_usage_error(self, tmp_path, capsys,
+                                                            regime, u1):
+        # |x|^2 (|x|^2 - 1) used to overflow into a from_log traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run(tmp_path, "density", "--regime", regime, "--u1-range", u1)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bulk point must have |x|^4 inside the float range" in err
+        assert not out.exists()
+
+    def test_far_forbidden_annulus_point_forms_no_norm(self, tmp_path):
+        # the annuli read <u, x0> alone; |x|^2 used to overflow in a matmul warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run(tmp_path, "density", "--regime", "forbidden-annulus",
+                              "--u1-range", "1e300")
+        assert status == 0
+        header, rows = read_table(out)
+        assert math.isfinite(rows[0][header.index("predicted_density_log")])
+
     def test_caustic_tube_refuses_an_underflowing_offset(self, tmp_path, capsys):
         for u1 in ("53:53:1", "-1,60"):
             status, out = run(tmp_path, "density", "--regime", "caustic-tube", "--d", "2",
@@ -305,6 +329,22 @@ class TestMonteCarloCommand:
                               "--d", "2", "--N", "20", "--seeds", "2", "--radii", radii)
         assert status == 1
         assert "radii must be positive and distinct" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [("radial-profile", "--radii", "1e300"),
+                                      ("nodal-length", "--box-x", "1e9")])
+    def test_points_beyond_the_recurrence_range_are_a_usage_error(self, tmp_path, capsys,
+                                                                  args):
+        # the largest ray point and the far box corner: a numpy cast warning
+        # and exit 0 before the range check
+        statistic, *flags = args
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run(tmp_path, "montecarlo", "--statistic", statistic,
+                              "--d", "2", "--N", "20", "--seeds", "2", *flags)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "points must have |x| <= 2^30 sqrt(hbar)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("statistic", ["nodal-length", "caustic-crossings"])

@@ -88,6 +88,13 @@ class TestSampleField:
             with pytest.raises(KeyError):
                 field.coefficient(beta)
 
+    def test_evaluate_refuses_points_off_the_range(self):
+        field = sample_field(level_new(2, 20), 3)
+        with pytest.raises(ValueError, match="finite"):
+            field.evaluate([[math.inf, 0.0]])
+        with pytest.raises(ValueError, match="2\\^30 sqrt"):
+            field.evaluate([[0.1, 0.2], [1e9, 0.0]])
+
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             sample_field(level_new(3, 3000), 0)

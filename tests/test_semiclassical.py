@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscnodal import (
@@ -118,6 +118,7 @@ class TestTrackedReal:
         assert TrackedReal(-0.5, 1025).to_float() == -math.inf
 
     @given(st.floats(min_value=-700.0, max_value=700.0), st.integers(-10**4, 10**4))
+    @example(log_m=-214.0, e=339)   # an unnormalized mantissa: log_abs must not cancel
     def test_base_e_edge(self, log_m, e):
         # mantissa * e**exponent, mantissa in [1, e): the projector CSV's format
         value = TrackedReal(math.exp(log_m), e)
