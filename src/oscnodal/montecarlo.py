@@ -193,8 +193,8 @@ def _tensor_basis(level, xs, ys):
     """
     refusal = ("tensor-grid evaluation would underflow; the grid reaches too deep "
                "into the forbidden region for the plain-float fast path")
-    cx, cy = (_plain_floats(*_phi_mantexp(level.hbar, level.N, np.asarray(axis, dtype=float)),
-                            -980, refusal) for axis in (xs, ys))
+    tables = [_phi_mantexp(level.hbar, level.N, np.asarray(axis, dtype=float)) for axis in (xs, ys)]
+    cx, cy = (_plain_floats(m, e, -980, refusal) for m, e in tables)
     return cx, cy[::-1]
 
 

@@ -286,23 +286,24 @@ def _psi_mantexp(nmax, xi, dtype=np.float64):
     if np.dtype(dtype) != np.float64:
         return _psi_blocks(nmax, xi, dtype)
     m = np.empty((nmax + 1, xi.size), dtype=dtype)
-    e0, m[0] = _psi_ground(xi, dtype)
+    e = np.empty((nmax // _RENORM + 1, xi.size), dtype=np.int64)
+    e[0], m[0] = _psi_ground(xi, dtype)
     a, b = _psi_coefficients(nmax, dtype)
     a_xi = np.empty((_RENORM, xi.size), dtype=dtype)
-    return m, _renorm_steps(
-        m, e0, lambda k0, k1: np.multiply(a[k0:k1, None], xi, out=a_xi[:k1 - k0]), b[:, None])
+    _renorm_steps(m, e, lambda k0, k1: np.multiply(a[k0:k1, None], xi, out=a_xi[:k1 - k0]),
+                  b[:, None])
+    return m, e
 
 
-def _renorm_steps(m, e0, slopes, back):
+def _renorm_steps(m, e, slopes, back):
     """Rows 1.. of m in place by m[k+1] = c_k m[k] - back[k] m[k-1] (m[-1] = 0), from row 0.
 
     slopes(k0, k1) gives the rows c_k0..c_(k1-1) of one block of _RENORM
     rows.  After each full block the running pair is renormalized by frexp,
-    so row k is m[k] * 2**e[k // _RENORM]; returns e, whose row 0 is e0.
+    so row k is m[k] * 2**e[k // _RENORM]: e, of (len(m) - 1) // _RENORM + 1
+    rows, comes with row 0 set and gets the others.
     """
     nmax, npts = m.shape[0] - 1, m.shape[1]
-    e = np.empty((nmax // _RENORM + 1, npts), dtype=np.int64)
-    e[0] = e0
     tmp = np.empty(npts, dtype=m.dtype)
     cur, prev = m[0], np.zeros(npts, dtype=m.dtype)
     for block, k0 in enumerate(range(0, nmax, _RENORM)):
@@ -320,7 +321,6 @@ def _renorm_steps(m, e0, slopes, back):
             np.ldexp(cur, sh, out=cur)
             prev = np.ldexp(prev, sh)   # a copy: row k_end - 1 keeps its own scale
             np.subtract(e[block], sh, out=e[block + 1])
-    return e
 
 
 def _row_exponents(e, rows):
@@ -520,12 +520,13 @@ def _laguerre_mantexp(jmax, alpha, z, log2_scale):
     dtype = np.longdouble
     z = np.atleast_1d(np.asarray(z, dtype=dtype))
     t = dtype(log2_scale) - z * (dtype(0.5) * _LOG2E_LD)
-    e0 = np.floor(t).astype(np.int64)
     m = np.empty((jmax + 1, z.size), dtype=dtype)
-    m[0] = np.exp2(t - e0)
+    e = np.empty((jmax // _RENORM + 1, z.size), dtype=np.int64)
+    e[0] = np.floor(t)
+    m[0] = np.exp2(t - e[0])
     j, a1 = np.arange(jmax, dtype=dtype)[:, None], 1 + dtype(alpha)
-    e = _renorm_steps(m, e0, lambda k0, k1: (2 * j[k0:k1] + a1 - z) / (j[k0:k1] + 1),
-                      (j + dtype(alpha)) / (j + 1))
+    _renorm_steps(m, e, lambda k0, k1: (2 * j[k0:k1] + a1 - z) / (j[k0:k1] + 1),
+                  (j + dtype(alpha)) / (j + 1))
     m, sh = np.frexp(m)
     return m, _row_exponents(e, np.arange(jmax + 1)) + sh
 
