@@ -524,9 +524,9 @@ def _laguerre_mantexp(jmax, alpha, z, log2_scale):
     e = np.empty((jmax // _RENORM + 1, z.size), dtype=np.int64)
     e[0] = np.floor(t)
     m[0] = np.exp2(t - e[0])
-    j, a1 = np.arange(jmax, dtype=dtype)[:, None], 1 + dtype(alpha)
-    _renorm_steps(m, e, lambda k0, k1: (2 * j[k0:k1] + a1 - z) / (j[k0:k1] + 1),
-                  (j + dtype(alpha)) / (j + 1))
+    j = np.arange(jmax, dtype=dtype)[:, None]
+    slope = (2 * j + (1 + dtype(alpha)) - z) / (j + 1)
+    _renorm_steps(m, e, lambda k0, k1: slope[k0:k1], (j + dtype(alpha)) / (j + 1))
     m, sh = np.frexp(m)
     return m, _row_exponents(e, np.arange(jmax + 1)) + sh
 
