@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oscnodal
-from oscnodal import ai_k, cli, level_new, pi_exact
+from oscnodal import ai_k, cli, densities, level_new, pi_exact
 from oscnodal.cli import main, read_table
 
 
@@ -297,6 +297,26 @@ class TestScalingSweepCommand:
         assert status == 0
         _, rows = read_table(out)
         assert [(row[1], row[4]) for row in rows] == [(3, 1.0), (3, 1.0)]
+
+
+    @pytest.mark.parametrize("d,point,ns", [
+        *((2, point, "100,200,400,800,1600") for point in
+          ("allowed", "allowed-annulus", "caustic", "forbidden-annulus", "forbidden")),
+        (3, "caustic", "100,200,400,800,1600"),
+        (2, "forbidden", "1600,100,400,100,800"),
+    ])
+    def test_log_density_equals_per_level_omega_exact(self, tmp_path, d, point, ns):
+        # each row is the density of its own level's omega_exact, to the bit
+        extra = ("--s", "4") if point == "allowed-annulus" else ()
+        status, out = run(tmp_path, "scaling-sweep", "--d", str(d), "--N", ns,
+                          "--point", point, *extra)
+        assert status == 0
+        rows = read_table(out)[1]
+        assert [row[2] for row in rows] == [int(n) for n in ns.split(",")]
+        omegas = [densities.omega_exact(level_new(d, row[2]), row[4] * np.eye(d)[0]).omega
+                  for row in rows]
+        want = [math.log(f) for f in densities.kac_rice_density_batch(omegas).tolist()]
+        assert [row[5] for row in rows] == want
 
 
 class TestMonteCarloCommand:

@@ -720,6 +720,54 @@ class TestJetBatch:
             covariance_jet_batch(level, [[0.1, 0.2], [0.1, math.inf]])
 
 
+def row_sums_exp2(mant, exp):
+    """_row_sums as exp2 built it: each summand times exp2 of its exponent's
+    difference from the row's top, converted to the mantissa's dtype."""
+    top = exp.max(axis=-1, initial=projector._ZERO_EXPONENT)
+    terms = np.multiply(mant, np.exp2((exp - top[..., None]).astype(mant.dtype)), order="C")
+    return terms.sum(axis=-1), top, terms
+
+
+def same_bits(a, b):
+    """Equal as arrays, with the sign of every zero equal too."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestRowSums:
+    #: exponent differences from a row's top: both ends of the longdouble
+    #: normal and subnormal ranges, and _ZERO_EXPONENT's
+    GAPS = (0, -1, -63, -64, -16382, -16383, -16445, -16446, -2**62)
+
+    def test_equals_the_exp2_form(self):
+        ld = np.longdouble
+        rng = np.random.default_rng(29)
+        mags = np.concatenate((np.frexp(rng.uniform(0.1, 1.0, 6))[0], [1.0, 3.75, 427.5]))
+        rows = []
+        for top in (0, 5, -16000, int(projector._ZERO_EXPONENT)):
+            for sign in (1.0, -1.0):
+                gaps = np.array(self.GAPS, dtype=np.int64)
+                exp = np.concatenate(([top], top + gaps[1:]))
+                if top == int(projector._ZERO_EXPONENT):
+                    exp = np.full_like(gaps, top)
+                for mag in mags:
+                    mant = (sign * mag * np.ones(len(gaps))).astype(ld)
+                    mant[1::3] *= -1
+                    rows.append((mant, exp))
+        mant = np.array([m for m, _ in rows])
+        exp = np.array([e for _, e in rows])
+        # signed zeros, alone in a row and beside terms
+        mant[0, 2], mant[1, 4], mant[2, :] = ld(-0.0), ld(0.0), ld(-0.0)
+        got, want = projector._row_sums(mant, exp), row_sums_exp2(mant, exp)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+        # the same rows one at a time, and an empty row
+        for m, e in zip(mant, exp):
+            assert all(same_bits(a, b) for a, b in zip(projector._row_sums(m, e),
+                                                        row_sums_exp2(m, e)))
+        empty = np.zeros((2, 0), dtype=ld), np.zeros((2, 0), dtype=np.int64)
+        assert all(same_bits(a, b) for a, b in zip(projector._row_sums(*empty),
+                                                    row_sums_exp2(*empty)))
+
+
 def jet_grid_float64_ladder(level, xs, ys):
     """jet_grid as the float64 ladder built it: the tracked derivative table of
     _psi_mantexp's float64 route (neighbours realigned to the larger exponent),

@@ -408,6 +408,39 @@ class TestHermiteDerivAll:
             assert np.array_equal(dm[k], ref * scale)
 
 
+def phi_deriv_ldexp(hbar, nmax, xs):
+    """_phi_deriv_mantexp as ldexp built it: each neighbour of the ladder
+    realigned to the larger exponent by np.ldexp."""
+    ld = np.longdouble
+    hb = ld(hbar)
+    m1, e1 = _psi_mantexp(nmax + 1, np.asarray(xs, dtype=ld) / np.sqrt(hb), dtype=ld)
+    k = np.arange(nmax + 1, dtype=ld)
+    lo, hi = np.sqrt(k / ld(2.0))[:, None], np.sqrt((k + 1) / ld(2.0))[:, None]
+    dm, de = np.empty_like(m1[:-1]), np.empty_like(e1[:-1])
+    dm[0], de[0] = -hi[0] * m1[1], e1[1]
+    ea, eb = e1[:nmax], e1[2:]
+    eo = np.maximum(ea, eb)
+    dm[1:] = lo[1:] * np.ldexp(m1[:nmax], ea - eo) - hi[1:] * np.ldexp(m1[2:], eb - eo)
+    de[1:] = eo
+    return m1[:-1] * hb ** ld(-0.25), e1[:-1], dm * hb ** ld(-0.75), de
+
+
+class TestLadderAlignment:
+    @pytest.mark.parametrize("n,count", [(400, 30), (1600, 1), (100, 97)])
+    def test_equals_the_ldexp_form(self, n, count):
+        # out to |x| = 3, deep in the forbidden region, with both zeros where
+        # the table has room for them
+        xs = np.linspace(-3.0, 3.0, count) if count > 2 else np.array([3.0] * count)
+        if count == 30:
+            xs[:2] = 0.0, -0.0
+        hbar = level_new(2, n).hbar
+        got, want = _phi_deriv_mantexp(hbar, n, xs), phi_deriv_ldexp(hbar, n, xs)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestRescaleToUnit:
     def test_identity_at_normalized_energy(self):
         rule = rescale_to_unit(np.array([0.3, -0.4]), 0.5)
