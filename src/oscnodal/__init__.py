@@ -44,6 +44,7 @@ from .densities import (  # noqa: F401
     omega_caustic_scaled,
     omega_exact,
     omega_exact_batch,
+    omega_exact_levels,
     tube_mass,
 )
 from .montecarlo import (  # noqa: F401

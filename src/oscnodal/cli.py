@@ -335,8 +335,8 @@ def _cmd_scaling_sweep(args):
     # the sweep points r e1, in d dimensions
     points = [_sweep_radius(args.point, level, args.alpha, args.s) * np.eye(args.d)[0]
               for level in levels]
-    # one Kac-Rice reduction over the table (each N has its own basis)
-    omegas = [densities.omega_exact(level, x).omega for level, x in zip(levels, points)]
+    # one basis recurrence (to the largest N) and one Kac-Rice reduction for the table
+    omegas = [kr.omega for kr in densities.omega_exact_levels(levels, points)]
     log_f = [math.log(f) for f in densities.kac_rice_density_batch(omegas).tolist()]
     log_h = [math.log(level.hbar) for level in levels]
     rows = [[args.point, args.d, level.N, level.hbar, float(np.linalg.norm(x)), log]
@@ -375,6 +375,12 @@ def _cmd_montecarlo(args):
             half = args.box_size / 2.0
             box = ((args.box_x - half, args.box_x + half),
                    (args.box_y - half, args.box_y + half))
+            for flag, centre, (lo, hi) in (("--box-x", args.box_x, box[0]),
+                                           ("--box-y", args.box_y, box[1])):
+                if not lo < hi:
+                    raise ValueError(f"{flag} {centre!r} with --box-size {args.box_size!r}: "
+                                     f"the box side has no width at that centre (both ends "
+                                     f"round to {lo!r})")
             values, est = montecarlo.nodal_length_ensemble(
                 level, seeds, box, level.hbar / 8.0)
         rows = [[seed, args.N, args.statistic, float(value), 0.0, est.resolution]

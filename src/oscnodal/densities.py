@@ -257,16 +257,28 @@ def omega_exact(level, x):
 
 
 def omega_exact_batch(level, points):
-    """omega_exact at every point of a list, each == to a one-point call.
+    """omega_exact at every point of a list, each == to a one-point call: the
+    one-level case of omega_exact_levels."""
+    return omega_exact_levels([level] * len(points), points)
+
+
+def omega_exact_levels(levels, points):
+    """omega_exact(levels[i], points[i]) for every i, levels of one d, each == to a
+    one-point call; a pass runs one extended-precision recurrence for all its levels.
 
     Omega = lambda_r xhat xhat^T + lambda_t (I - xhat xhat^T), lambda_r = H_rr/Pi -
     (g/Pi)^2 and lambda_t = H_tt/Pi, from the extended-precision _radial_jet_sums
     (lambda_r cancels by ~1/hbar in the forbidden region); rounded once.
     """
+    if len(levels) != len(points):
+        raise ValueError("one level per point")
     points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in points]
+    if not points:
+        return []
     if any(np.linalg.norm(x) == 0.0 for x in points):
         raise ValueError("omega_exact requires x != 0")
-    _, xhat, (pi, g, h_rr, h_tt), (pe, ge, e_rr, e_tt) = projector._radial_jet_sums(level, points)
+    _, xhat, (pi, g, h_rr, h_tt), (pe, ge, e_rr, e_tt) = \
+        projector._radial_jet_sums(levels, points)
     grad = np.ldexp(g / pi, ge - pe)
     omegas = projector._turn_back(xhat, np.ldexp(h_rr / pi, e_rr - pe) - grad * grad,
                                  np.ldexp(h_tt / pi, e_tt - pe))

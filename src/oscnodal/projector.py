@@ -25,11 +25,14 @@ Diagonal jets (the Kac-Rice input) come from the basis derivative ladder in
 radial form: the kernel is O(d)-invariant, so the jet at x is the jet at
 |x| e1, four single sums against closed-form series, turned back along x/|x|.
 
-pi_exact_batch and covariance_jet_batch run one extended-precision basis
+pi_exact_batch and the radial jet sums run one extended-precision basis
 recurrence (semiclassical._psi_mantexp; each column depends on its own
 coordinate alone) per pass of at most _PASS_ENTRIES basis entries, over their
-distinct coordinates, radii or planar coordinates; pi_exact and
-covariance_jet are their one-entry cases.
+distinct coordinates, planar coordinates or xi = |x| / sqrt(hbar).  A jet
+pass may mix levels of one d (densities.omega_exact_levels, the scaling
+sweep): its table runs to the largest N + 1, which only adds rows after those
+a shorter table holds, and each point reads its own rows 0..N.  pi_exact,
+covariance_jet and the one-level batches are their one-entry cases.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .semiclassical import (
     TrackedReal,
     _PI_LD,
     _check_range,
+    _pow2_down,
     _laguerre_mantexp,
     _phi_deriv_mantexp,
     _phi_mantexp,
@@ -180,8 +184,12 @@ def _zero_series(hbar, n, m):
 
 def covariance_jet_batch(level, points):
     """covariance_jet over a list of diagonal points, positionally ordered: the
-    _radial_jet_sums turned back along each xhat, so a jet is == to a one-point call."""
-    points, xhat, (pi, g, h_rr, h_tt), (pe, ge, e_rr, e_tt) = _radial_jet_sums(level, points)
+    one-level _radial_jet_sums turned back along each xhat, so a jet is == to a
+    one-point call."""
+    if len(points) == 0:
+        return []
+    points, xhat, (pi, g, h_rr, h_tt), (pe, ge, e_rr, e_tt) = \
+        _radial_jet_sums([level] * len(points), points)
     top = np.maximum(e_rr, e_tt)
     hess = _turn_back(xhat, np.ldexp(h_rr, e_rr - top), np.ldexp(h_tt, e_tt - top))
     return [CovarianceJet(x, TrackedReal(float(p), int(p_e)),
@@ -190,34 +198,65 @@ def covariance_jet_batch(level, points):
             for x, u, p, p_e, g_i, g_e, hh, t in zip(points, xhat, pi, pe, g, ge, hess, top)]
 
 
-def _radial_jet_sums(level, points):
-    """(points, xhat, totals, tops): the checked (m, d) points, their longdouble
-    xhat, and (4, m) arrays of Pi, g, H_rr and H_tt as totals 2**tops.
+def _radial_jet_sums(levels, points):
+    """(points, xhat, totals, tops) for the points at their levels (levels[i] for
+    points[i], all of one d): the checked (m, d) points, their longdouble xhat, and
+    (4, m) arrays of Pi, g, H_rr and H_tt as totals 2**tops.
 
     At r e1, r = |x|, the other d - 1 coordinates are 0, so with (D, T) from
     _zero_series and phi_a = phi_a(r): Pi = sum_a phi_a^2 D(N-a), g = sum_a
-    phi_a phi_a' D(N-a), H_rr = sum_a phi_a'^2 D(N-a), H_tt = sum_a phi_a^2 T(N-a),
-    each one _row_sums over the distinct extended-precision radii of a pass.
+    phi_a phi_a' D(N-a), H_rr = sum_a phi_a'^2 D(N-a), H_tt = sum_a phi_a^2 T(N-a).
+    A pass runs one ladder of psi_k and psi_k' (phi at hbar = 1) to the largest N
+    of its points, over each level's distinct xi = r / sqrt(hbar).  Each level
+    reads rows 0..N of its own columns, times hbar^(-1/4) and hbar^(-3/4), into
+    one _row_sums a sum; rows do not depend on the table's length, so a value is
+    == to a one-point call.
     """
-    d, n, dtype = level.d, level.N, np.longdouble
-    points = _checked_table(level, points, pairs=False)
-    # zero series read backwards: D meets the degrees of N's parity, T the others
-    (dz_m, dz_e), (tz_m, tz_e) = [(mant[::-1], exp[::-1]) for mant, exp in
-                                  _zero_series(level.hbar, n, d - 1)]
-    radii, xhat = _radial_frame(points.astype(dtype))
-    totals, tops = np.zeros((4, len(points)), dtype), np.zeros((4, len(points)), np.int64)
-    a, b, per_pass = slice(n % 2, None, 2), slice(1 - n % 2, None, 2), _per_pass(n, 2)
-    for start in range(0, len(points), per_pass):
-        rows = slice(start, start + per_pass)
-        r, col = np.unique(radii[rows], return_inverse=True)
-        m, e, dm, de = (t.T for t in _phi_deriv_mantexp(level.hbar, n, r))
+    ld, d = np.longdouble, levels[0].d
+    groups = {}
+    for i, level in enumerate(levels):
+        groups.setdefault(level, []).append(i)
+    if any(level.d != d for level in groups):
+        raise ValueError("the levels of one table must share d")
+    table, which = np.empty((len(levels), d)), np.empty(len(levels), dtype=np.int64)
+    series = []
+    for k, (level, rows) in enumerate(groups.items()):
+        table[rows] = _checked_table(level, [points[i] for i in rows], pairs=False)
+        which[rows] = k
+        n, hb = level.N, ld(level.hbar)
+        # zero series read backwards: D meets the degrees of N's parity, T the others
+        (dz_m, dz_e), (tz_m, tz_e) = [(mant[::-1], exp[::-1]) for mant, exp in
+                                      _zero_series(level.hbar, n, d - 1)]
+        a, b = slice(n % 2, n + 1, 2), slice(1 - n % 2, n + 1, 2)
         # Pi, g, H_rr, H_tt: phi phi, phi phi' and phi' phi' against D, phi phi against T
-        for i, (p, p_e, q, q_e, deg, z_m, z_e) in enumerate((
-                (m, e, m, e, a, dz_m, dz_e), (m, e, dm, de, a, dz_m, dz_e),
-                (dm, de, dm, de, a, dz_m, dz_e), (m, e, m, e, b, tz_m, tz_e))):
-            total, top = _row_sums(p[:, deg] * q[:, deg] * z_m, p_e[:, deg] + q_e[:, deg] + z_e)[:2]
-            totals[i, rows], tops[i, rows] = total[col.ravel()], top[col.ravel()]
-    return points, xhat, totals, tops
+        series.append((n, hb, ((0, 0, a, dz_m, dz_e), (0, 1, a, dz_m, dz_e),
+                               (1, 1, a, dz_m, dz_e), (0, 0, b, tz_m, tz_e))))
+    radii, xhat = _radial_frame(table.astype(ld))
+    xi = radii / np.sqrt(np.array([series[k][1] for k in which.tolist()], dtype=ld))
+    totals, tops = np.zeros((4, len(levels)), ld), np.zeros((4, len(levels)), np.int64)
+    per_pass = _per_pass(max(level.N for level in groups), 2)
+    for start in range(0, len(levels), per_pass):
+        rows = np.arange(start, min(start + per_pass, len(levels)))
+        # each level's distinct xi, one block of table columns a level
+        parts = []
+        for k in dict.fromkeys(which[rows].tolist()):
+            here = rows[which[rows] == k]
+            parts.append((k, here, *np.unique(xi[here], return_inverse=True)))
+        n_pass = max(series[k][0] for k, *_ in parts)
+        m, e, dm, de = (t.T for t in _phi_deriv_mantexp(
+            1.0, n_pass, np.concatenate([xs for *_, xs, _ in parts])))
+        end = 0
+        for k, here, xs, at in parts:
+            n, hb, sums = series[k]
+            cols, end = slice(end, end + len(xs)), end + len(xs)
+            bases = ((m[cols, :n + 1] * hb ** ld(-0.25), e[cols, :n + 1]),
+                     (dm[cols, :n + 1] * hb ** ld(-0.75), de[cols, :n + 1]))
+            for i, (u, v, deg, z_m, z_e) in enumerate(sums):
+                (p, p_e), (q, q_e) = bases[u], bases[v]
+                total, top = _row_sums(p[:, deg] * q[:, deg] * z_m,
+                                       p_e[:, deg] + q_e[:, deg] + z_e)[:2]
+                totals[i, here], tops[i, here] = total[at.ravel()], top[at.ravel()]
+    return table, xhat, totals, tops
 
 
 def _turn_back(xhat, along, across):
@@ -235,11 +274,12 @@ def _radial_frame(x):
 
 
 def _row_sums(mant, exp):
-    """Tracked sums along the last axis of mant 2**exp: (total, top, terms), the sum
-    being total 2**top and terms its summands over 2**top (an empty row sums to 0)."""
+    """Tracked sums along the last axis of longdouble mant 2**exp: (total, top, terms),
+    the sum being total 2**top and terms its summands over 2**top (an empty row sums
+    to 0); each summand is rounded once, by a power of two from _pow2_down."""
     top = exp.max(axis=-1, initial=_ZERO_EXPONENT)
     # C order: each row is summed pairwise on its own, as a 1-d sum would be
-    terms = np.multiply(mant, np.exp2((exp - top[..., None]).astype(mant.dtype)), order="C")
+    terms = np.multiply(mant, _pow2_down(top[..., None] - exp), order="C")
     return terms.sum(axis=-1), top, terms
 
 

@@ -52,6 +52,11 @@ _PI_M14_LD = _PI_LD ** np.longdouble(-0.25)
 
 DEFAULT_DIM_BUDGET = 10**8
 
+#: 2^-k for k = 0 .. 16445 (to the longdouble subnormal floor on x86-64), each exact,
+#: then one 0 for every larger k: 16447 entries, 263 kB (_pow2_down)
+_POW2_LD = np.append(np.ldexp(np.longdouble(1), -np.arange(
+    np.finfo(np.longdouble).nmant - np.finfo(np.longdouble).minexp + 1)), np.longdouble(0))
+
 #: the largest |x| / sqrt(hbar) of a point: _psi_blocks is finite below 2^31, and
 #: below 2^30 a term of a kernel or jet sum (two points' bases) has an exponent
 #: above -1.5 * 2^60
@@ -474,6 +479,17 @@ def _psi_blocks(nmax, xi, dtype):
     return m.reshape(shape)[:rows], e.reshape(shape)[:rows]
 
 
+def _pow2_down(shift):
+    """2**-shift in longdouble for an integer array shift >= 0, read from _POW2_LD.
+
+    The powers are exact down to the subnormal floor and 0 below it, so m times
+    them rounds once: == m * exp2(-shift), and == ldexp(m, -shift) for |m| < 1.
+    One lookup and one multiply cost ~5 ns an entry where exp2 costs ~66 ns and
+    ldexp ~22 ns.
+    """
+    return np.take(_POW2_LD, shift, mode="clip")
+
+
 def _phi_mantexp(hbar, nmax, xs, dtype=np.float64):
     """Scaled eigenfunctions phi_k(x) = hbar^(-1/4) psi_k(x/sqrt(hbar))."""
     hb = dtype(hbar)
@@ -488,8 +504,9 @@ def _phi_deriv_mantexp(hbar, nmax, xs):
 
     The ladder psi_k' = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1} runs on
     a table one degree past nmax, each derivative taking the larger of its
-    two neighbours' exponents (the realignment is exact, by powers of two).
-    Returns (m, e, dm, de), all of shape (nmax+1, len(xs)).
+    two neighbours' exponents (the realignment is by powers of two from
+    _pow2_down, == ldexp on the normalized mantissas).  Returns (m, e, dm, de),
+    all of shape (nmax+1, len(xs)); at hbar = 1 they are psi_k and psi_k'.
     """
     dtype = np.longdouble
     hb = dtype(hbar)
@@ -499,12 +516,17 @@ def _phi_deriv_mantexp(hbar, nmax, xs):
     dm, de = np.empty_like(m1[:-1]), np.empty_like(e1[:-1])
     # k = 0: psi' = -sqrt(1/2) psi_1
     dm[0], de[0] = -hi[0] * m1[1], e1[1]
-    # k >= 1: both neighbours realigned to the larger of their exponents
-    ea, eb = e1[:nmax], e1[2:]
-    eo = np.maximum(ea, eb)
-    dm[1:] = lo[1:] * np.ldexp(m1[:nmax], ea - eo) - hi[1:] * np.ldexp(m1[2:], eb - eo)
-    de[1:] = eo
-    return m1[:-1] * hb ** dtype(-0.25), e1[:-1], dm * hb ** dtype(-0.75), de
+    # k >= 1: both neighbours realigned to the larger of their exponents, in place
+    eo = np.maximum(e1[:nmax], e1[2:], out=de[1:])
+    np.multiply(m1[:nmax], _pow2_down(eo - e1[:nmax]), out=dm[1:])
+    dm[1:] *= lo[1:]
+    above = m1[2:] * _pow2_down(eo - e1[2:])
+    above *= hi[1:]
+    dm[1:] -= above
+    m = m1[:-1]
+    m *= hb ** dtype(-0.25)
+    dm *= hb ** dtype(-0.75)
+    return m, e1[:-1], dm, de
 
 
 def _laguerre_mantexp(jmax, alpha, z, log2_scale):

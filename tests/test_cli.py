@@ -291,6 +291,21 @@ class TestScalingSweepCommand:
         assert "at least two distinct N values" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_recurrence_for_the_sweep(self, tmp_path, monkeypatch):
+        # every N of the list shares one extended-precision table
+        calls = []
+        original = oscnodal.semiclassical._psi_mantexp
+
+        def counted(nmax, xi, dtype=np.float64):
+            calls.append((nmax, len(xi)))
+            return original(nmax, xi, dtype=dtype)
+
+        monkeypatch.setattr(oscnodal.semiclassical, "_psi_mantexp", counted)
+        status, _ = run(tmp_path, "scaling-sweep", "--d", "2", "--N", "1600,100,400,100,800",
+                        "--point", "forbidden")
+        assert status == 0
+        assert calls == [(1601, 4)]
+
     def test_d3_sweep_point_is_r_e1(self, tmp_path):
         status, out = run(tmp_path, "scaling-sweep", "--d", "3", "--N", "20,40",
                           "--point", "caustic")
@@ -402,6 +417,22 @@ class TestMonteCarloCommand:
                           "--d", "2", "--N", "20", "--seeds", "2", "--box-size", size)
         assert status == 1
         assert "box-size must lie in (0, inf)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--box-x", "1e300"), "--box-x 1e+300"),
+        (("--box-y", "-1e300"), "--box-y -1e+300"),
+        (("--box-size", "5e-324"), "--box-x 0.5"),
+    ])
+    def test_box_side_without_width_is_a_usage_error(self, tmp_path, capsys, flags, named):
+        # far from 0 (or with a subnormal size) both ends of a side round to
+        # the centre; this used to read "box sides must be positive"
+        status, out = run(tmp_path, "montecarlo", "--statistic", "nodal-length",
+                          "--d", "2", "--N", "20", "--seeds", "2", *flags)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert named in err and "--box-size" in err
+        assert "no width at that centre" in err
         assert not out.exists()
 
     def test_nodal_length_table(self, tmp_path):

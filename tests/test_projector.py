@@ -18,7 +18,7 @@ from oscnodal import (
     pi_mehler,
 )
 from oscnodal.cli import main, read_table
-from oscnodal import projector
+from oscnodal import densities, projector, semiclassical
 from oscnodal.projector import (
     _PLANAR_CONDITION_MAX,
     _conv_full,
@@ -710,6 +710,54 @@ class TestJetBatch:
         assert np.all(hess[~np.eye(d, dtype=bool)] == 0.0)
         assert np.max(np.abs(np.diag(hess) - hess[0, 0])) <= 1e-15 * np.max(np.abs(hess))
         assert_jets_close(jet, jet_per_point(level, np.zeros(d)), 1e-14)
+
+    # per_pass 2 splits the levels across passes, and its table stops short of 1601 rows
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("per_pass", [None, 2])
+    def test_mixed_levels_equal_one_level_calls(self, d, per_pass, monkeypatch):
+        if per_pass is not None:
+            monkeypatch.setattr(projector, "_PASS_ENTRIES", 2 * per_pass * 1601)
+        # unsorted and repeated N; one radius at every level, so xi differs by level
+        ns = [1600, 100, 400, 100, 800, 400]
+        points = jet_table(d, 6, 70 + d)
+        points[3] = points[1].copy()
+        levels = [level_new(d, n) for n in ns]
+        _, xhat, totals, tops = projector._radial_jet_sums(levels, points)
+        for i, (level, x) in enumerate(zip(levels, points)):
+            _, one_xhat, one_totals, one_tops = projector._radial_jet_sums([level], [x])
+            assert np.array_equal(xhat[i], one_xhat[0])
+            assert np.array_equal(totals[:, i], one_totals[:, 0])
+            assert np.array_equal(tops[:, i], one_tops[:, 0])
+        omegas = densities.omega_exact_levels(levels, points)
+        for level, x, omega in zip(levels, points, omegas):
+            assert np.array_equal(omega.omega, densities.omega_exact(level, x).omega)
+
+    def test_one_recurrence_a_pass(self, monkeypatch):
+        calls = []
+        original = semiclassical._psi_mantexp
+
+        def counted(nmax, xi, dtype=np.float64):
+            calls.append((nmax, len(xi)))
+            return original(nmax, xi, dtype=dtype)
+
+        monkeypatch.setattr(semiclassical, "_psi_mantexp", counted)
+        levels = [level_new(2, n) for n in (1600, 100, 400, 100, 800)]
+        points = [[0.5, 0.0], [0.5, 0.0], [1.3, 0.0], [0.5, 0.0], [0.0, 1.3]]
+        densities.omega_exact_levels(levels, points)
+        # one table to the largest N + 1; N = 100 twice at one radius is one column
+        assert calls == [(1601, 4)]
+        calls.clear()
+        monkeypatch.setattr(projector, "_PASS_ENTRIES", 2 * 2 * 1601)
+        densities.omega_exact_levels(levels, points)
+        assert calls == [(1601, 2), (401, 2), (801, 1)]
+
+    def test_mixed_levels_must_share_d(self):
+        with pytest.raises(ValueError, match="share d"):
+            densities.omega_exact_levels([level_new(2, 10), level_new(3, 10)],
+                                         [[0.5, 0.0], [0.5, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="one level per point"):
+            densities.omega_exact_levels([level_new(2, 10)], [[0.5, 0.0], [0.4, 0.0]])
+        assert densities.omega_exact_levels([], []) == []
 
     def test_empty_batch_and_validation(self):
         level = level_new(2, 10)
