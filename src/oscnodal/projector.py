@@ -223,16 +223,11 @@ def _radial_jet_sums(levels, points):
     for k, (level, rows) in enumerate(groups.items()):
         table[rows] = _checked_table(level, [points[i] for i in rows], pairs=False)
         which[rows] = k
-        n, hb = level.N, ld(level.hbar)
         # zero series read backwards: D meets the degrees of N's parity, T the others
-        (dz_m, dz_e), (tz_m, tz_e) = [(mant[::-1], exp[::-1]) for mant, exp in
-                                      _zero_series(level.hbar, n, d - 1)]
-        a, b = slice(n % 2, n + 1, 2), slice(1 - n % 2, n + 1, 2)
-        # Pi, g, H_rr, H_tt: phi phi, phi phi' and phi' phi' against D, phi phi against T
-        series.append((n, hb, ((0, 0, a, dz_m, dz_e), (0, 1, a, dz_m, dz_e),
-                               (1, 1, a, dz_m, dz_e), (0, 0, b, tz_m, tz_e))))
+        series.append([(mant[::-1], exp[::-1]) for mant, exp in
+                       _zero_series(level.hbar, level.N, d - 1)])
     radii, xhat = _radial_frame(table.astype(ld))
-    xi = radii / np.sqrt(np.array([series[k][1] for k in which.tolist()], dtype=ld))
+    xi = radii / np.sqrt(np.array([level.hbar for level in levels], dtype=ld))
     totals, tops = np.zeros((4, len(levels)), ld), np.zeros((4, len(levels)), np.int64)
     per_pass = _per_pass(max(level.N for level in groups), 2)
     for start in range(0, len(levels), per_pass):
@@ -242,17 +237,21 @@ def _radial_jet_sums(levels, points):
         for k in dict.fromkeys(which[rows].tolist()):
             here = rows[which[rows] == k]
             parts.append((k, here, *np.unique(xi[here], return_inverse=True)))
-        n_pass = max(series[k][0] for k, *_ in parts)
+        n_pass = max(levels[here[0]].N for _, here, *_ in parts)
         m, e, dm, de = (t.T for t in _phi_deriv_mantexp(
             1.0, n_pass, np.concatenate([xs for *_, xs, _ in parts])))
         end = 0
         for k, here, xs, at in parts:
-            n, hb, sums = series[k]
+            level, (dz, tz) = levels[here[0]], series[k]
+            n, hb = level.N, ld(level.hbar)
             cols, end = slice(end, end + len(xs)), end + len(xs)
-            bases = ((m[cols, :n + 1] * hb ** ld(-0.25), e[cols, :n + 1]),
-                     (dm[cols, :n + 1] * hb ** ld(-0.75), de[cols, :n + 1]))
-            for i, (u, v, deg, z_m, z_e) in enumerate(sums):
-                (p, p_e), (q, q_e) = bases[u], bases[v]
+            phi = m[cols, :n + 1] * hb ** ld(-0.25), e[cols, :n + 1]
+            dphi = dm[cols, :n + 1] * hb ** ld(-0.75), de[cols, :n + 1]
+            a, b = slice(n % 2, None, 2), slice(1 - n % 2, None, 2)
+            # Pi, g, H_rr, H_tt: phi phi, phi phi' and phi' phi' against D, phi phi against T
+            for i, ((p, p_e), (q, q_e), deg, (z_m, z_e)) in enumerate((
+                    (phi, phi, a, dz), (phi, dphi, a, dz), (dphi, dphi, a, dz),
+                    (phi, phi, b, tz))):
                 total, top = _row_sums(p[:, deg] * q[:, deg] * z_m,
                                        p_e[:, deg] + q_e[:, deg] + z_e)[:2]
                 totals[i, here], tops[i, here] = total[at.ravel()], top[at.ravel()]

@@ -26,7 +26,9 @@ exact kernels and jets: a few columns at N up to thousands) runs as transfers
 across blocks of _BLOCK = 32 rows, so a table of N rows costs ~8 * 32 + N / 3
 array operations instead of ~3.6 N, at the per-step loop's accuracy; its
 mantissas come frexp-normalized, |m| < 1, with one exponent per entry.  The
-derivative ladder (_phi_deriv_mantexp) is extended precision only.
+derivative ladder (_phi_deriv_mantexp) is extended precision only; it and the
+tracked sums of projector scale longdouble tables by exact powers of two read
+from one table (_pow2_down), not by exp2 or ldexp.
 _laguerre_mantexp tracks the Laguerre functions that the exact pair kernels
 at d >= 3 sum against (projector._planar_sums).
 """
@@ -484,8 +486,8 @@ def _pow2_down(shift):
 
     The powers are exact down to the subnormal floor and 0 below it, so m times
     them rounds once: == m * exp2(-shift), and == ldexp(m, -shift) for |m| < 1.
-    One lookup and one multiply cost ~5 ns an entry where exp2 costs ~66 ns and
-    ldexp ~22 ns.
+    One lookup and one multiply cost ~5.5 ns an entry where exp2 costs ~62 ns
+    and ldexp ~20 ns (DECISIONS.md).
     """
     return np.take(_POW2_LD, shift, mode="clip")
 
